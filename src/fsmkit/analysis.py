@@ -21,13 +21,12 @@ and with a second marker z^(input sum), c = lam_yz - lam_y * lam_z.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import AnalysisError, MachineError, NegativeCycleError
-from .machine import Machine, WeightedDigraph
+from .machine import Machine, WeightedDigraph, bfs_levels
 from .polynomial import MPoly, charpoly
 from .symbols import Digit
 
@@ -185,15 +184,7 @@ def is_aperiodic(m: Machine, scc) -> bool:
     if not scc:
         raise AnalysisError("the component must not be empty")
     succ = _successors(m)
-    start = min(scc)
-    level = {start: 0}
-    queue = deque([start])
-    while queue:
-        here = queue.popleft()
-        for target in succ[here]:
-            if target in scc and target not in level:
-                level[target] = level[here] + 1
-                queue.append(target)
+    level = bfs_levels([min(scc)], lambda here: scc.intersection(succ[here]))
     period = 0
     for label in scc:
         for target in succ[label]:
@@ -202,65 +193,15 @@ def is_aperiodic(m: Machine, scc) -> bool:
     return period == 1
 
 
-# ----------------------------------------------------------------------
-# marked adjacency matrices
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExponentMatrix:
-    """Adjacency matrix with entries sum_h coeff * y^h stored as finite
-    exponent -> coefficient maps; entry (k, l) collects 1/q * y^(output
-    sum) for every transition from state k to state l."""
-
-    state_labels: tuple
-    entries: tuple  # n x n nested tuples of dict {exponent: Fraction}
-
-    def at_one(self):
-        """Evaluate at y = 1: the transition probability matrix."""
-        return [[sum(cell.values(), Fraction(0)) for cell in row]
-                for row in self.entries]
-
-    def derivative_at_one(self):
-        """d/dy at y = 1: expected per-transition output contribution."""
-        return [[sum((Fraction(e) * c for e, c in cell.items()), Fraction(0))
-                 for cell in row]
-                for row in self.entries]
-
-
-def _output_sum(w) -> int:
+def _digit_sum(w, role: str) -> int:
+    """Sum of a word of digits; `role` ("input" or "output") names the
+    word when a letter is not a digit."""
     total = 0
     for s in w:
         if not isinstance(s, Digit):
-            raise AnalysisError(
-                f"output sums need digit outputs, found {s}")
+            raise AnalysisError(f"{role} sums need digit {role}s, found {s}")
         total += s.value
     return total
-
-
-def _input_sum(w) -> int:
-    total = 0
-    for s in w:
-        if not isinstance(s, Digit):
-            raise AnalysisError(f"input sums need digit inputs, found {s}")
-        total += s.value
-    return total
-
-
-def exponent_adjacency_matrix(t: Machine) -> ExponentMatrix:
-    if not t.is_complete():
-        raise MachineError(
-            "the marked adjacency matrix needs a complete deterministic machine")
-    labels = tuple(st.label for st in t.states)
-    index = {label: i for i, label in enumerate(labels)}
-    q = Fraction(1, len(t.input_alphabet))
-    cells = [[dict() for _ in labels] for _ in labels]
-    for tr in t.transitions:
-        cell = cells[index[tr.source]][index[tr.target]]
-        h = _output_sum(tr.output)
-        cell[h] = cell.get(h, Fraction(0)) + q
-    entries = tuple(tuple(row) for row in cells)
-    return ExponentMatrix(labels, entries)
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +283,7 @@ def expected_density(t: Machine) -> Fraction:
     q = Fraction(1, len(t.input_alphabet))
     per_state = {st.label: Fraction(0) for st in t.states}
     for tr in t.transitions:
-        per_state[tr.source] += q * _output_sum(tr.output)
+        per_state[tr.source] += q * _digit_sum(tr.output, "output")
     return sum((vi * per_state[st.label] for vi, st in zip(v, t.states)),
                Fraction(0))
 
@@ -383,8 +324,8 @@ def asymptotic_moments(t: Machine) -> MomentsResult:
             continue
         if tr.target not in scc:
             raise AnalysisError("terminal component has an outgoing edge")
-        h = _output_sum(tr.output)
-        g = _input_sum(tr.input)
+        h = _digit_sum(tr.output, "output")
+        g = _digit_sum(tr.input, "input")
         mono = MPoly(3, {(0, h, g): q})
         i, j = index[tr.source], index[tr.target]
         B[i][j] = B[i][j] + mono

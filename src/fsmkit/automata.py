@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConstructionError, MachineError
-from .machine import AUTOMATON, Machine, State, Transition, as_label
+from .machine import (AUTOMATON, Machine, State, Transition, _pair_label,
+                      as_label, bfs_levels, explore)
 from .polynomial import charpoly
-from .symbols import Symbol, symbol, word, word_key
+from .symbols import Symbol, symbol, word
+from .transducers import simplify
 
 
 def _require_automaton(m: Machine):
@@ -178,37 +180,21 @@ def determinize(a: Machine) -> Machine:
     """Subset construction with epsilon closure; subset states are named
     by their sorted member labels, so the result is canonical."""
     _require_automaton(a)
+    finals = {st.label for st in a.final_states()}
 
-    def name(subset: frozenset) -> str:
-        return "{" + ",".join(sorted(subset)) + "}"
-
-    start = _epsilon_closure(a, [st.label for st in a.initial_states()])
-    subsets = {start: name(start)}
-    order = [start]
-    transitions = []
-    queue = deque([start])
-    while queue:
-        here = queue.popleft()
+    def successors(subset):
         for letter in a.input_alphabet:
             move = {t.target
-                    for label in here
+                    for label in subset
                     for t in a.transitions_from(label)
                     if t.input == (letter,)}
-            if not move:
-                continue
-            target = _epsilon_closure(a, move)
-            if target not in subsets:
-                subsets[target] = name(target)
-                order.append(target)
-                queue.append(target)
-            transitions.append(
-                Transition(subsets[here], subsets[target], (letter,)))
+            if move:
+                yield (letter,), _epsilon_closure(a, move), ()
 
-    final_labels = {st.label for st in a.final_states()}
-    states = tuple(
-        State(subsets[subset], subset == start, bool(subset & final_labels))
-        for subset in order)
-    return Machine(AUTOMATON, states, tuple(transitions), a.input_alphabet)
+    start = _epsilon_closure(a, [st.label for st in a.initial_states()])
+    return explore(AUTOMATON, a.input_alphabet, [start], successors,
+                   lambda subset: "{" + ",".join(sorted(subset)) + "}",
+                   lambda subset: () if subset & finals else None)
 
 
 def complete(a: Machine, sink_label="sink") -> Machine:
@@ -216,12 +202,10 @@ def complete(a: Machine, sink_label="sink") -> Machine:
     if not a.is_deterministic():
         raise MachineError("complete() requires a deterministic machine")
     sink_label = as_label(sink_label)
-    missing = []
-    have = {(t.source, t.input[0]) for t in a.transitions}
-    for st in a.states:
-        for letter in a.input_alphabet:
-            if (st.label, letter) not in have:
-                missing.append((st.label, letter))
+    steps = a._deterministic_steps()
+    missing = [(st.label, letter)
+               for st in a.states for letter in a.input_alphabet
+               if (st.label, letter) not in steps]
     if not missing:
         return a
     if a.has_state(sink_label):
@@ -252,77 +236,30 @@ def intersection(a: Machine, b: Machine) -> Machine:
     _require_automaton(b)
     _require_same_alphabet(a, b)
     da, db = determinize(a), determinize(b)
-    ia = da.initial_states()[0].label
-    ib = db.initial_states()[0].label
-    stepa = {(t.source, t.input[0]): t.target for t in da.transitions}
-    stepb = {(t.source, t.input[0]): t.target for t in db.transitions}
+    stepa, stepb = da._deterministic_steps(), db._deterministic_steps()
 
-    def name(pair):
-        return f"({pair[0]},{pair[1]})"
+    def successors(pair):
+        for letter in a.input_alphabet:
+            ta = stepa.get((pair[0], letter))
+            tb = stepb.get((pair[1], letter))
+            if ta is not None and tb is not None:
+                yield (letter,), (ta.target, tb.target), ()
 
-    start = (ia, ib)
-    order = [start]
-    seen = {start}
-    transitions = []
-    queue = deque([start])
-    while queue:
-        here = queue.popleft()
-        for letter in da.input_alphabet:
-            na = stepa.get((here[0], letter))
-            nb = stepb.get((here[1], letter))
-            if na is None or nb is None:
-                continue
-            target = (na, nb)
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-                queue.append(target)
-            transitions.append(Transition(name(here), name(target), (letter,)))
+    def final(pair):
+        both = da.state(pair[0]).is_final and db.state(pair[1]).is_final
+        return () if both else None
 
-    states = tuple(
-        State(name(pair), pair == start,
-              da.state(pair[0]).is_final and db.state(pair[1]).is_final)
-        for pair in order)
-    return Machine(AUTOMATON, states, tuple(transitions), a.input_alphabet)
+    start = (da.initial_states()[0].label, db.initial_states()[0].label)
+    return explore(AUTOMATON, a.input_alphabet, [start], successors,
+                   _pair_label, final)
 
 
 def minimize(a: Machine) -> Machine:
     """The unique minimal complete deterministic automaton for the same
-    language, canonically relabeled (determinizes and completes first,
-    then refines partitions)."""
+    language, canonically relabeled: the determinized, completed machine
+    with its equivalent states merged."""
     _require_automaton(a)
-    d = complete(determinize(a))
-    step = {(t.source, t.input[0]): t.target for t in d.transitions}
-    labels = [st.label for st in d.states]
-
-    block = {st.label: (0 if st.is_final else 1) for st in d.states}
-    while True:
-        signatures = {
-            label: (block[label],
-                    tuple(block[step[(label, letter)]]
-                          for letter in d.input_alphabet))
-            for label in labels}
-        renumber = {}
-        for label in labels:
-            renumber.setdefault(signatures[label], len(renumber))
-        new_block = {label: renumber[signatures[label]] for label in labels}
-        if new_block == block:
-            break
-        block = new_block
-
-    representative = {}
-    for label in labels:
-        representative.setdefault(block[label], label)
-    initial_block = block[d.initial_states()[0].label]
-    states = tuple(
-        State(str(b), b == initial_block, d.state(rep).is_final)
-        for b, rep in sorted(representative.items()))
-    transitions = tuple(
-        Transition(str(b), str(block[step[(rep, letter)]]), (letter,))
-        for b, rep in sorted(representative.items())
-        for letter in d.input_alphabet)
-    quotient = Machine(AUTOMATON, states, transitions, d.input_alphabet)
-    return quotient.relabeled()
+    return simplify(complete(determinize(a)))
 
 
 def is_equivalent(a: Machine, b: Machine) -> bool:
@@ -343,25 +280,14 @@ def language(a: Machine, max_length: int):
     shortlex order under the canonical symbol order."""
     _require_automaton(a)
     d = a if a.is_deterministic() else determinize(a)
-    step = {(t.source, t.input[0]): t.target for t in d.transitions}
+    steps = d._deterministic_steps()
 
     # distance from each state to the nearest final state, for pruning
     rev = {st.label: [] for st in d.states}
     for t in d.transitions:
         rev[t.target].append(t.source)
-    dist = {st.label: 0 for st in d.final_states()}
-    queue = deque(dist)
-    while queue:
-        here = queue.popleft()
-        for prev in rev[here]:
-            if prev not in dist:
-                dist[prev] = dist[here] + 1
-                queue.append(prev)
-
-    initials = d.initial_states()
-    if not initials:
-        return
-    start = initials[0].label
+    dist = bfs_levels((st.label for st in d.final_states()), rev.__getitem__)
+    start = d.initial_states()[0].label
 
     def walk(label, remaining, prefix):
         if dist.get(label, remaining + 1) > remaining:
@@ -371,11 +297,11 @@ def language(a: Machine, max_length: int):
                 yield tuple(prefix)
             return
         for letter in d.input_alphabet:
-            target = step.get((label, letter))
-            if target is None:
+            t = steps.get((label, letter))
+            if t is None:
                 continue
             prefix.append(letter)
-            yield from walk(target, remaining - 1, prefix)
+            yield from walk(t.target, remaining - 1, prefix)
             prefix.pop()
 
     for length in range(max_length + 1):

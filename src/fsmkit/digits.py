@@ -6,12 +6,15 @@ rewriter), the multiply-by-three transducer, the pairing/difference chain
 that rewrites a binary expansion into the 3/2-1/2 non-adjacent form (the
 digitwise difference of the NAFs of 3n/2 and n/2, digits -2..2), the
 Hamming-weight composition over it and the acceptor of its outputs.
+Machines are immutable, so each builder runs once per process and later
+calls return the same machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import automata, transducers
 from .errors import ConstructionError
@@ -71,10 +74,6 @@ def _digit_char(v: int) -> str:
     return str(v) if v >= 0 else str(-v) + "̄"
 
 
-def eval_expansion(e: Expansion) -> Fraction:
-    return e.value()
-
-
 def hamming_weight(w) -> int:
     """Number of nonzero digits; pairs and the absent marker are not
     digits and raise."""
@@ -117,6 +116,7 @@ def _triple_transition(carry, read):
 # builders
 # ----------------------------------------------------------------------
 
+@cache
 def build_naf_acceptor() -> Machine:
     """Minimal complete acceptor of non-adjacent forms over {-1, 0, 1}:
     words where no two adjacent digits are both nonzero, built from
@@ -130,6 +130,7 @@ def build_naf_acceptor() -> Machine:
     return automata.minimize(automata.concat(automata.kleene_star(block), tail))
 
 
+@cache
 def build_naf1() -> Machine:
     """Binary-to-NAF rewriter given by its eight transitions; the initial
     state stores the first digit, states 0..2 the pending carry."""
@@ -141,6 +142,7 @@ def build_naf1() -> Machine:
         initial_labels=["I"], final_labels=[0], input_alphabet=[0, 1])
 
 
+@cache
 def build_naf2() -> Machine:
     """The same rewriter from its transition function, completed with
     final outputs by reading zeros."""
@@ -150,6 +152,7 @@ def build_naf2() -> Machine:
     return transducers.with_final_word_out(m, 0)
 
 
+@cache
 def build_naf_all() -> Machine:
     """NAF rewriter for any expansion over digits {-1, 0, 1}, completed
     with final outputs; six states."""
@@ -159,6 +162,7 @@ def build_naf_all() -> Machine:
     return transducers.with_final_word_out(m, 0)
 
 
+@cache
 def build_triple() -> Machine:
     """Multiply a binary expansion by three, completed with final outputs."""
     m = transducers.from_transition_function(
@@ -167,6 +171,7 @@ def build_triple() -> Machine:
     return transducers.with_final_word_out(m, 0)
 
 
+@cache
 def build_minus(components=(None, -1, 0, 1)) -> Machine:
     """Componentwise difference on pairs: writes left - right with the
     absent marker read as zero."""
@@ -181,6 +186,7 @@ def _component(x) -> Symbol:
     return ABSENT if x is None else Digit(x)
 
 
+@cache
 def build_combined_3n_n() -> Machine:
     """Pairs of the binary digits of 3n and of n, read from n in binary."""
     return transducers.cartesian_product(
@@ -188,18 +194,21 @@ def build_combined_3n_n() -> Machine:
         transducers.identity_transducer([0, 1])).relabeled()
 
 
+@cache
 def build_naf3() -> Machine:
     """NAF of 2n from n in binary (each output digit weighs half the
     matching input digit), as difference-of-digits of 3n and n."""
     return transducers.compose(build_minus(), build_combined_3n_n()).relabeled()
 
 
+@cache
 def build_naf3n() -> Machine:
     """NAF of 6n from n in binary (the rewriter applied behind the
     multiply-by-three transducer)."""
     return transducers.compose(build_naf3(), build_triple())
 
 
+@cache
 def build_T() -> Machine:
     """The 3/2-1/2 rewriter: digitwise NAF(3n/2) - NAF(n/2) with output
     digits -2..2 starting at the digit weighing 1/4."""
@@ -207,6 +216,7 @@ def build_T() -> Machine:
     return transducers.compose(build_minus(), combined).relabeled()
 
 
+@cache
 def build_W() -> Machine:
     """Hamming weight of the 3/2-1/2 expansion, unary in the output sum;
     simplified by merging behaviorally equivalent states."""
@@ -215,6 +225,7 @@ def build_W() -> Machine:
     return transducers.simplify(raw)
 
 
+@cache
 def build_R() -> Machine:
     """Minimal acceptor of the outputs of the 3/2-1/2 rewriter."""
     return automata.minimize(transducers.output_projection(build_T()))

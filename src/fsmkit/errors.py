@@ -19,7 +19,8 @@ class InvalidInputError(FsmError):
 
 
 class StateCapError(ConstructionError):
-    """Transition-function exploration exceeded the state cap."""
+    """An exploration exceeded the state cap, or the cap is not a positive
+    integer."""
 
 
 class AnalysisError(FsmError):

@@ -13,16 +13,21 @@ construction layers use and deterministic execution refuses.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ConstructionError, InvalidInputError, MachineError
-from .symbols import Symbol, Word, format_word, symbol, word, word_key
+from .errors import (ConstructionError, InvalidInputError, MachineError,
+                     StateCapError)
+from .symbols import Word, format_word, symbol, word, word_key
 
 AUTOMATON = "automaton"
 TRANSDUCER = "transducer"
+
+DEFAULT_STATE_CAP = 10_000
+STATE_CAP_ENV = "FSMKIT_STATE_CAP"
 
 
 @dataclass(frozen=True)
@@ -183,27 +188,20 @@ class Machine:
     def is_deterministic(self) -> bool:
         """Single initial state, no epsilon inputs, at most one transition
         per (state, letter)."""
-        if len(self.initial_states()) != 1:
+        try:
+            self._deterministic_steps()
+        except MachineError:
             return False
-        seen = set()
-        for t in self.transitions:
-            if len(t.input) == 0:
-                return False
-            key = (t.source, t.input[0])
-            if key in seen:
-                return False
-            seen.add(key)
         return True
 
     def is_complete(self) -> bool:
         """Deterministic with exactly one transition per (state, letter)."""
-        if not self.is_deterministic():
-            return False
-        seen = {(t.source, t.input[0]) for t in self.transitions}
-        return all((st.label, a) in seen
-                   for st in self.states for a in self.input_alphabet)
+        return (self.is_deterministic() and len(self._step_map)
+                == len(self.states) * len(self.input_alphabet))
 
     def _deterministic_steps(self):
+        """The (label, letter) -> Transition map of a deterministic
+        machine, built once; any other machine raises MachineError."""
         if self._step_map is not None:
             return self._step_map
         initials = self.initial_states()
@@ -301,32 +299,17 @@ class Machine:
 
     def accessible(self) -> "Machine":
         """Restrict to states reachable from the initial states."""
-        reach = set()
-        queue = deque(st.label for st in self.initial_states())
-        reach.update(queue)
-        while queue:
-            here = queue.popleft()
-            for t in self._out[here]:
-                if t.target not in reach:
-                    reach.add(t.target)
-                    queue.append(t.target)
-        return self._restrict(reach)
+        return self._restrict(bfs_levels(
+            (st.label for st in self.initial_states()),
+            lambda here: (t.target for t in self._out[here])))
 
     def coaccessible(self) -> "Machine":
         """Restrict to states from which some final state is reachable."""
         rev = {st.label: [] for st in self.states}
         for t in self.transitions:
             rev[t.target].append(t.source)
-        keep = set()
-        queue = deque(st.label for st in self.final_states())
-        keep.update(queue)
-        while queue:
-            here = queue.popleft()
-            for prev in rev[here]:
-                if prev not in keep:
-                    keep.add(prev)
-                    queue.append(prev)
-        return self._restrict(keep)
+        return self._restrict(bfs_levels(
+            (st.label for st in self.final_states()), rev.__getitem__))
 
     def trim(self) -> "Machine":
         return self.accessible().coaccessible()
@@ -346,29 +329,16 @@ class Machine:
         """Rename states 0..n-1 in breadth-first order from the initial
         states, following transitions in canonical (input, output) order;
         unreachable states keep their relative order at the end."""
-        order = []
-        seen = set()
-        queue = deque()
-        for st in self.initial_states():
-            if st.label not in seen:
-                seen.add(st.label)
-                order.append(st.label)
-                queue.append(st.label)
-        while queue:
-            here = queue.popleft()
-            outgoing = sorted(
+        def outgoing(here):
+            return (t.target for t in sorted(
                 self._out[here],
                 key=lambda t: (word_key(t.input), word_key(t.output),
-                               self._index[t.target]))
-            for t in outgoing:
-                if t.target not in seen:
-                    seen.add(t.target)
-                    order.append(t.target)
-                    queue.append(t.target)
-        for st in self.states:
-            if st.label not in seen:
-                seen.add(st.label)
-                order.append(st.label)
+                               self._index[t.target])))
+
+        reached = bfs_levels((st.label for st in self.initial_states()),
+                             outgoing)
+        order = list(reached)
+        order += [st.label for st in self.states if st.label not in reached]
         mapping = {old: str(i) for i, old in enumerate(order)}
         states = tuple(
             State(mapping[old], self._by_label[old].is_initial,
@@ -395,6 +365,76 @@ class Machine:
         from . import export as _export
         return _export.render(self, fmt, coordinates=coordinates,
                               format_letter=format_letter)
+
+
+def _state_cap(explicit=None) -> int:
+    """The most states an exploration may discover: `explicit` when given,
+    else the FSMKIT_STATE_CAP environment variable, else 10**4."""
+    if explicit is not None:
+        return explicit
+    raw = os.environ.get(STATE_CAP_ENV)
+    if not raw:
+        return DEFAULT_STATE_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise StateCapError(
+            f"{STATE_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
+
+
+def _pair_label(pair) -> str:
+    return f"({pair[0]},{pair[1]})"
+
+
+def explore(kind, alphabet, starts, successors, name, final,
+            output_alphabet=None, cap=None) -> Machine:
+    """Build a machine breadth-first from the state keys `starts`.
+
+    `successors(key)` yields (input word, target key, output word) for each
+    transition leaving a state, in the order the transitions are listed;
+    `name(key)` labels a state once, when it is discovered; `final(key)` is
+    None for a non-final state and its final output word otherwise.  States
+    are listed in discovery order; discovering more than the state cap
+    (see `_state_cap`) raises StateCapError."""
+    cap = _state_cap(cap)
+    labels = {key: name(key) for key in dict.fromkeys(starts)}
+    order = list(labels)
+    initial_count = len(order)
+    transitions = []
+    for here in order:  # order grows while it is walked
+        source = labels[here]
+        for inp, target, out in successors(here):
+            if target not in labels:
+                if len(order) >= cap:
+                    raise StateCapError(
+                        f"exploration exceeded the state cap of {cap}")
+                labels[target] = name(target)
+                order.append(target)
+            transitions.append(Transition(source, labels[target], inp, out))
+    states = []
+    for i, key in enumerate(order):
+        final_output = final(key)
+        states.append(State(labels[key], i < initial_count,
+                            final_output is not None, final_output or ()))
+    return Machine(kind, states, transitions, alphabet, output_alphabet)
+
+
+def bfs_levels(starts, neighbours) -> dict:
+    """Breadth-first distance of every vertex reachable from `starts`, in
+    discovery order; `neighbours(v)` iterates the vertices one step from v."""
+    level = dict.fromkeys(starts, 0)
+    queue = deque(level)
+    while queue:
+        here = queue.popleft()
+        step = level[here] + 1
+        for v in neighbours(here):
+            if v not in level:
+                level[v] = step
+                queue.append(v)
+    return level
 
 
 def build_machine(transitions, initial_labels, final_labels, input_alphabet,

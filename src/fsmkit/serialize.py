@@ -78,6 +78,15 @@ def machine_to_doc(m: Machine) -> dict:
     return doc
 
 
+def _typed(row: dict, field: str, kind: type):
+    value = row[field]
+    if not isinstance(value, kind):
+        expected = "boolean" if kind is bool else "string"
+        raise ConstructionError(
+            f"field {field!r} must be a JSON {expected}, got {value!r}")
+    return value
+
+
 def machine_from_doc(doc: dict) -> Machine:
     try:
         kind = doc["kind"]
@@ -87,17 +96,17 @@ def machine_from_doc(doc: dict) -> Machine:
             out_alphabet = [decode_symbol(s) for s in doc["output_alphabet"]]
         states = tuple(
             State(
-                label=row["label"],
-                is_initial=bool(row["initial"]),
-                is_final=bool(row["final"]),
+                label=_typed(row, "label", str),
+                is_initial=_typed(row, "initial", bool),
+                is_final=_typed(row, "final", bool),
                 final_output=decode_word(row.get("final_output", [])),
             )
             for row in doc["states"]
         )
         transitions = tuple(
             Transition(
-                source=row["from"],
-                target=row["to"],
+                source=_typed(row, "from", str),
+                target=_typed(row, "to", str),
                 input=decode_word(row["input"]),
                 output=decode_word(row["output"]),
             )

@@ -11,6 +11,7 @@ construction in the toolkit, which makes all outputs reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterable, Union
 
 from .errors import ConstructionError
@@ -18,6 +19,7 @@ from .errors import ConstructionError
 MAX_PAIR_DEPTH = 4
 
 
+@total_ordering
 class Symbol:
     """Base class; concrete symbols are Digit, the absent marker and Pair."""
 
@@ -30,21 +32,6 @@ class Symbol:
         if not isinstance(other, Symbol):
             return NotImplemented
         return self.sort_key() < other.sort_key()
-
-    def __le__(self, other):
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other):
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other):
-        if not isinstance(other, Symbol):
-            return NotImplemented
-        return self.sort_key() >= other.sort_key()
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,24 +4,13 @@ final-word completion and state-merging simplification."""
 
 from __future__ import annotations
 
-import os
-from collections import deque
+from itertools import zip_longest
 
-from .errors import ConstructionError, MachineError, StateCapError
+from .errors import ConstructionError, MachineError
 from .machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
-                      as_label)
+                      _pair_label, as_label, explore)
 from .symbols import (ABSENT, AbsentType, Digit, Pair, Symbol, digit_value,
-                      symbol, word, word_key)
-
-DEFAULT_STATE_CAP = 10_000
-STATE_CAP_ENV = "FSMKIT_STATE_CAP"
-
-
-def _state_cap(explicit):
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(STATE_CAP_ENV)
-    return int(env) if env else DEFAULT_STATE_CAP
+                      symbol, word)
 
 
 def _raw(s: Symbol):
@@ -43,35 +32,18 @@ def from_transition_function(fn, input_alphabet, initial_labels, final_labels,
     marker, nested tuples for pairs).  Exploration stops with an error when
     more than `state_cap` states show up (default 10**4, overridable via
     the FSMKIT_STATE_CAP environment variable)."""
-    cap = _state_cap(state_cap)
     letters = sorted({symbol(a) for a in input_alphabet},
                      key=lambda s: s.sort_key())
-    initial = list(dict.fromkeys(initial_labels))
     final = set(final_labels)
 
-    order = list(initial)
-    seen = set(initial)
-    transitions = []
-    queue = deque(initial)
-    while queue:
-        here = queue.popleft()
+    def successors(state):
         for letter in letters:
-            target, written = fn(here, _raw(letter))
-            if target not in seen:
-                if len(seen) >= cap:
-                    raise StateCapError(
-                        f"exploration exceeded the state cap of {cap}")
-                seen.add(target)
-                order.append(target)
-                queue.append(target)
-            transitions.append(
-                Transition(as_label(here), as_label(target),
-                           (letter,), word(written)))
+            target, written = fn(state, _raw(letter))
+            yield (letter,), target, word(written)
 
-    states = tuple(
-        State(as_label(label), label in set(initial), label in final)
-        for label in order)
-    return Machine(TRANSDUCER, states, tuple(transitions), letters)
+    return explore(TRANSDUCER, letters, initial_labels, successors, as_label,
+                   lambda state: () if state in final else None,
+                   cap=state_cap)
 
 
 # ----------------------------------------------------------------------
@@ -152,49 +124,26 @@ def cartesian_product(t1: Machine, t2: Machine) -> Machine:
             raise MachineError(
                 f"cartesian product needs exactly one output symbol per "
                 f"transition, offending transition: {t}")
-    step1 = {(t.source, t.input[0]): t for t in t1.transitions}
-    step2 = {(t.source, t.input[0]): t for t in t2.transitions}
     start = (_single_initial(t1, "left"), _single_initial(t2, "right"))
+    step1, step2 = t1._deterministic_steps(), t2._deterministic_steps()
 
-    def name(pair):
-        return f"({pair[0]},{pair[1]})"
-
-    order = [start]
-    seen = {start}
-    transitions = []
-    queue = deque([start])
-    while queue:
-        here = queue.popleft()
+    def successors(pair):
         for letter in t1.input_alphabet:
-            a = step1.get((here[0], letter))
-            b = step2.get((here[1], letter))
-            if a is None or b is None:
-                continue
-            target = (a.target, b.target)
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-                queue.append(target)
-            transitions.append(
-                Transition(name(here), name(target), (letter,),
-                           (Pair(a.output[0], b.output[0]),)))
+            a = step1.get((pair[0], letter))
+            b = step2.get((pair[1], letter))
+            if a is not None and b is not None:
+                yield ((letter,), (a.target, b.target),
+                       (Pair(a.output[0], b.output[0]),))
 
-    def zipped_final_output(pair):
-        u = t1.state(pair[0]).final_output
-        v = t2.state(pair[1]).final_output
-        length = max(len(u), len(v))
-        return tuple(
-            Pair(u[i] if i < len(u) else ABSENT,
-                 v[i] if i < len(v) else ABSENT)
-            for i in range(length))
+    def final(pair):
+        s1, s2 = t1.state(pair[0]), t2.state(pair[1])
+        if not (s1.is_final and s2.is_final):
+            return None
+        return tuple(Pair(u, v) for u, v in zip_longest(
+            s1.final_output, s2.final_output, fillvalue=ABSENT))
 
-    states = []
-    for pair in order:
-        final = t1.state(pair[0]).is_final and t2.state(pair[1]).is_final
-        states.append(State(name(pair), pair == start, final,
-                            zipped_final_output(pair) if final else ()))
-    return Machine(TRANSDUCER, tuple(states), tuple(transitions),
-                   t1.input_alphabet)
+    return explore(TRANSDUCER, t1.input_alphabet, [start], successors,
+                   _pair_label, final)
 
 
 def compose(outer: Machine, inner: Machine) -> Machine:
@@ -208,47 +157,30 @@ def compose(outer: Machine, inner: Machine) -> Machine:
     start = (_single_initial(inner, "inner"), _single_initial(outer, "outer"))
     if not inner.is_deterministic() or not outer.is_deterministic():
         raise MachineError("composition requires deterministic machines")
-    inner_step = {(t.source, t.input[0]): t for t in inner.transitions}
+    inner_step = inner._deterministic_steps()
 
-    def name(pair):
-        return f"({pair[0]},{pair[1]})"
-
-    order = [start]
-    seen = {start}
-    transitions = []
-    queue = deque([start])
-    while queue:
-        here = queue.popleft()
+    def successors(pair):
         for letter in inner.input_alphabet:
-            t = inner_step.get((here[0], letter))
+            t = inner_step.get((pair[0], letter))
             if t is None:
                 continue
-            stop, written, complete_run = outer._run_from(here[1], t.output)
+            stop, written, complete_run = outer._run_from(pair[1], t.output)
             if not complete_run:
                 raise MachineError(
                     f"the outer machine blocks on the output of {t}")
-            target = (t.target, stop)
-            if target not in seen:
-                seen.add(target)
-                order.append(target)
-                queue.append(target)
-            transitions.append(
-                Transition(name(here), name(target), (letter,), written))
+            yield (letter,), (t.target, stop), written
 
-    states = []
-    for pair in order:
-        final = False
-        final_output = ()
+    def final(pair):
         inner_state = inner.state(pair[0])
         if inner_state.is_final:
             stop, written, complete_run = outer._run_from(
                 pair[1], inner_state.final_output)
             if complete_run and outer.state(stop).is_final:
-                final = True
-                final_output = written + outer.state(stop).final_output
-        states.append(State(name(pair), pair == start, final, final_output))
-    return Machine(TRANSDUCER, tuple(states), tuple(transitions),
-                   inner.input_alphabet, outer.output_alphabet)
+                return written + outer.state(stop).final_output
+        return None
+
+    return explore(TRANSDUCER, inner.input_alphabet, [start], successors,
+                   _pair_label, final, outer.output_alphabet)
 
 
 # ----------------------------------------------------------------------
@@ -347,55 +279,58 @@ def with_final_word_out(t: Machine, letter) -> Machine:
                    t.input_alphabet, t.output_alphabet)
 
 
+def _first_appearance(keys: dict) -> dict:
+    """Number the distinct values of `keys` in order of first appearance."""
+    numbers = {}
+    return {label: numbers.setdefault(key, len(numbers))
+            for label, key in keys.items()}
+
+
 def simplify(t: Machine) -> Machine:
-    """Merge behaviorally equivalent states of a deterministic transducer:
+    """Merge behaviorally equivalent states of a deterministic machine:
     same finality and final output and, letter by letter, the same output
-    word into the same block.  The result computes the same input-output
-    function; it is not guaranteed to be globally minimal."""
+    word into the same block (Moore refinement).  The result keeps the
+    machine's kind and computes the same input-output function; on a
+    complete automaton it is the minimal automaton, on a transducer it is
+    not guaranteed to be globally minimal."""
     if not t.is_deterministic():
         raise MachineError("simplify() requires a deterministic machine")
-    steps = {(tr.source, tr.input[0]): tr for tr in t.transitions}
-    labels = [st.label for st in t.states]
+    steps = t._deterministic_steps()
+    moves = {st.label: [steps.get((st.label, letter))
+                        for letter in t.input_alphabet]
+             for st in t.states}
+    targets = {label: tuple(None if tr is None else tr.target for tr in row)
+               for label, row in moves.items()}
 
-    initial_keys = {}
-    block = {}
-    for st in t.states:
-        key = (st.is_final, st.final_output)
-        initial_keys.setdefault(key, len(initial_keys))
-        block[st.label] = initial_keys[key]
+    # the first key holds everything but the targets, so that each round
+    # of refinement compares target blocks only; a missing move stays None
+    # because block.get(None) is None
+    block = _first_appearance({
+        st.label: (st.is_final, st.final_output,
+                   tuple(None if tr is None else tr.output
+                         for tr in moves[st.label]))
+        for st in t.states})
     while True:
-        signatures = {}
-        for label in labels:
-            parts = [block[label]]
-            for letter in t.input_alphabet:
-                tr = steps.get((label, letter))
-                parts.append(None if tr is None
-                             else (word_key(tr.output), block[tr.target]))
-            signatures[label] = tuple(parts)
-        renumber = {}
-        for label in labels:
-            renumber.setdefault(signatures[label], len(renumber))
-        new_block = {label: renumber[signatures[label]] for label in labels}
-        if new_block == block:
+        refined = _first_appearance({
+            label: (block[label], tuple(map(block.get, row)))
+            for label, row in targets.items()})
+        if refined == block:
             break
-        block = new_block
+        block = refined
 
     representative = {}
-    for label in labels:
+    for label in moves:
         representative.setdefault(block[label], label)
     initial_block = block[t.initial_states()[0].label]
     states = tuple(
         State(str(b), b == initial_block, t.state(rep).is_final,
               t.state(rep).final_output)
-        for b, rep in sorted(representative.items()))
-    transitions = []
-    for b, rep in sorted(representative.items()):
-        for letter in t.input_alphabet:
-            tr = steps.get((rep, letter))
-            if tr is not None:
-                transitions.append(
-                    Transition(str(b), str(block[tr.target]),
-                               (letter,), tr.output))
-    quotient = Machine(TRANSDUCER, states, tuple(transitions),
+        for b, rep in representative.items())
+    transitions = tuple(
+        Transition(str(b), str(block[tr.target]), (letter,), tr.output)
+        for b, rep in representative.items()
+        for letter, tr in zip(t.input_alphabet, moves[rep])
+        if tr is not None)
+    quotient = Machine(t.kind, states, transitions,
                        t.input_alphabet, t.output_alphabet)
     return quotient.relabeled()

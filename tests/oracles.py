@@ -2,6 +2,7 @@
 written without touching the library's algebra so that every dual check
 stays a genuine cross-validation."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -134,3 +135,32 @@ def visit_frequencies(machine, k):
             visits[label] += c * weight
     total = Fraction(q) ** k * k
     return {label: Fraction(v) / total for label, v in visits.items()}
+
+
+@dataclass(frozen=True)
+class ExponentMatrix:
+    """Adjacency matrix with entries sum_h coeff * y^h stored as finite
+    exponent -> coefficient maps; entry (k, l) collects 1/q * y^(output
+    sum) for every transition from state k to state l."""
+
+    state_labels: tuple
+    entries: tuple  # n x n nested tuples of dict {exponent: Fraction}
+
+    def at_one(self):
+        """Evaluate at y = 1: the transition probability matrix."""
+        return [[sum(cell.values(), Fraction(0)) for cell in row]
+                for row in self.entries]
+
+
+def exponent_adjacency_matrix(machine):
+    """The marked adjacency matrix of a complete transducer with digit
+    outputs, built directly from its transitions."""
+    labels = tuple(st.label for st in machine.states)
+    index = {label: i for i, label in enumerate(labels)}
+    q = Fraction(1, len(machine.input_alphabet))
+    cells = [[{} for _ in labels] for _ in labels]
+    for t in machine.transitions:
+        cell = cells[index[t.source]][index[t.target]]
+        h = sum(s.value for s in t.output)
+        cell[h] = cell.get(h, Fraction(0)) + q
+    return ExponentMatrix(labels, tuple(tuple(row) for row in cells))

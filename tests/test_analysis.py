@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from fsmkit import analysis, digits, transducers
-from fsmkit.analysis import (ExponentMatrix, asymptotic_moments, bellman_ford,
-                             check_minimality, expected_density,
-                             exponent_adjacency_matrix, is_aperiodic,
+from fsmkit.analysis import (asymptotic_moments, bellman_ford,
+                             check_minimality, expected_density, is_aperiodic,
                              stationary_distribution, terminal_scc,
                              terminal_sccs)
 from fsmkit.digits import hamming_weight
@@ -13,7 +12,7 @@ from fsmkit.errors import AnalysisError, MachineError, NegativeCycleError
 from fsmkit.machine import WeightedDigraph, build_machine
 from fsmkit.symbols import word
 
-from oracles import dp_stats, visit_frequencies
+from oracles import dp_stats, exponent_adjacency_matrix, visit_frequencies
 
 HALF = Fraction(1, 2)
 
@@ -152,7 +151,7 @@ def test_incomplete_machine_rejected():
     lonely = build_machine([("a", "a", 0, 0)], ["a"], ["a"],
                            input_alphabet=[0, 1])
     with pytest.raises(MachineError, match="complete"):
-        exponent_adjacency_matrix(lonely)
+        stationary_distribution(lonely)
 
 
 # ----------------------------------------------------------------------

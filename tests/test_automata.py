@@ -8,7 +8,7 @@ from fsmkit.automata import (Recurrence, complement, complete, concat,
                              empty_word_automaton, intersection, is_equivalent,
                              kleene_star, language, minimize, union,
                              word_automaton, word_count_recurrence)
-from fsmkit.errors import ConstructionError, MachineError
+from fsmkit.errors import ConstructionError, MachineError, StateCapError
 from fsmkit.machine import AUTOMATON, build_machine
 from fsmkit.symbols import word, word_key
 
@@ -134,6 +134,14 @@ def test_determinize_exponential_blowup():
     nfa = build_machine(rows, ["0"], ["3"], input_alphabet=[0, 1],
                         kind=AUTOMATON)
     assert len(determinize(nfa).states) == 8
+
+
+def test_determinize_respects_the_state_cap(monkeypatch):
+    starred = kleene_star(word_automaton([0, 1, 0, 1, 1], [0, 1]))
+    assert len(determinize(starred).states) == 6
+    monkeypatch.setenv("FSMKIT_STATE_CAP", "2")
+    with pytest.raises(StateCapError, match="2"):
+        determinize(starred)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fsmkit
 from fsmkit import automata, serialize
 from fsmkit.cli import main
 
@@ -230,3 +235,16 @@ def test_every_preset_round_trips(tmp_path, capsys):
         again = tmp_path / f"{preset}-again.json"
         serialize.save(machine, again)
         assert path.read_bytes() == again.read_bytes()
+
+
+def test_bad_state_cap_exits_one_without_traceback(tmp_path):
+    # a fresh process, so the preset is built under the bad cap
+    env = dict(os.environ, FSMKIT_STATE_CAP="x",
+               PYTHONPATH=str(Path(fsmkit.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fsmkit.cli", "build", "triple",
+         "-o", str(tmp_path / "t.json")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "FSMKIT_STATE_CAP" in done.stderr
+    assert "Traceback" not in done.stderr

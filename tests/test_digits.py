@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from fsmkit import automata, digits, transducers
-from fsmkit.digits import (Expansion, binary_digits, eval_expansion,
-                           hamming_weight, naf_of, three_half_naf_of)
+from fsmkit.digits import (Expansion, binary_digits, hamming_weight, naf_of,
+                           three_half_naf_of)
 from fsmkit.errors import ConstructionError
 from fsmkit.symbols import ABSENT, Digit, Pair, word
 
@@ -22,13 +22,6 @@ def test_binary_digits():
     assert binary_digits(42) == word([0, 1, 0, 1, 0, 1])
     with pytest.raises(ConstructionError):
         binary_digits(-3)
-
-
-def test_eval_expansion():
-    assert eval_expansion(Expansion(word([0, -1, 0, 0, 1]), 0)) == 14
-    assert eval_expansion(Expansion(word([0, 0, -1, 0, 0, 1]), -1)) == 14
-    assert eval_expansion(Expansion(word([0, 0, 2, 0, 1, -1, 1]), -2)) == 14
-    assert eval_expansion(Expansion((), 3)) == 0
 
 
 def test_hamming_weight():
@@ -103,6 +96,11 @@ def test_three_half_of_fourteen():
     assert e.digits == word([0, 0, 2, 0, 1, -1, 1])
     assert e.exponent_offset == -2
     assert e.value() == 14
+    for letters, offset, value in [([0, -1, 0, 0, 1], 0, 14),
+                                   ([0, 0, -1, 0, 0, 1], -1, 14),
+                                   ([0, 0, 2, 0, 1, -1, 1], -2, 14),
+                                   ([], 3, 0)]:
+        assert Expansion(word(letters), offset).value() == value
 
 
 def test_wrappers_match_fixture_machines(naf_completed, machine_T):

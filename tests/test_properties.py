@@ -1,0 +1,116 @@
+"""Property tests on random machines: the constructions agree with direct
+nondeterministic acceptance and with running the argument machines one
+after the other."""
+
+from itertools import zip_longest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fsmkit.automata import (complement, determinize, intersection,
+                             minimize)
+from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
+                            build_machine)
+from fsmkit.symbols import ABSENT, Pair, word
+from fsmkit.transducers import cartesian_product, compose, simplify
+
+from oracles import all_words, nfa_accepts
+
+LETTERS = (0, 1)
+WORDS = [word(w) for w in all_words(LETTERS, 6)]
+SHORT_WORDS = [word(w) for w in all_words(LETTERS, 5)]
+PROPERTY = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def random_automata(draw):
+    """Up to six states, epsilon moves, several moves per letter and up
+    to two initial states."""
+    n = draw(st.integers(1, 6))
+    state = st.integers(0, n - 1)
+    rows = draw(st.lists(
+        st.tuples(state, state, st.sampled_from((None,) + LETTERS)),
+        max_size=14))
+    initial = draw(st.sets(state, min_size=1, max_size=2))
+    final = draw(st.sets(state))
+    return build_machine(rows, sorted(initial), sorted(final), LETTERS,
+                         kind=AUTOMATON)
+
+
+@st.composite
+def random_transducers(draw, complete=False, one_letter=False):
+    """Deterministic transducers with up to five states and final outputs;
+    `complete` gives every state a move per letter, `one_letter` makes
+    every transition write exactly one letter."""
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    size = (1, 1) if one_letter else (0, 2)
+    output = st.lists(st.sampled_from(LETTERS),
+                      min_size=size[0], max_size=size[1])
+    rows = [(s, draw(state), a, draw(output))
+            for s in range(n) for a in LETTERS
+            if complete or draw(st.booleans())]
+    final = draw(st.sets(state))
+    m = build_machine(rows, [0], sorted(final), LETTERS)
+    final_output = st.lists(st.sampled_from(LETTERS), max_size=2)
+    states = [State(s.label, s.is_initial, s.is_final,
+                    word(draw(final_output)) if s.is_final else ())
+              for s in m.states]
+    return Machine(TRANSDUCER, states, m.transitions, LETTERS)
+
+
+@PROPERTY
+@given(random_automata(), random_automata())
+def test_boolean_constructions_agree_with_nfa_acceptance(a, b):
+    d, m, c, both = determinize(a), minimize(a), complement(a), \
+        intersection(a, b)
+    for w in WORDS:
+        expected = nfa_accepts(a, w)
+        assert d.accepts(w) == expected
+        assert m.accepts(w) == expected
+        assert c.accepts(w) != expected
+        assert both.accepts(w) == (expected and nfa_accepts(b, w))
+
+
+@PROPERTY
+@given(random_automata())
+def test_minimize_is_idempotent(a):
+    m = minimize(a)
+    assert minimize(m) == m
+
+
+@PROPERTY
+@given(random_transducers(complete=True), random_transducers())
+def test_compose_runs_inner_then_outer(outer, inner):
+    composed = compose(outer, inner)
+    for w in SHORT_WORDS:
+        first = inner.process(w)
+        second = outer.process(first.output) if first.accepted else None
+        got = composed.process(w)
+        assert got.accepted == (second is not None and second.accepted)
+        if got.accepted:
+            assert got.output == second.output
+
+
+@PROPERTY
+@given(random_transducers())
+def test_simplify_preserves_process(t):
+    simple = simplify(t)
+    assert len(simple.states) <= len(t.states)
+    for w in SHORT_WORDS:
+        want, got = t.process(w), simple.process(w)
+        assert (got.accepted, got.output) == (want.accepted, want.output)
+
+
+@PROPERTY
+@given(random_transducers(one_letter=True),
+       random_transducers(one_letter=True))
+def test_product_pairs_both_runs(t1, t2):
+    product = cartesian_product(t1, t2)
+    for w in SHORT_WORDS:
+        r1, r2, got = t1.process(w), t2.process(w), product.process(w)
+        assert got.accepted == (r1.accepted and r2.accepted)
+        if got.accepted:
+            assert got.output == tuple(
+                Pair(u, v) for u, v in
+                zip_longest(r1.output, r2.output, fillvalue=ABSENT))

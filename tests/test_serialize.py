@@ -61,6 +61,20 @@ def test_malformed_documents_raise():
         serialize.decode_symbol("x")
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("states", "initial", "no"),
+    ("states", "final", 1),
+    ("states", "label", 7),
+    ("transitions", "from", 0),
+    ("transitions", "to", None),
+])
+def test_wrongly_typed_fields_are_named(naf1, section, field, value):
+    doc = serialize.machine_to_doc(naf1)
+    doc[section][0][field] = value
+    with pytest.raises(ConstructionError, match=f"'{field}'"):
+        serialize.machine_from_doc(doc)
+
+
 def test_file_round_trip(tmp_path, naf_all):
     path = tmp_path / "machine.json"
     serialize.save(naf_all, path)

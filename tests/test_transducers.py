@@ -52,6 +52,22 @@ def test_state_cap_env_override(monkeypatch):
             input_alphabet=[0], initial_labels=[0], final_labels=[0])
 
 
+@pytest.mark.parametrize("value", ["x", "0", "-3", "2.5"])
+def test_state_cap_env_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("FSMKIT_STATE_CAP", value)
+    with pytest.raises(StateCapError, match="FSMKIT_STATE_CAP"):
+        from_transition_function(
+            lambda state, read: (state, read),
+            input_alphabet=[0], initial_labels=[0], final_labels=[0])
+
+
+def test_state_cap_bounds_composition(monkeypatch, triple):
+    # triple after triple has 9 reachable states
+    monkeypatch.setenv("FSMKIT_STATE_CAP", "5")
+    with pytest.raises(StateCapError, match="5"):
+        compose(triple, triple)
+
+
 # ----------------------------------------------------------------------
 # one-state transducers
 # ----------------------------------------------------------------------
@@ -154,6 +170,28 @@ def test_product_requires_single_symbol_outputs(identity01, naf1):
 def test_product_requires_equal_alphabets(identity01):
     with pytest.raises(MachineError, match="alphabet"):
         cartesian_product(identity01, identity_transducer([0, 1, 2]))
+
+
+def test_product_rejects_nondeterministic_factor(identity01):
+    branching = build_machine([("a", "a", 0, 0), ("a", "b", 0, 1),
+                               ("b", "b", 1, 1)],
+                              ["a"], ["a", "b"], input_alphabet=[0, 1])
+    with pytest.raises(MachineError, match="nondeterministic"):
+        cartesian_product(branching, identity01)
+
+
+def test_product_rejects_epsilon_input_factor(identity01):
+    jumping = build_machine([("a", "b", None, 0), ("b", "b", 1, 1)],
+                            ["a"], ["b"], input_alphabet=[0, 1])
+    with pytest.raises(MachineError, match="epsilon"):
+        cartesian_product(identity01, jumping)
+
+
+def test_product_names_the_factor_without_single_initial(identity01):
+    twice = build_machine([("a", "a", 0, 0), ("b", "b", 1, 1)],
+                          ["a", "b"], ["a"], input_alphabet=[0, 1])
+    with pytest.raises(MachineError, match="right machine"):
+        cartesian_product(identity01, twice)
 
 
 # ----------------------------------------------------------------------
