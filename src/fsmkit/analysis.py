@@ -7,16 +7,19 @@ and the linear-growth constants of expectation, variance and covariance of
 the output sum under uniformly random inputs of a fixed length.  Every
 value is an exact rational.
 
-The moment constants come from the dominant eigenvalue lam(y) of the
-adjacency matrix A(y) marked with y^(output sum) on the terminal strongly
-connected component: with p(lam, y) = det(lam*I - A(y)) and implicit
-differentiation at (1, 1),
+The moment constants come from the dominant eigenvalue lam(y, z) = 1 at
+y = z = 1 of the adjacency matrix A(y, z) of the terminal strongly
+connected component, marked with y^(output sum) * z^(input sum) and
+weighted by the input probability.  With P = A(1, 1), its stationary row
+vector pi and the fundamental matrix Z = (I - P + 1 pi)^-1 - 1 pi, the
+second-order perturbation formulas for a simple eigenvalue give
 
-    e = lam'(1)  = -p_y / p_lam,
-    lam''(1)     = -(p_yy + 2 p_ylam e + p_lamlam e^2) / p_lam,
-    v = lam''(1) + lam'(1) - lam'(1)^2,
+    e      = lam_y  = pi A_y 1,            lam_z = pi A_z 1,
+    lam_yy = pi A_yy 1 + 2 pi A_y Z A_y 1,
+    lam_yz = pi A_yz 1 + pi A_y Z A_z 1 + pi A_z Z A_y 1,
+    v = lam_yy + e - e^2,                  c = lam_yz - e * lam_z,
 
-and with a second marker z^(input sum), c = lam_yz - lam_y * lam_z.
+with one exact solve of (I - P + 1 pi) x = A_y 1, A_z 1.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from math import gcd
 
 from .errors import AnalysisError, MachineError, NegativeCycleError
 from .machine import Machine, WeightedDigraph, bfs_levels
-from .polynomial import MPoly, charpoly
+from .polynomial import left_kernel, solve
 from .symbols import Digit
 
 # ----------------------------------------------------------------------
@@ -208,61 +211,22 @@ def _digit_sum(w, role: str) -> int:
 # stationary distribution and densities
 # ----------------------------------------------------------------------
 
-def _left_kernel(matrix):
-    """Basis of {x : x^T M = 0} by exact Gaussian elimination on M^T."""
-    n = len(matrix)
-    rows = [[matrix[j][i] for j in range(n)] for i in range(n)]  # M^T
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -rows[i][f]
-        basis.append(vec)
-    return basis
-
-
-def _terminal_component(t: Machine):
-    """Reachable part, its unique terminal SCC, and the SCC state order."""
+def _terminal_chain(t: Machine):
+    """The Markov chain of uniformly random inputs on the unique terminal
+    SCC of the accessible part: the SCC's labels in state order, the
+    transitions from its states, the transition matrix P and the
+    stationary row vector pi (pi P = pi, entries summing to 1)."""
     reachable = t.accessible()
     scc = terminal_scc(reachable)
     labels = [st.label for st in reachable.states if st.label in scc]
-    return reachable, scc, labels
-
-
-def stationary_distribution(t: Machine):
-    """The probability row vector fixed by the transition matrix on the
-    terminal SCC (solved exactly as a kernel of A(1)^T - I), extended by
-    zeros on transient states; entries are exact rationals summing to 1."""
-    if not t.is_complete():
-        raise MachineError(
-            "the stationary distribution needs a complete deterministic machine")
-    reachable, scc, labels = _terminal_component(t)
     index = {label: i for i, label in enumerate(labels)}
+    inside = [tr for tr in reachable.transitions if tr.source in scc]
     q = Fraction(1, len(t.input_alphabet))
     P = [[Fraction(0)] * len(labels) for _ in labels]
-    for tr in reachable.transitions:
-        if tr.source in scc:
-            P[index[tr.source]][index[tr.target]] += q
-    for i in range(len(labels)):
-        P[i][i] -= 1
-    basis = _left_kernel(P)
+    for tr in inside:
+        P[index[tr.source]][index[tr.target]] += q
+    basis = left_kernel([[x - (i == j) for j, x in enumerate(row)]
+                         for i, row in enumerate(P)])
     if len(basis) != 1:
         raise AnalysisError(
             f"the stationary distribution is not unique "
@@ -271,9 +235,19 @@ def stationary_distribution(t: Machine):
     total = sum(vec, Fraction(0))
     if total == 0:
         raise AnalysisError("degenerate stationary vector")
-    vec = [x / total for x in vec]
-    return tuple(vec[index[st.label]] if st.label in scc else Fraction(0)
-                 for st in t.states)
+    return labels, inside, P, [x / total for x in vec]
+
+
+def stationary_distribution(t: Machine):
+    """The probability row vector fixed by the transition matrix on the
+    terminal SCC (solved exactly as a left kernel of P - I), extended by
+    zeros on transient states; entries are exact rationals summing to 1."""
+    if not t.is_complete():
+        raise MachineError(
+            "the stationary distribution needs a complete deterministic machine")
+    labels, _, _, pi = _terminal_chain(t)
+    mass = dict(zip(labels, pi))
+    return tuple(mass.get(st.label, Fraction(0)) for st in t.states)
 
 
 def expected_density(t: Machine) -> Fraction:
@@ -308,52 +282,45 @@ def asymptotic_moments(t: Machine) -> MomentsResult:
     if not t.is_complete():
         raise MachineError(
             "asymptotic moments need a complete deterministic machine")
-    reachable, scc, labels = _terminal_component(t)
-    if not is_aperiodic(reachable, scc):
+    labels, inside, P, pi = _terminal_chain(t)
+    if not is_aperiodic(t, labels):
         raise AnalysisError("the terminal component is periodic")
-    index = {label: i for i, label in enumerate(labels)}
     n = len(labels)
+    index = {label: i for i, label in enumerate(labels)}
     q = Fraction(1, len(t.input_alphabet))
 
-    # B[i][j] = (1/q_alphabet) * y^(output sum) * z^(input sum), in the
-    # ring Q[lam, y, z] with lam unused so charpoly can mix them in.
-    zero = MPoly(3, {})
-    B = [[zero] * n for _ in range(n)]
-    for tr in reachable.transitions:
-        if tr.source not in scc:
-            continue
-        if tr.target not in scc:
-            raise AnalysisError("terminal component has an outgoing edge")
+    # Derivatives at y = z = 1 of A(y, z), whose (i, j) entry sums
+    # q * y^(output sum) * z^(input sum) over the transitions i -> j:
+    # row sums of A_y, A_z, A_yy and A_yz, and the row vectors pi A_y, pi A_z.
+    a_y, a_z, a_yy, a_yz = ([Fraction(0)] * n for _ in range(4))
+    pi_a_y, pi_a_z = [Fraction(0)] * n, [Fraction(0)] * n
+    for tr in inside:
         h = _digit_sum(tr.output, "output")
         g = _digit_sum(tr.input, "input")
-        mono = MPoly(3, {(0, h, g): q})
         i, j = index[tr.source], index[tr.target]
-        B[i][j] = B[i][j] + mono
+        a_y[i] += q * h
+        a_z[i] += q * g
+        a_yy[i] += q * h * (h - 1)
+        a_yz[i] += q * h * g
+        pi_a_y[j] += pi[i] * q * h
+        pi_a_z[j] += pi[i] * q * g
 
-    coeffs = charpoly(B, zero=zero, one=MPoly.const(3, 1))
-    p = MPoly(3, {})
-    for k, ck in enumerate(coeffs):
-        p = p + ck * MPoly.var(3, 0, power=n - k)
+    def dot(u, v):
+        return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
-    one = (Fraction(1), Fraction(1), Fraction(1))
-    p_lam = p.diff(0)
-    p_y = p.diff(1)
-    p_z = p.diff(2)
-    d_lam = p_lam.eval(one)
-    if d_lam == 0:
-        raise AnalysisError("the eigenvalue 1 is not simple")
-    e = -p_y.eval(one) / d_lam
-    lam_z = -p_z.eval(one) / d_lam
+    e = dot(pi, a_y)
+    lam_z = dot(pi, a_z)
+    # Z = (I - P + 1 pi)^-1 - 1 pi, so Z A_y 1 = x_y - e 1 and
+    # Z A_z 1 = x_z - lam_z 1 with x solving (I - P + 1 pi) x = A 1.
+    system = [[(i == j) - P[i][j] + pi[j] for j in range(n)]
+              for i in range(n)]
+    x_y, x_z = solve(system, [a_y, a_z])
+    z_a_y = [x - e for x in x_y]
+    z_a_z = [x - lam_z for x in x_z]
 
-    p_yy = p_y.diff(1).eval(one)
-    p_ylam = p_y.diff(0).eval(one)
-    p_lamlam = p_lam.diff(0).eval(one)
-    lam_yy = -(p_yy + 2 * p_ylam * e + p_lamlam * e * e) / d_lam
+    lam_yy = dot(pi, a_yy) + 2 * dot(pi_a_y, z_a_y)
     variance = lam_yy + e - e * e
-
-    p_yz = p_y.diff(2).eval(one)
-    p_zlam = p_z.diff(0).eval(one)
-    lam_yz = -(p_lamlam * e * lam_z + p_zlam * e + p_ylam * lam_z + p_yz) / d_lam
+    lam_yz = dot(pi, a_yz) + dot(pi_a_y, z_a_z) + dot(pi_a_z, z_a_y)
     covariance = lam_yz - e * lam_z
 
     return MomentsResult(e, variance, covariance)

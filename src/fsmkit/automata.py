@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import islice
 
 from .errors import ConstructionError, MachineError
 from .machine import (AUTOMATON, Machine, State, Transition, _pair_label,
@@ -308,47 +308,57 @@ def language(a: Machine, max_length: int):
         yield from walk(start, length, [])
 
 
-def _trimmed_deterministic(a: Machine) -> Machine:
-    d = a if a.is_deterministic() else determinize(a)
-    return d.trim()
+def _word_counts(a: Machine):
+    """Size and integer transition-count matrix of the trimmed
+    deterministic form of `a`, and a generator of its numbers of accepted
+    words of lengths 0, 1, 2, ... (each step walks the transition list
+    once, over big integers)."""
+    d = (a if a.is_deterministic() else determinize(a)).trim()
+    index = {st.label: i for i, st in enumerate(d.states)}
+    size = len(index)
+    steps = [(index[t.source], index[t.target]) for t in d.transitions]
+    matrix = [[0] * size for _ in range(size)]
+    for i, j in steps:
+        matrix[i][j] += 1
+    finals = [index[st.label] for st in d.final_states()]
+
+    def counts():
+        row = [0] * size
+        for st in d.initial_states():
+            row[index[st.label]] = 1
+        while True:
+            yield sum(row[i] for i in finals)
+            step = [0] * size
+            for i, j in steps:
+                step[j] += row[i]
+            row = step
+
+    return size, matrix, counts()
 
 
 def count_words(a: Machine, n: int) -> int:
-    """Exact number of accepted words of length n (vector-matrix powering
+    """Exact number of accepted words of length n (vector-matrix stepping
     over big integers on the trimmed deterministic machine)."""
     _require_automaton(a)
     if n < 0:
         raise ConstructionError("the length must be nonnegative")
-    d = _trimmed_deterministic(a)
-    if not d.states:
-        return 0
-    index = {st.label: i for i, st in enumerate(d.states)}
-    size = len(d.states)
-    counts = [[0] * size for _ in range(size)]
-    for t in d.transitions:
-        counts[index[t.source]][index[t.target]] += 1
-    row = [0] * size
-    for st in d.initial_states():
-        row[index[st.label]] = 1
-    for _ in range(n):
-        row = [sum(row[i] * counts[i][j] for i in range(size))
-               for j in range(size)]
-    return sum(row[index[st.label]] for st in d.final_states())
+    _, _, counts = _word_counts(a)
+    return next(islice(counts, n, None))
 
 
 @dataclass(frozen=True)
 class Recurrence:
-    """Linear recurrence a(n) = c1*a(n-1) + ... + cd*a(n-d) with exact
-    rational coefficients and the first d terms."""
+    """Linear recurrence a(n) = c1*a(n-1) + ... + cd*a(n-d) with integer
+    coefficients and the first d terms."""
 
-    coefficients: tuple  # of Fraction, c1..cd
+    coefficients: tuple  # of int, c1..cd
     initial_terms: tuple  # of int, a(0)..a(d-1)
 
     @property
     def order(self) -> int:
         return len(self.coefficients)
 
-    def term(self, n: int):
+    def term(self, n: int) -> int:
         if n < 0:
             raise ConstructionError("the index must be nonnegative")
         if n < len(self.initial_terms):
@@ -359,10 +369,7 @@ class Recurrence:
                       for i, c in enumerate(self.coefficients))
             window.append(nxt)
             window.pop(0)
-        value = window[-1]
-        if isinstance(value, Fraction) and value.denominator == 1:
-            return int(value)
-        return value
+        return window[-1]
 
 
 def word_count_recurrence(a: Machine) -> Recurrence:
@@ -370,16 +377,9 @@ def word_count_recurrence(a: Machine) -> Recurrence:
     polynomial of the trimmed deterministic transition-count matrix gives
     the coefficients, the first counts give the initial terms."""
     _require_automaton(a)
-    d = _trimmed_deterministic(a)
-    if not d.states:
-        return Recurrence((Fraction(0),), (0,))
-    index = {st.label: i for i, st in enumerate(d.states)}
-    size = len(d.states)
-    counts = [[Fraction(0)] * size for _ in range(size)]
-    for t in d.transitions:
-        counts[index[t.source]][index[t.target]] += 1
-    coeffs = charpoly(counts, zero=Fraction(0), one=Fraction(1))
+    size, matrix, counts = _word_counts(a)
+    if not size:
+        return Recurrence((0,), (0,))
     # det(xI - M) = x^d + c1 x^(d-1) + ... + cd  =>  a(n) = -c1 a(n-1) - ...
-    coefficients = tuple(-c for c in coeffs[1:])
-    initial_terms = tuple(count_words(a, i) for i in range(size))
-    return Recurrence(coefficients, initial_terms)
+    coefficients = tuple(-c for c in charpoly(matrix)[1:])
+    return Recurrence(coefficients, tuple(islice(counts, size)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import analysis, automata, digits, serialize, transducers
@@ -203,14 +204,31 @@ def _cmd_op(args) -> int:
     return 0
 
 
+def _load_coordinates(path) -> dict:
+    """Label -> (x, y) from a JSON object mapping each label to exactly
+    two finite numbers."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            # integers are read as floats, so a huge one becomes inf below
+            raw = json.load(handle, parse_int=float)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FsmError(f"not a coordinates file: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise FsmError("coordinates must be a JSON object mapping labels "
+                       "to [x, y]")
+    for label, xy in raw.items():
+        if not (isinstance(xy, list) and len(xy) == 2
+                and all(type(v) is float and math.isfinite(v) for v in xy)):
+            raise FsmError(
+                f"coordinates of {label!r} must be two finite numbers")
+    return {label: tuple(xy) for label, xy in raw.items()}
+
+
 def _cmd_export(args) -> int:
     m = _load(args.machine)
     coordinates = None
     if args.coords:
-        with open(args.coords, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        coordinates = {label: (float(xy[0]), float(xy[1]))
-                       for label, xy in raw.items()}
+        coordinates = _load_coordinates(args.coords)
     format_letter = None
     if args.negative_overline:
         from .export import format_letter_negative

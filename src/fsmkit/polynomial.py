@@ -1,145 +1,80 @@
-"""Minimal multivariate polynomials over exact rationals.
+"""Exact linear algebra: the characteristic polynomial of an integer
+matrix, left kernels and linear solves over the rationals.
 
-Just enough arithmetic (ring operations, partial derivatives, evaluation)
-for characteristic polynomials of marked adjacency matrices; exponent
-tuples map to Fraction coefficients and zero coefficients are dropped.
+Every result is an exact int or Fraction; the stationary vector, the
+moment constants and the word-count recurrences are all built from these
+three functions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-
-class MPoly:
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    self.terms[tuple(exps)] = coeff
-
-    @classmethod
-    def const(cls, nvars: int, value) -> "MPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
-
-    @classmethod
-    def var(cls, nvars: int, index: int, power: int = 1) -> "MPoly":
-        exps = [0] * nvars
-        exps[index] = power
-        return cls(nvars, {tuple(exps): Fraction(1)})
-
-    def _coerce(self, other):
-        if isinstance(other, MPoly):
-            if other.nvars != self.nvars:
-                raise ValueError("mixed variable counts")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MPoly.const(self.nvars, other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return MPoly(self.nvars, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
-        return MPoly(self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return self * Fraction(1, 1) * Fraction(scalar) ** -1
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def diff(self, index: int) -> "MPoly":
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[index] == 0:
-                continue
-            reduced = list(exps)
-            reduced[index] -= 1
-            reduced = tuple(reduced)
-            terms[reduced] = terms.get(reduced, Fraction(0)) + coeff * exps[index]
-        return MPoly(self.nvars, terms)
-
-    def eval(self, values) -> Fraction:
-        values = [Fraction(v) for v in values]
-        if len(values) != self.nvars:
-            raise ValueError("wrong number of values")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
-    def __repr__(self):
-        if not self.terms:
-            return "MPoly(0)"
-        bits = []
-        for exps in sorted(self.terms):
-            mono = "*".join(f"x{i}^{e}" for i, e in enumerate(exps) if e)
-            bits.append(f"{self.terms[exps]}{'*' + mono if mono else ''}")
-        return "MPoly(" + " + ".join(bits) + ")"
+from .errors import AnalysisError
 
 
-def charpoly(matrix, *, zero, one):
-    """Coefficients [1, c1, ..., cn] of det(x*I - M) via the
-    Faddeev-LeVerrier recurrence; entries may live in any commutative ring
-    over the rationals (Fraction or MPoly)."""
+def charpoly(matrix):
+    """Coefficients [1, c1, ..., cn] of det(x*I - M) for an integer matrix
+    M, by the Faddeev-LeVerrier recurrence over the integers: every
+    coefficient of an integer matrix is an integer, so each division by k
+    is exact."""
     n = len(matrix)
-    coeffs = [one]
-    work = [[zero] * n for _ in range(n)]  # starts as the zero matrix
+    # M is a count matrix, mostly zeros: multiply by its nonzero entries only
+    sparse = [[(m, x) for m, x in enumerate(row) if x] for row in matrix]
+    coeffs = [1]
+    work = [[0] * n for _ in range(n)]  # starts as the zero matrix
     for k in range(1, n + 1):
         # work <- M * (work + c_{k-1} * I)
-        shifted = [row[:] for row in work]
         for i in range(n):
-            shifted[i][i] = shifted[i][i] + coeffs[-1]
-        work = [[sum((matrix[i][m] * shifted[m][j] for m in range(n)),
-                     start=zero)
-                 for j in range(n)] for i in range(n)]
-        trace = sum((work[i][i] for i in range(n)), start=zero)
-        coeffs.append(trace * Fraction(-1, k))
+            work[i][i] += coeffs[-1]
+        work = [[sum(x * work[m][j] for m, x in row) for j in range(n)]
+                for row in sparse]
+        coeffs.append(-sum(work[i][i] for i in range(n)) // k)
     return coeffs
+
+
+def _row_reduce(rows, width):
+    """Bring `rows` to reduced row echelon form over their first `width`
+    columns, in place, by exact Gauss-Jordan elimination; returns the
+    pivot columns in order."""
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+def left_kernel(matrix):
+    """Basis of {x : x^T M = 0} for a square matrix M, one vector per free
+    column of M^T."""
+    n = len(matrix)
+    rows = [list(column) for column in zip(*matrix)]  # M^T
+    pivots = _row_reduce(rows, n)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -rows[i][f]
+        basis.append(vec)
+    return basis
+
+
+def solve(matrix, columns):
+    """The solutions x of M x = b, one for each right-hand side b in
+    `columns`; a singular M raises AnalysisError."""
+    n = len(matrix)
+    rows = [list(matrix[i]) + [b[i] for b in columns] for i in range(n)]
+    if len(_row_reduce(rows, n)) < n:
+        raise AnalysisError("singular linear system")
+    return [[rows[i][n + k] for i in range(n)] for k in range(len(columns))]

@@ -136,4 +136,8 @@ def save(m: Machine, path) -> None:
 
 def load(path) -> Machine:
     with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ConstructionError(f"not a machine file: {exc}") from exc
+    return loads(text)

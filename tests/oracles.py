@@ -4,7 +4,7 @@ stays a genuine cross-validation."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 
 def naf_digits(n):
@@ -164,3 +164,27 @@ def exponent_adjacency_matrix(machine):
         h = sum(s.value for s in t.output)
         cell[h] = cell.get(h, Fraction(0)) + q
     return ExponentMatrix(labels, tuple(tuple(row) for row in cells))
+
+
+def _determinant(m):
+    """Leibniz expansion over all permutations (small matrices only)."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def rank(matrix):
+    """Order of the largest nonzero minor, found by determinant expansion
+    rather than elimination, so it checks the library's elimination."""
+    n_rows, n_cols = len(matrix), len(matrix[0]) if matrix else 0
+    for k in range(min(n_rows, n_cols), 0, -1):
+        for rows in combinations(range(n_rows), k):
+            for cols in combinations(range(n_cols), k):
+                if _determinant([[matrix[r][c] for c in cols] for r in rows]):
+                    return k
+    return 0

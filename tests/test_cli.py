@@ -237,14 +237,51 @@ def test_every_preset_round_trips(tmp_path, capsys):
         assert path.read_bytes() == again.read_bytes()
 
 
-def test_bad_state_cap_exits_one_without_traceback(tmp_path):
-    # a fresh process, so the preset is built under the bad cap
-    env = dict(os.environ, FSMKIT_STATE_CAP="x",
+def run_fresh(tmp_path, *argv, **env):
+    """The CLI in a fresh process, so nothing a test set up in this one
+    (a cached preset, a caught exception) hides what a user would see."""
+    env = dict(os.environ, **env,
                PYTHONPATH=str(Path(fsmkit.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "fsmkit.cli", "build", "triple",
-         "-o", str(tmp_path / "t.json")],
-        env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "fsmkit.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_bad_state_cap_exits_one_without_traceback(tmp_path):
+    done = run_fresh(tmp_path, "build", "triple", "-o", "t.json",
+                     FSMKIT_STATE_CAP="x")
     assert done.returncode == 1
     assert "FSMKIT_STATE_CAP" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_non_utf8_machine_file_exits_one_without_traceback(tmp_path):
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe")
+    done = run_fresh(tmp_path, "analyze", "moments", "bad.json")
+    assert done.returncode == 1
+    assert "not a machine file" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"not json", "not a coordinates file"),
+    (b"\xff\xfe", "not a coordinates file"),
+    (b"[[0, 0]]", "JSON object"),
+    (b'{"0": [1]}', "'0'"),
+    (b'{"a": "x"}', "'a'"),
+    (b'{"0": [1, 2, 3]}', "'0'"),
+    (b'{"0": [1e999, 2]}', "'0'"),
+    (b'{"0": [1' + b"0" * 400 + b', 2]}', "'0'"),
+    (b'{"0": [true, 2]}', "'0'"),
+], ids=["not-json", "not-utf8", "list", "one-number", "string",
+        "three-numbers", "overflow", "huge-integer", "boolean"])
+def test_bad_coordinates_exit_one_without_traceback(tmp_path, capsys,
+                                                    content, message):
+    build(tmp_path, capsys, "T")
+    (tmp_path / "coords.json").write_bytes(content)
+    done = run_fresh(tmp_path, "export", "T.json", "--format", "tikz",
+                     "--coords", "coords.json")
+    assert done.returncode == 1
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""

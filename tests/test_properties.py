@@ -1,20 +1,26 @@
 """Property tests on random machines: the constructions agree with direct
 nondeterministic acceptance and with running the argument machines one
-after the other."""
+after the other, word counts agree with enumeration, and the exact linear
+algebra agrees with determinant expansion and, where installed, sympy."""
 
+import random
+from fractions import Fraction
 from itertools import zip_longest
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsmkit.automata import (complement, determinize, intersection,
-                             minimize)
+from fsmkit.automata import (complement, count_words, determinize,
+                             intersection, minimize, word_count_recurrence)
+from fsmkit.errors import AnalysisError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
                             build_machine)
+from fsmkit.polynomial import charpoly, left_kernel, solve
 from fsmkit.symbols import ABSENT, Pair, word
 from fsmkit.transducers import cartesian_product, compose, simplify
 
-from oracles import all_words, nfa_accepts
+from oracles import all_words, nfa_accepts, rank
 
 LETTERS = (0, 1)
 WORDS = [word(w) for w in all_words(LETTERS, 6)]
@@ -114,3 +120,65 @@ def test_product_pairs_both_runs(t1, t2):
             assert got.output == tuple(
                 Pair(u, v) for u, v in
                 zip_longest(r1.output, r2.output, fillvalue=ABSENT))
+
+
+@PROPERTY
+@given(random_automata())
+def test_count_words_matches_enumeration(a):
+    for n in range(7):
+        expected = sum(nfa_accepts(a, w) for w in WORDS if len(w) == n)
+        assert count_words(a, n) == expected
+
+
+@PROPERTY
+@given(random_automata())
+def test_recurrence_reproduces_the_counts(a):
+    rec = word_count_recurrence(a)
+    for n in range(2 * rec.order + 3):
+        assert rec.term(n) == count_words(a, n)
+
+
+def _fraction_matrix(seed):
+    """Square matrix of small Fractions, up to 5x5; for odd seeds one row
+    is a multiple of an earlier one, so singular matrices come up often."""
+    rng = random.Random(seed)
+    n = 1 + seed % 5
+    m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+         for _ in range(n)]
+    if n > 1 and seed % 2:
+        i = rng.randrange(1, n)
+        m[i] = [rng.randint(-2, 2) * x for x in m[rng.randrange(i)]]
+    return m
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_left_kernel_and_solve_are_exact(seed):
+    m = _fraction_matrix(seed)
+    n = len(m)
+    basis = left_kernel(m)
+    for x in basis:
+        assert [sum(x[i] * m[i][j] for i in range(n)) for j in range(n)] \
+            == [0] * n
+    assert len(basis) == n - rank(m)
+    assert rank(basis) == len(basis)
+    rng = random.Random(-seed)
+    columns = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                for _ in range(n)] for _ in range(2)]
+    if basis:
+        with pytest.raises(AnalysisError, match="singular"):
+            solve(m, columns)
+        return
+    for b, x in zip(columns, solve(m, columns)):
+        assert [sum(m[i][j] * x[j] for j in range(n)) for i in range(n)] == b
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_charpoly_matches_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    n = 1 + seed % 10
+    # even seeds: sparse count matrices as in word counting
+    low, high = (0, 2) if seed % 2 == 0 else (-5, 5)
+    m = [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
+    expected = [int(c) for c in sympy.Matrix(m).charpoly().all_coeffs()]
+    assert charpoly(m) == expected

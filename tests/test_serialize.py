@@ -79,3 +79,10 @@ def test_file_round_trip(tmp_path, naf_all):
     path = tmp_path / "machine.json"
     serialize.save(naf_all, path)
     assert serialize.load(path) == naf_all
+
+
+def test_non_utf8_file_is_not_a_machine_file(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ConstructionError, match="not a machine file"):
+        serialize.load(path)
