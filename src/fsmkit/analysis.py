@@ -215,12 +215,15 @@ def _terminal_chain(t: Machine):
     """The Markov chain of uniformly random inputs on the unique terminal
     SCC of the accessible part: the SCC's labels in state order, the
     transitions from its states, the transition matrix P and the
-    stationary row vector pi (pi P = pi, entries summing to 1)."""
+    stationary row vector pi (pi P = pi, entries summing to 1), all
+    tuples.  Machines are immutable, so it is built once per machine."""
+    if t._chain is not None:
+        return t._chain
     reachable = t.accessible()
     scc = terminal_scc(reachable)
-    labels = [st.label for st in reachable.states if st.label in scc]
+    labels = tuple(st.label for st in reachable.states if st.label in scc)
     index = {label: i for i, label in enumerate(labels)}
-    inside = [tr for tr in reachable.transitions if tr.source in scc]
+    inside = tuple(tr for tr in reachable.transitions if tr.source in scc)
     q = Fraction(1, len(t.input_alphabet))
     P = [[Fraction(0)] * len(labels) for _ in labels]
     for tr in inside:
@@ -235,7 +238,9 @@ def _terminal_chain(t: Machine):
     total = sum(vec, Fraction(0))
     if total == 0:
         raise AnalysisError("degenerate stationary vector")
-    return labels, inside, P, [x / total for x in vec]
+    t._chain = (labels, inside, tuple(map(tuple, P)),
+                tuple(x / total for x in vec))
+    return t._chain
 
 
 def stationary_distribution(t: Machine):

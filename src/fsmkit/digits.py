@@ -22,16 +22,16 @@ from .machine import Machine, build_machine
 from .symbols import ABSENT, AbsentType, Digit, Pair, Symbol, Word, digit_value, word
 
 
+_BITS = {"0": Digit(0), "1": Digit(1)}
+
+
 def binary_digits(n: int) -> Word:
     """Standard binary digits of n >= 0, least significant first; 0 has no
-    digits."""
+    digits.  Read off bin(n) in one pass, so the cost is linear in the
+    length."""
     if n < 0:
         raise ConstructionError("binary digits are defined for n >= 0")
-    digits = []
-    while n:
-        digits.append(Digit(n & 1))
-        n >>= 1
-    return tuple(digits)
+    return tuple(map(_BITS.__getitem__, bin(n)[:1:-1])) if n else ()
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,21 @@ class Expansion:
     exponent_offset: int = 0
 
     def value(self) -> Fraction:
-        total = Fraction(0)
-        for i, d in enumerate(self.digits):
-            total += digit_value(d) * Fraction(2) ** (i + self.exponent_offset)
-        return total
+        """The exact value, a Fraction (also for the empty word), in
+        O(n log n) bit operations for n digits: neighbouring digit values
+        are folded pairwise into integers of twice the width, pass after
+        pass, and the offset is applied once to the total."""
+        values = [digit_value(d) for d in self.digits]
+        width = 1
+        while len(values) > 1:
+            if len(values) % 2:
+                values.append(0)
+            values = [low + (high << width)
+                      for low, high in zip(values[::2], values[1::2])]
+            width *= 2
+        total = values[0] if values else 0
+        e = self.exponent_offset
+        return Fraction(total << e) if e >= 0 else Fraction(total, 1 << -e)
 
     def digit_string(self) -> str:
         """Most-significant-first rendering like (1001̄0)_2, with a centered
@@ -237,8 +248,7 @@ def build_R() -> Machine:
 
 def naf_of(n: int) -> Expansion:
     """Non-adjacent form of n >= 0 computed by the completed rewriter."""
-    completed = transducers.with_final_word_out(build_naf1(), 0)
-    return Expansion(completed.transduce(binary_digits(n)), 0)
+    return Expansion(build_naf2().transduce(binary_digits(n)), 0)
 
 
 def three_half_naf_of(n: int) -> Expansion:

@@ -137,6 +137,7 @@ class Machine:
                         f"automaton state {st.label!r} with final output")
 
         self._step_map = None  # lazy (label, symbol) -> Transition
+        self._chain = None  # lazy analysis._terminal_chain result
 
     # ------------------------------------------------------------------
     # basic views

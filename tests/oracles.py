@@ -27,6 +27,16 @@ def expansion_value(digits, offset=0):
                for i, d in enumerate(digits))
 
 
+def per_digit_value(letters, offset=0):
+    """The value of a word of digit letters by the original per-digit
+    method: one growing Fraction, adding each letter's value (the absent
+    marker reads 0) times 2**(position + offset)."""
+    total = Fraction(0)
+    for i, s in enumerate(letters):
+        total += Fraction(getattr(s, "value", 0)) * Fraction(2) ** (i + offset)
+    return total
+
+
 def normalized_digits(digits, offset=0):
     """(digits, offset) with zeros stripped from both ends, as the digit
     function position -> digit; the all-zero expansion normalizes to ((), 0)."""

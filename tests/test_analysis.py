@@ -231,6 +231,17 @@ def test_stationarity_is_exact(machine_W):
     assert sum(v) == 1
 
 
+def test_terminal_chain_is_built_once_as_tuples(weight_naf):
+    first = stationary_distribution(weight_naf)
+    chain = analysis._terminal_chain(weight_naf)
+    assert analysis._terminal_chain(weight_naf) is chain
+    labels, inside, P, pi = chain
+    assert all(type(part) is tuple for part in (labels, inside, P, pi, *P))
+    assert stationary_distribution(weight_naf) == first
+    assert expected_density(weight_naf) == \
+        asymptotic_moments(weight_naf).expectation
+
+
 def test_density_identity(identity01):
     assert expected_density(identity01) == HALF
 

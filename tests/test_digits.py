@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from fsmkit import automata, digits, transducers
+from fsmkit import automata, digits, serialize, transducers
 from fsmkit.digits import (Expansion, binary_digits, hamming_weight, naf_of,
                            three_half_naf_of)
 from fsmkit.errors import ConstructionError
@@ -20,8 +21,21 @@ def test_binary_digits():
     assert binary_digits(14) == word([0, 1, 1, 1])
     assert binary_digits(0) == ()
     assert binary_digits(42) == word([0, 1, 0, 1, 0, 1])
+    for n in (-3, -1):
+        with pytest.raises(ConstructionError):
+            binary_digits(n)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_binary_digits_match_bin(seed):
+    rng = random.Random(seed)
+    n = rng.getrandbits(rng.randint(1, 2 ** 16))
+    assert binary_digits(n) == word(int(b) for b in reversed(bin(n)[2:]))
+
+
+def test_expansion_value_of_a_pair_raises():
     with pytest.raises(ConstructionError):
-        binary_digits(-3)
+        Expansion((Digit(1), Pair(Digit(0), Digit(1))), 0).value()
 
 
 def test_hamming_weight():
@@ -101,6 +115,19 @@ def test_three_half_of_fourteen():
                                    ([0, 0, 2, 0, 1, -1, 1], -2, 14),
                                    ([], 3, 0)]:
         assert Expansion(word(letters), offset).value() == value
+
+
+def test_wrappers_on_a_long_integer():
+    n = random.Random(14).getrandbits(2 ** 14) | 1 << (2 ** 14 - 1)
+    assert three_half_naf_of(n).value() == n
+    naf = naf_of(n)
+    assert naf.value() == n
+    assert expansion_value([s.value for s in naf.digits]) == n
+
+
+def test_naf_of_uses_the_completed_rewriter(naf_completed):
+    assert serialize.dumps(digits.build_naf2()) == \
+        serialize.dumps(naf_completed)
 
 
 def test_wrappers_match_fixture_machines(naf_completed, machine_T):

@@ -1,26 +1,28 @@
 """Property tests on random machines: the constructions agree with direct
 nondeterministic acceptance and with running the argument machines one
-after the other, word counts agree with enumeration, and the exact linear
-algebra agrees with determinant expansion and, where installed, sympy."""
+after the other, word counts agree with enumeration, expansion values
+agree with the per-digit Fraction sum, and the exact linear algebra agrees
+with determinant expansion and, where installed, sympy."""
 
 import random
 from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsmkit.automata import (complement, count_words, determinize,
                              intersection, minimize, word_count_recurrence)
+from fsmkit.digits import Expansion
 from fsmkit.errors import AnalysisError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
                             build_machine)
 from fsmkit.polynomial import charpoly, left_kernel, solve
-from fsmkit.symbols import ABSENT, Pair, word
+from fsmkit.symbols import ABSENT, Digit, Pair, word
 from fsmkit.transducers import cartesian_product, compose, simplify
 
-from oracles import all_words, nfa_accepts, rank
+from oracles import all_words, nfa_accepts, per_digit_value, rank
 
 LETTERS = (0, 1)
 WORDS = [word(w) for w in all_words(LETTERS, 6)]
@@ -136,6 +138,17 @@ def test_recurrence_reproduces_the_counts(a):
     rec = word_count_recurrence(a)
     for n in range(2 * rec.order + 3):
         assert rec.term(n) == count_words(a, n)
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([Digit(v) for v in range(-2, 3)] + [ABSENT])),
+       st.integers(-8, 8))
+@example([], -3)
+@example([], 3)
+def test_expansion_value_matches_per_digit_sum(letters, offset):
+    value = Expansion(tuple(letters), offset).value()
+    assert type(value) is Fraction
+    assert value == per_digit_value(letters, offset)
 
 
 def _fraction_matrix(seed):
