@@ -9,7 +9,6 @@ Counting uses exact big-integer transfer-matrix powering.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
@@ -164,34 +163,34 @@ def kleene_star(a: Machine) -> Machine:
 # determinisation and boolean operations
 # ----------------------------------------------------------------------
 
-def _epsilon_closure(m: Machine, labels) -> frozenset:
-    closure = set(labels)
-    queue = deque(labels)
-    while queue:
-        here = queue.popleft()
-        for t in m.transitions_from(here):
-            if len(t.input) == 0 and t.target not in closure:
-                closure.add(t.target)
-                queue.append(t.target)
-    return frozenset(closure)
-
-
 def determinize(a: Machine) -> Machine:
     """Subset construction with epsilon closure; subset states are named
-    by their sorted member labels, so the result is canonical."""
+    by their sorted member labels, so the result is canonical.  Each
+    state's closure and, per letter, the union of the closures of its
+    targets are computed once; a subset's successor on a letter is the
+    union of its members' entries, since closure distributes over union."""
     _require_automaton(a)
     finals = {st.label for st in a.final_states()}
+    epsilons = {st.label: [] for st in a.states}
+    for t in a.transitions:
+        if not t.input:
+            epsilons[t.source].append(t.target)
+    closure = {label: frozenset(bfs_levels([label], epsilons.__getitem__))
+               for label in epsilons}
+    by_letter = {letter: {label: set() for label in epsilons}
+                 for letter in a.input_alphabet}
+    for t in a.transitions:
+        if t.input:
+            by_letter[t.input[0]][t.source] |= closure[t.target]
 
     def successors(subset):
-        for letter in a.input_alphabet:
-            move = {t.target
-                    for label in subset
-                    for t in a.transitions_from(label)
-                    if t.input == (letter,)}
+        for letter, row in by_letter.items():
+            move = frozenset().union(*map(row.__getitem__, subset))
             if move:
-                yield (letter,), _epsilon_closure(a, move), ()
+                yield (letter,), move, ()
 
-    start = _epsilon_closure(a, [st.label for st in a.initial_states()])
+    start = frozenset().union(
+        *(closure[st.label] for st in a.initial_states()))
     return explore(AUTOMATON, a.input_alphabet, [start], successors,
                    lambda subset: "{" + ",".join(sorted(subset)) + "}",
                    lambda subset: () if subset & finals else None)
@@ -289,23 +288,23 @@ def language(a: Machine, max_length: int):
     dist = bfs_levels((st.label for st in d.final_states()), rev.__getitem__)
     start = d.initial_states()[0].label
 
-    def walk(label, remaining, prefix):
-        if dist.get(label, remaining + 1) > remaining:
-            return
-        if remaining == 0:
-            if d.state(label).is_final:
-                yield tuple(prefix)
-            return
-        for letter in d.input_alphabet:
-            t = steps.get((label, letter))
-            if t is None:
-                continue
-            prefix.append(letter)
-            yield from walk(t.target, remaining - 1, prefix)
-            prefix.pop()
-
+    # depth-first with an explicit stack, so long words cannot exhaust
+    # the recursion limit; letters are pushed in reverse to pop in order
     for length in range(max_length + 1):
-        yield from walk(start, length, [])
+        stack = [(start, ())]
+        while stack:
+            label, prefix = stack.pop()
+            remaining = length - len(prefix)
+            if dist.get(label, remaining + 1) > remaining:
+                continue
+            if remaining == 0:
+                if d.state(label).is_final:
+                    yield prefix
+                continue
+            for letter in reversed(d.input_alphabet):
+                t = steps.get((label, letter))
+                if t is not None:
+                    stack.append((t.target, prefix + (letter,)))
 
 
 def _word_counts(a: Machine):

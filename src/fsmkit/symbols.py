@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import repeat
 from typing import Iterable, Union
 
 from .errors import ConstructionError
@@ -121,8 +122,11 @@ def word(x) -> Word:
 
     None is the empty word, a single int or Symbol is a one-letter word,
     and any other iterable is coerced elementwise (so a 2-tuple inside a
-    list becomes a Pair letter, while a top-level list is a sequence).
+    list becomes a Pair letter, while a top-level list is a sequence).  A
+    tuple of symbols is already a word and is returned as is.
     """
+    if type(x) is tuple and all(map(isinstance, x, repeat(Symbol))):
+        return x
     if x is None:
         return ()
     if isinstance(x, Symbol):

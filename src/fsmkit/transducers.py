@@ -8,7 +8,7 @@ from itertools import zip_longest
 
 from .errors import ConstructionError, MachineError
 from .machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
-                      _pair_label, as_label, explore)
+                      _pair_label, as_label, bfs_levels, explore)
 from .symbols import (ABSENT, AbsentType, Digit, Pair, Symbol, digit_value,
                       symbol, word)
 
@@ -279,11 +279,10 @@ def with_final_word_out(t: Machine, letter) -> Machine:
                    t.input_alphabet, t.output_alphabet)
 
 
-def _first_appearance(keys: dict) -> dict:
-    """Number the distinct values of `keys` in order of first appearance."""
+def _first_appearance(keys) -> list:
+    """Number the distinct keys in order of first appearance."""
     numbers = {}
-    return {label: numbers.setdefault(key, len(numbers))
-            for label, key in keys.items()}
+    return [numbers.setdefault(key, len(numbers)) for key in keys]
 
 
 def simplify(t: Machine) -> Machine:
@@ -292,45 +291,55 @@ def simplify(t: Machine) -> Machine:
     word into the same block (Moore refinement).  The result keeps the
     machine's kind and computes the same input-output function; on a
     complete automaton it is the minimal automaton, on a transducer it is
-    not guaranteed to be globally minimal."""
+    not guaranteed to be globally minimal.  Blocks are numbered in the
+    breadth-first order of `Machine.relabeled`."""
     if not t.is_deterministic():
         raise MachineError("simplify() requires a deterministic machine")
     steps = t._deterministic_steps()
-    moves = {st.label: [steps.get((st.label, letter))
-                        for letter in t.input_alphabet]
-             for st in t.states}
-    targets = {label: tuple(None if tr is None else tr.target for tr in row)
-               for label, row in moves.items()}
+    n = len(t.states)
+    moves = [[steps.get((st.label, letter)) for st in t.states]
+             for letter in t.input_alphabet]
+    # one target column per letter; a missing move targets the sentinel
+    # index n, whose block is always -1
+    columns = [[n if tr is None else t._index[tr.target] for tr in column]
+               for column in moves]
 
     # the first key holds everything but the targets, so that each round
-    # of refinement compares target blocks only; a missing move stays None
-    # because block.get(None) is None
-    block = _first_appearance({
-        st.label: (st.is_final, st.final_output,
-                   tuple(None if tr is None else tr.output
-                         for tr in moves[st.label]))
-        for st in t.states})
+    # of refinement compares target blocks only; block[n] stays -1, and
+    # zip stops before it
+    block = _first_appearance(zip(
+        ((st.is_final, st.final_output) for st in t.states),
+        *([None if tr is None else tr.output for tr in column]
+          for column in moves))) + [-1]
     while True:
-        refined = _first_appearance({
-            label: (block[label], tuple(map(block.get, row)))
-            for label, row in targets.items()})
+        refined = _first_appearance(zip(
+            block, *(map(block.__getitem__, column) for column in columns)))
+        refined.append(-1)
         if refined == block:
             break
         block = refined
 
     representative = {}
-    for label in moves:
-        representative.setdefault(block[label], label)
-    initial_block = block[t.initial_states()[0].label]
-    states = tuple(
-        State(str(b), b == initial_block, t.state(rep).is_final,
-              t.state(rep).final_output)
-        for b, rep in representative.items())
+    for i in range(n):
+        representative.setdefault(block[i], i)
+    successors = [[block[column[i]] for column in columns]
+                  for i in representative.values()]
+    initial_block = block[t._index[t.initial_states()[0].label]]
+    # deterministic, so the canonical order follows letters in order
+    reached = bfs_levels([initial_block], lambda b: (
+        c for c in successors[b] if c >= 0))
+    order = list(reached) + [b for b in representative if b not in reached]
+    name = {b: str(i) for i, b in enumerate(order)}
+    states = []
+    for b in order:
+        st = t.states[representative[b]]
+        states.append(State(name[b], b == initial_block, st.is_final,
+                            st.final_output))
     transitions = tuple(
-        Transition(str(b), str(block[tr.target]), (letter,), tr.output)
-        for b, rep in representative.items()
-        for letter, tr in zip(t.input_alphabet, moves[rep])
-        if tr is not None)
-    quotient = Machine(t.kind, states, transitions,
-                       t.input_alphabet, t.output_alphabet)
-    return quotient.relabeled()
+        Transition(name[b], name[block[targets[i]]], (letter,),
+                   column[i].output)
+        for b, i in representative.items()
+        for letter, column, targets in zip(t.input_alphabet, moves, columns)
+        if column[i] is not None)
+    return Machine(t.kind, states, transitions,
+                   t.input_alphabet, t.output_alphabet)

@@ -281,6 +281,13 @@ def test_language_is_strictly_shortlex_increasing(machine_R):
     assert len(set(keys)) == len(keys)
 
 
+def test_language_yields_words_longer_than_the_recursion_limit():
+    long = [0] * 1500 + [1]
+    a = word_automaton(long, [0, 1])
+    assert list(language(a, 1501)) == [word(long)]
+    assert list(language(a, 1500)) == []
+
+
 def test_language_counts_match_count_words(naf_acceptor, machine_R):
     for m in (naf_acceptor, machine_R):
         words = list(language(m, 8))

@@ -1,6 +1,7 @@
 """Property tests on random machines: the constructions agree with direct
 nondeterministic acceptance and with running the argument machines one
-after the other, word counts agree with enumeration, expansion values
+after the other, complement is an involution, machine files round-trip
+byte-identically, word counts agree with enumeration, expansion values
 agree with the per-digit Fraction sum, and the exact linear algebra agrees
 with determinant expansion and, where installed, sympy."""
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fsmkit import serialize
 from fsmkit.automata import (complement, count_words, determinize,
                              intersection, minimize, word_count_recurrence)
 from fsmkit.digits import Expansion
@@ -78,6 +80,23 @@ def test_boolean_constructions_agree_with_nfa_acceptance(a, b):
         assert m.accepts(w) == expected
         assert c.accepts(w) != expected
         assert both.accepts(w) == (expected and nfa_accepts(b, w))
+
+
+@PROPERTY
+@given(random_automata())
+def test_complement_is_an_involution(a):
+    twice = complement(complement(a))
+    for w in WORDS:
+        assert twice.accepts(w) == nfa_accepts(a, w)
+
+
+@PROPERTY
+@given(st.one_of(random_automata(), random_transducers()))
+def test_serialize_round_trips_byte_identically(m):
+    text = serialize.dumps(m)
+    back = serialize.loads(text)
+    assert back == m
+    assert serialize.dumps(back) == text
 
 
 @PROPERTY

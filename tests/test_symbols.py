@@ -52,6 +52,17 @@ def test_word_coercion():
     assert word([(0, 1), None]) == (Pair(Digit(0), Digit(1)), ABSENT)
 
 
+def test_word_of_a_symbol_tuple_is_the_tuple_itself():
+    w = (Digit(0), ABSENT, Pair(Digit(1), Digit(0)))
+    assert word(w) is w
+    assert word(()) == ()
+    assert word((0, (1, None))) == (Digit(0), Pair(Digit(1), ABSENT))
+    with pytest.raises(ConstructionError):
+        word((True,))
+    with pytest.raises(ConstructionError):
+        word((Digit(0), True))
+
+
 def test_empty_word_differs_from_absent_letter():
     assert word(None) != word([None])
     assert word([None]) == (ABSENT,)
