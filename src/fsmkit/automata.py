@@ -201,10 +201,10 @@ def complete(a: Machine, sink_label="sink") -> Machine:
     if not a.is_deterministic():
         raise MachineError("complete() requires a deterministic machine")
     sink_label = as_label(sink_label)
-    steps = a._deterministic_steps()
+    _, rows = a._steps()
     missing = [(st.label, letter)
-               for st in a.states for letter in a.input_alphabet
-               if (st.label, letter) not in steps]
+               for st, row in zip(a.states, rows) for letter in a.input_alphabet
+               if letter not in row]
     if not missing:
         return a
     if a.has_state(sink_label):
@@ -235,22 +235,21 @@ def intersection(a: Machine, b: Machine) -> Machine:
     _require_automaton(b)
     _require_same_alphabet(a, b)
     da, db = determinize(a), determinize(b)
-    stepa, stepb = da._deterministic_steps(), db._deterministic_steps()
+    (starta, rowsa), (startb, rowsb) = da._steps(), db._steps()
 
     def successors(pair):
+        rowa, rowb = rowsa[pair[0]], rowsb[pair[1]]
         for letter in a.input_alphabet:
-            ta = stepa.get((pair[0], letter))
-            tb = stepb.get((pair[1], letter))
-            if ta is not None and tb is not None:
-                yield (letter,), (ta.target, tb.target), ()
+            stepa, stepb = rowa.get(letter), rowb.get(letter)
+            if stepa is not None and stepb is not None:
+                yield (letter,), (stepa[0], stepb[0]), ()
 
     def final(pair):
-        both = da.state(pair[0]).is_final and db.state(pair[1]).is_final
+        both = da.states[pair[0]].is_final and db.states[pair[1]].is_final
         return () if both else None
 
-    start = (da.initial_states()[0].label, db.initial_states()[0].label)
-    return explore(AUTOMATON, a.input_alphabet, [start], successors,
-                   _pair_label, final)
+    return explore(AUTOMATON, a.input_alphabet, [(starta, startb)],
+                   successors, _pair_label(da, db), final)
 
 
 def minimize(a: Machine) -> Machine:
@@ -279,32 +278,34 @@ def language(a: Machine, max_length: int):
     shortlex order under the canonical symbol order."""
     _require_automaton(a)
     d = a if a.is_deterministic() else determinize(a)
-    steps = d._deterministic_steps()
+    start, rows = d._steps()
 
     # distance from each state to the nearest final state, for pruning
-    rev = {st.label: [] for st in d.states}
-    for t in d.transitions:
-        rev[t.target].append(t.source)
-    dist = bfs_levels((st.label for st in d.final_states()), rev.__getitem__)
-    start = d.initial_states()[0].label
+    rev = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for target, _ in row.values():
+            rev[target].append(i)
+    dist = bfs_levels((i for i, st in enumerate(d.states) if st.is_final),
+                      rev.__getitem__)
 
     # depth-first with an explicit stack, so long words cannot exhaust
     # the recursion limit; letters are pushed in reverse to pop in order
     for length in range(max_length + 1):
         stack = [(start, ())]
         while stack:
-            label, prefix = stack.pop()
+            here, prefix = stack.pop()
             remaining = length - len(prefix)
-            if dist.get(label, remaining + 1) > remaining:
+            if dist.get(here, remaining + 1) > remaining:
                 continue
             if remaining == 0:
-                if d.state(label).is_final:
+                if d.states[here].is_final:
                     yield prefix
                 continue
+            row = rows[here]
             for letter in reversed(d.input_alphabet):
-                t = steps.get((label, letter))
-                if t is not None:
-                    stack.append((t.target, prefix + (letter,)))
+                step = row.get(letter)
+                if step is not None:
+                    stack.append((step[0], prefix + (letter,)))
 
 
 def _word_counts(a: Machine):

@@ -9,6 +9,11 @@ States are identified by their label, a display string that is unique
 within a machine.  Transition inputs are words of length at most one; a
 length-zero input is an epsilon transition, which the nondeterministic
 construction layers use and deterministic execution refuses.
+
+The one constructor validates every machine, construction results
+included.  A deterministic machine builds one step table on first use
+(`_steps`), which runs and the constructions read: per state index, a dict
+from letter to (target index, output word).
 """
 
 from __future__ import annotations
@@ -82,13 +87,13 @@ class Machine:
                  output_alphabet=None):
         if kind not in (AUTOMATON, TRANSDUCER):
             raise ConstructionError(f"unknown machine kind {kind!r}")
-        alphabet = tuple(sorted({s for s in map(symbol, input_alphabet)},
+        alphabet = tuple(sorted(set(map(symbol, input_alphabet)),
                                 key=lambda s: s.sort_key()))
         if not alphabet:
             raise ConstructionError("the input alphabet must not be empty")
         out_alphabet = None
         if output_alphabet is not None:
-            out_alphabet = tuple(sorted({s for s in map(symbol, output_alphabet)},
+            out_alphabet = tuple(sorted(set(map(symbol, output_alphabet)),
                                         key=lambda s: s.sort_key()))
 
         self.kind = kind
@@ -97,46 +102,40 @@ class Machine:
         self.input_alphabet = alphabet
         self.output_alphabet = out_alphabet
 
-        self._by_label = {}
+        automaton = kind == AUTOMATON
+        self._by_label = by_label = {}
         for st in self.states:
             if not isinstance(st, State):
                 raise ConstructionError(f"not a state: {st!r}")
-            if st.label in self._by_label:
+            if st.label in by_label:
                 raise ConstructionError(f"duplicate state label {st.label!r}")
-            if st.final_output and not st.is_final:
-                raise ConstructionError(
-                    f"non-final state {st.label!r} carries a final output")
-            self._by_label[st.label] = st
-        self._index = {st.label: i for i, st in enumerate(self.states)}
+            if st.final_output:
+                if not st.is_final:
+                    raise ConstructionError(
+                        f"non-final state {st.label!r} carries a final output")
+                if automaton:
+                    raise ConstructionError(
+                        f"automaton state {st.label!r} with final output")
+            by_label[st.label] = st
 
-        self._out = {st.label: [] for st in self.states}
-        alphaset = set(alphabet)
+        letters = set(alphabet)
+        writable = None if out_alphabet is None else set(out_alphabet)
         for t in self.transitions:
-            if t.source not in self._by_label or t.target not in self._by_label:
+            if t.source not in by_label or t.target not in by_label:
                 raise ConstructionError(f"transition endpoints unknown: {t}")
             if len(t.input) > 1:
                 raise ConstructionError(f"transition input longer than one letter: {t}")
-            for s in t.input:
-                if s not in alphaset:
+            if t.input and t.input[0] not in letters:
+                raise ConstructionError(
+                    f"input symbol {t.input[0]} outside the alphabet in transition {t}")
+            for s in t.output:
+                if writable is not None and s not in writable:
                     raise ConstructionError(
-                        f"input symbol {s} outside the alphabet in transition {t}")
-            if out_alphabet is not None:
-                for s in t.output:
-                    if s not in out_alphabet:
-                        raise ConstructionError(
-                            f"output symbol {s} outside the output alphabet in {t}")
-            self._out[t.source].append(t)
+                        f"output symbol {s} outside the output alphabet in {t}")
+            if t.output and automaton:
+                raise ConstructionError(f"automaton transition with output: {t}")
 
-        if kind == AUTOMATON:
-            for t in self.transitions:
-                if t.output:
-                    raise ConstructionError(f"automaton transition with output: {t}")
-            for st in self.states:
-                if st.final_output:
-                    raise ConstructionError(
-                        f"automaton state {st.label!r} with final output")
-
-        self._step_map = None  # lazy (label, symbol) -> Transition
+        self._table = None  # lazy step table, see _steps
         self._chain = None  # lazy analysis._terminal_chain result
 
     # ------------------------------------------------------------------
@@ -163,9 +162,6 @@ class Machine:
     def final_states(self):
         return tuple(st for st in self.states if st.is_final)
 
-    def transitions_from(self, label):
-        return tuple(self._out[as_label(label)])
-
     def _canonical(self):
         state_set = frozenset(
             (st.label, st.is_initial, st.is_final, st.final_output)
@@ -190,37 +186,40 @@ class Machine:
         """Single initial state, no epsilon inputs, at most one transition
         per (state, letter)."""
         try:
-            self._deterministic_steps()
+            self._steps()
         except MachineError:
             return False
         return True
 
     def is_complete(self) -> bool:
         """Deterministic with exactly one transition per (state, letter)."""
-        return (self.is_deterministic() and len(self._step_map)
-                == len(self.states) * len(self.input_alphabet))
+        return self.is_deterministic() and all(
+            len(row) == len(self.input_alphabet) for row in self._steps()[1])
 
-    def _deterministic_steps(self):
-        """The (label, letter) -> Transition map of a deterministic
-        machine, built once; any other machine raises MachineError."""
-        if self._step_map is not None:
-            return self._step_map
-        initials = self.initial_states()
+    def _steps(self):
+        """The step table of a deterministic machine, built once: the index
+        of the initial state and, for each state index i, a dict mapping
+        every letter that has a move from states[i] to (target index,
+        output word).  Any other machine raises MachineError."""
+        if self._table is not None:
+            return self._table
+        initials = [i for i, st in enumerate(self.states) if st.is_initial]
         if len(initials) != 1:
             raise MachineError(
                 f"a deterministic run needs exactly one initial state, "
                 f"found {len(initials)}")
-        steps = {}
+        index = {st.label: i for i, st in enumerate(self.states)}
+        rows = [{} for _ in self.states]
         for t in self.transitions:
-            if len(t.input) == 0:
+            if not t.input:
                 raise MachineError(f"epsilon transition blocks execution: {t}")
-            key = (t.source, t.input[0])
-            if key in steps:
+            row = rows[index[t.source]]
+            if t.input[0] in row:
                 raise MachineError(
                     f"nondeterministic on state {t.source!r}, letter {t.input[0]}")
-            steps[key] = t
-        self._step_map = steps
-        return steps
+            row[t.input[0]] = (index[t.target], t.output)
+        self._table = initials[0], rows
+        return self._table
 
     # ------------------------------------------------------------------
     # running
@@ -234,33 +233,32 @@ class Machine:
         final; if some letter has no transition the run stops there and
         rejects.  Rejection is a value, not an error.
         """
-        steps = self._deterministic_steps()
-        label = self.initial_states()[0].label
+        here, rows = self._steps()
         out = []
         for sym in word(input_word):
-            t = steps.get((label, sym))
-            if t is None:
-                return RunResult(False, label, tuple(out))
-            out.extend(t.output)
-            label = t.target
-        st = self._by_label[label]
+            step = rows[here].get(sym)
+            if step is None:
+                return RunResult(False, self.states[here].label, tuple(out))
+            here, written = step
+            out.extend(written)
+        st = self.states[here]
         if st.is_final:
             out.extend(st.final_output)
-            return RunResult(True, label, tuple(out))
-        return RunResult(False, label, tuple(out))
+            return RunResult(True, st.label, tuple(out))
+        return RunResult(False, st.label, tuple(out))
 
-    def _run_from(self, label, w):
-        """Follow letters of w from `label`; returns (stop label, output,
-        consumed everything?).  Shared by composition and completion."""
-        steps = self._deterministic_steps()
+    def _run_from(self, here, w):
+        """Follow letters of w from state index `here`; returns (stop index,
+        output, consumed everything?).  Used by composition."""
+        _, rows = self._steps()
         out = []
         for sym in w:
-            t = steps.get((label, sym))
-            if t is None:
-                return label, tuple(out), False
-            out.extend(t.output)
-            label = t.target
-        return label, tuple(out), True
+            step = rows[here].get(sym)
+            if step is None:
+                return here, tuple(out), False
+            here, written = step
+            out.extend(written)
+        return here, tuple(out), True
 
     def transduce(self, input_word) -> Word:
         """Output word of an accepting run; rejection raises."""
@@ -273,36 +271,16 @@ class Machine:
         return self.process(input_word).accepted
 
     # ------------------------------------------------------------------
-    # incremental construction (returning new machines)
-    # ------------------------------------------------------------------
-
-    def add_state(self, label, is_initial=False, is_final=False,
-                  final_output=()) -> "Machine":
-        label = as_label(label)
-        if label in self._by_label:
-            raise ConstructionError(f"duplicate state label {label!r}")
-        st = State(label, is_initial, is_final, word(final_output))
-        return Machine(self.kind, self.states + (st,), self.transitions,
-                       self.input_alphabet, self.output_alphabet)
-
-    def add_transition(self, source, target, input_word, output_word=None) -> "Machine":
-        source, target = as_label(source), as_label(target)
-        for endpoint in (source, target):
-            if endpoint not in self._by_label:
-                raise ConstructionError(f"unknown transition endpoint {endpoint!r}")
-        t = Transition(source, target, word(input_word), word(output_word))
-        return Machine(self.kind, self.states, self.transitions + (t,),
-                       self.input_alphabet, self.output_alphabet)
-
-    # ------------------------------------------------------------------
     # trimming
     # ------------------------------------------------------------------
 
     def accessible(self) -> "Machine":
         """Restrict to states reachable from the initial states."""
+        succ = {st.label: [] for st in self.states}
+        for t in self.transitions:
+            succ[t.source].append(t.target)
         return self._restrict(bfs_levels(
-            (st.label for st in self.initial_states()),
-            lambda here: (t.target for t in self._out[here])))
+            (st.label for st in self.initial_states()), succ.__getitem__))
 
     def coaccessible(self) -> "Machine":
         """Restrict to states from which some final state is reachable."""
@@ -330,14 +308,16 @@ class Machine:
         """Rename states 0..n-1 in breadth-first order from the initial
         states, following transitions in canonical (input, output) order;
         unreachable states keep their relative order at the end."""
-        def outgoing(here):
-            return (t.target for t in sorted(
-                self._out[here],
-                key=lambda t: (word_key(t.input), word_key(t.output),
-                               self._index[t.target])))
+        index = {st.label: i for i, st in enumerate(self.states)}
+        outgoing = {st.label: [] for st in self.states}
+        # a stable sort, so each state's moves come out in canonical order
+        for t in sorted(self.transitions,
+                        key=lambda t: (word_key(t.input), word_key(t.output),
+                                       index[t.target])):
+            outgoing[t.source].append(t.target)
 
         reached = bfs_levels((st.label for st in self.initial_states()),
-                             outgoing)
+                             outgoing.__getitem__)
         order = list(reached)
         order += [st.label for st in self.states if st.label not in reached]
         mapping = {old: str(i) for i, old in enumerate(order)}
@@ -386,8 +366,10 @@ def _state_cap(explicit=None) -> int:
     return cap
 
 
-def _pair_label(pair) -> str:
-    return f"({pair[0]},{pair[1]})"
+def _pair_label(first: Machine, second: Machine):
+    """Names (state index of `first`, state index of `second`) pairs."""
+    one, two = first.states, second.states
+    return lambda pair: f"({one[pair[0]].label},{two[pair[1]].label})"
 
 
 def explore(kind, alphabet, starts, successors, name, final,
@@ -396,12 +378,24 @@ def explore(kind, alphabet, starts, successors, name, final,
 
     `successors(key)` yields (input word, target key, output word) for each
     transition leaving a state, in the order the transitions are listed;
-    `name(key)` labels a state once, when it is discovered; `final(key)` is
+    `name(key)` labels a state once, when it is discovered, and a name
+    already taken gets the first free suffix "#k"; `final(key)` is
     None for a non-final state and its final output word otherwise.  States
     are listed in discovery order; discovering more than the state cap
     (see `_state_cap`) raises StateCapError."""
     cap = _state_cap(cap)
-    labels = {key: name(key) for key in dict.fromkeys(starts)}
+    taken = set()
+
+    def fresh(key):
+        label = base = name(key)
+        k = 0
+        while label in taken:
+            k += 1
+            label = f"{base}#{k}"
+        taken.add(label)
+        return label
+
+    labels = {key: fresh(key) for key in dict.fromkeys(starts)}
     order = list(labels)
     initial_count = len(order)
     transitions = []
@@ -412,7 +406,7 @@ def explore(kind, alphabet, starts, successors, name, final,
                 if len(order) >= cap:
                     raise StateCapError(
                         f"exploration exceeded the state cap of {cap}")
-                labels[target] = name(target)
+                labels[target] = fresh(target)
                 order.append(target)
             transitions.append(Transition(source, labels[target], inp, out))
     states = []

@@ -103,11 +103,11 @@ def operator_lift(fn, alphabet) -> Machine:
 # product and composition
 # ----------------------------------------------------------------------
 
-def _single_initial(m: Machine, role: str) -> str:
-    initials = m.initial_states()
+def _single_initial(m: Machine, role: str) -> int:
+    initials = [i for i, st in enumerate(m.states) if st.is_initial]
     if len(initials) != 1:
         raise MachineError(f"the {role} machine needs exactly one initial state")
-    return initials[0].label
+    return initials[0]
 
 
 def cartesian_product(t1: Machine, t2: Machine) -> Machine:
@@ -125,25 +125,24 @@ def cartesian_product(t1: Machine, t2: Machine) -> Machine:
                 f"cartesian product needs exactly one output symbol per "
                 f"transition, offending transition: {t}")
     start = (_single_initial(t1, "left"), _single_initial(t2, "right"))
-    step1, step2 = t1._deterministic_steps(), t2._deterministic_steps()
+    (_, rows1), (_, rows2) = t1._steps(), t2._steps()
 
     def successors(pair):
+        row1, row2 = rows1[pair[0]], rows2[pair[1]]
         for letter in t1.input_alphabet:
-            a = step1.get((pair[0], letter))
-            b = step2.get((pair[1], letter))
+            a, b = row1.get(letter), row2.get(letter)
             if a is not None and b is not None:
-                yield ((letter,), (a.target, b.target),
-                       (Pair(a.output[0], b.output[0]),))
+                yield (letter,), (a[0], b[0]), (Pair(a[1][0], b[1][0]),)
 
     def final(pair):
-        s1, s2 = t1.state(pair[0]), t2.state(pair[1])
+        s1, s2 = t1.states[pair[0]], t2.states[pair[1]]
         if not (s1.is_final and s2.is_final):
             return None
         return tuple(Pair(u, v) for u, v in zip_longest(
             s1.final_output, s2.final_output, fillvalue=ABSENT))
 
     return explore(TRANSDUCER, t1.input_alphabet, [start], successors,
-                   _pair_label, final)
+                   _pair_label(t1, t2), final)
 
 
 def compose(outer: Machine, inner: Machine) -> Machine:
@@ -157,30 +156,33 @@ def compose(outer: Machine, inner: Machine) -> Machine:
     start = (_single_initial(inner, "inner"), _single_initial(outer, "outer"))
     if not inner.is_deterministic() or not outer.is_deterministic():
         raise MachineError("composition requires deterministic machines")
-    inner_step = inner._deterministic_steps()
+    _, inner_rows = inner._steps()
 
     def successors(pair):
+        row = inner_rows[pair[0]]
         for letter in inner.input_alphabet:
-            t = inner_step.get((pair[0], letter))
-            if t is None:
+            if letter not in row:
                 continue
-            stop, written, complete_run = outer._run_from(pair[1], t.output)
+            target, read = row[letter]
+            stop, written, complete_run = outer._run_from(pair[1], read)
             if not complete_run:
+                t = Transition(inner.states[pair[0]].label,
+                               inner.states[target].label, (letter,), read)
                 raise MachineError(
                     f"the outer machine blocks on the output of {t}")
-            yield (letter,), (t.target, stop), written
+            yield (letter,), (target, stop), written
 
     def final(pair):
-        inner_state = inner.state(pair[0])
+        inner_state = inner.states[pair[0]]
         if inner_state.is_final:
             stop, written, complete_run = outer._run_from(
                 pair[1], inner_state.final_output)
-            if complete_run and outer.state(stop).is_final:
-                return written + outer.state(stop).final_output
+            if complete_run and outer.states[stop].is_final:
+                return written + outer.states[stop].final_output
         return None
 
     return explore(TRANSDUCER, inner.input_alphabet, [start], successors,
-                   _pair_label, final, outer.output_alphabet)
+                   _pair_label(inner, outer), final, outer.output_alphabet)
 
 
 # ----------------------------------------------------------------------
@@ -243,35 +245,24 @@ def with_final_word_out(t: Machine, letter) -> Machine:
     letter = symbol(letter)
     if letter not in t.input_alphabet:
         raise MachineError(f"letter {letter} is not in the input alphabet")
-    steps = t._deterministic_steps()
+    _, rows = t._steps()
 
     new_states = []
-    for st in t.states:
-        if st.is_final:
-            new_states.append(st)
-            continue
-        here = st.label
-        collected = []
-        visited = {here}
-        final_state = None
-        while True:
-            tr = steps.get((here, letter))
-            if tr is None:
-                break
-            collected.extend(tr.output)
-            here = tr.target
-            if t.state(here).is_final:
-                final_state = here
-                break
-            if here in visited:
-                break
+    for here, st in enumerate(t.states):
+        collected, visited = [], set()
+        while not t.states[here].is_final and here not in visited:
             visited.add(here)
-        if final_state is None:
+            step = rows[here].get(letter)
+            if step is None:
+                break
+            here, written = step
+            collected.extend(written)
+        end = t.states[here]
+        if st.is_final or not end.is_final:
             new_states.append(st)
         else:
-            new_states.append(
-                State(st.label, st.is_initial, True,
-                      tuple(collected) + t.state(final_state).final_output))
+            new_states.append(State(st.label, st.is_initial, True,
+                                    tuple(collected) + end.final_output))
     if not any(st.is_final for st in new_states):
         raise MachineError(
             f"no state reaches a final state by reading {letter}")
@@ -295,13 +286,12 @@ def simplify(t: Machine) -> Machine:
     breadth-first order of `Machine.relabeled`."""
     if not t.is_deterministic():
         raise MachineError("simplify() requires a deterministic machine")
-    steps = t._deterministic_steps()
+    start, rows = t._steps()
     n = len(t.states)
-    moves = [[steps.get((st.label, letter)) for st in t.states]
-             for letter in t.input_alphabet]
+    moves = [[row.get(letter) for row in rows] for letter in t.input_alphabet]
     # one target column per letter; a missing move targets the sentinel
     # index n, whose block is always -1
-    columns = [[n if tr is None else t._index[tr.target] for tr in column]
+    columns = [[n if step is None else step[0] for step in column]
                for column in moves]
 
     # the first key holds everything but the targets, so that each round
@@ -309,7 +299,7 @@ def simplify(t: Machine) -> Machine:
     # zip stops before it
     block = _first_appearance(zip(
         ((st.is_final, st.final_output) for st in t.states),
-        *([None if tr is None else tr.output for tr in column]
+        *([None if step is None else step[1] for step in column]
           for column in moves))) + [-1]
     while True:
         refined = _first_appearance(zip(
@@ -324,7 +314,7 @@ def simplify(t: Machine) -> Machine:
         representative.setdefault(block[i], i)
     successors = [[block[column[i]] for column in columns]
                   for i in representative.values()]
-    initial_block = block[t._index[t.initial_states()[0].label]]
+    initial_block = block[start]
     # deterministic, so the canonical order follows letters in order
     reached = bfs_levels([initial_block], lambda b: (
         c for c in successors[b] if c >= 0))
@@ -337,7 +327,7 @@ def simplify(t: Machine) -> Machine:
                             st.final_output))
     transitions = tuple(
         Transition(name[b], name[block[targets[i]]], (letter,),
-                   column[i].output)
+                   column[i][1])
         for b, i in representative.items()
         for letter, column, targets in zip(t.input_alphabet, moves, columns)
         if column[i] is not None)

@@ -63,23 +63,40 @@ def nfa_accepts(machine, letters):
         out = set(todo)
         while todo:
             here = todo.pop()
-            for t in machine.transitions_from(here):
-                if len(t.input) == 0 and t.target not in out:
+            for t in machine.transitions:
+                if t.source == here and not t.input and t.target not in out:
                     out.add(t.target)
                     todo.append(t.target)
         return out
 
     current = closure(st.label for st in machine.initial_states())
     for a in letters:
-        step = {t.target
-                for label in current
-                for t in machine.transitions_from(label)
-                if len(t.input) == 1 and t.input[0] == a}
+        step = {t.target for t in machine.transitions
+                if t.source in current and t.input == (a,)}
         current = closure(step)
         if not current:
             return False
     finals = {st.label for st in machine.final_states()}
     return bool(current & finals)
+
+
+def run_deterministic(machine, letters):
+    """Run a deterministic machine by scanning its transition list for
+    every letter: (accepted, stop label, output word), where the output of
+    an accepting run ends with the stop state's final output."""
+    here = next(st for st in machine.states if st.is_initial)
+    output = ()
+    for a in letters:
+        moves = [t for t in machine.transitions
+                 if t.source == here.label and t.input == (a,)]
+        if not moves:
+            return False, here.label, output
+        (move,) = moves
+        output += move.output
+        here = next(st for st in machine.states if st.label == move.target)
+    if here.is_final:
+        return True, here.label, output + here.final_output
+    return False, here.label, output
 
 
 def dp_stats(machine, k, include_final=True):

@@ -136,6 +136,17 @@ def test_determinize_exponential_blowup():
     assert len(determinize(nfa).states) == 8
 
 
+def test_subset_names_that_collide_get_a_suffix():
+    # the subsets {a, b} and {"a,b"} both print as {a,b}
+    nfa = build_machine([("s", "a", 0), ("s", "b", 0), ("s", "a,b", 1)],
+                        ["s"], ["a"], input_alphabet=[0, 1], kind=AUTOMATON)
+    d = determinize(nfa)
+    assert [st.label for st in d.states] == ["{s}", "{a,b}", "{a,b}#1"]
+    for letters in all_words([0, 1], 3):
+        assert d.accepts(word(letters)) == nfa_accepts(nfa, word(letters))
+    assert [st.label for st in minimize(nfa).states] == ["0", "1", "2"]
+
+
 def test_determinize_respects_the_state_cap(monkeypatch):
     starred = kleene_star(word_automaton([0, 1, 0, 1, 1], [0, 1]))
     assert len(determinize(starred).states) == 6

@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from fsmkit import digits
 from fsmkit.errors import ConstructionError, InvalidInputError, MachineError
-from fsmkit.machine import AUTOMATON, Machine, State, Transition, build_machine
+from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
+                            build_machine)
 from fsmkit.symbols import Digit, word
 
 from oracles import nfa_accepts
@@ -36,18 +37,35 @@ def test_build_machine_rejects_foreign_letter():
         build_machine([("a", "a", 7, None)], ["a"], ["a"], input_alphabet=[0, 1])
 
 
-def test_add_state_and_transition(naf1):
-    grown = naf1.add_state("3")
-    assert len(grown.states) == 5
-    assert len(naf1.states) == 4  # original untouched
-    more = grown.add_transition("1", "3", 1, [])
-    assert len(more.transitions) == len(naf1.transitions) + 1
-    with pytest.raises(ConstructionError):
-        grown.add_state("I")
-    with pytest.raises(ConstructionError):
-        grown.add_transition("1", "nowhere", 0, [])
-    with pytest.raises(ConstructionError):
-        grown.add_transition("1", "3", 5, [])
+ACCEPTING = State("a", True, True)
+
+
+@pytest.mark.parametrize("kind, states, transitions, outputs, message", [
+    (TRANSDUCER, ["a"], [], None, "not a state: 'a'"),
+    (TRANSDUCER, [ACCEPTING, State("a")], [], None,
+     "duplicate state label 'a'"),
+    (TRANSDUCER, [State("a", True, False, word([1]))], [], None,
+     "non-final state 'a' carries a final output"),
+    (TRANSDUCER, [ACCEPTING], [Transition("a", "b", word([0]))], None,
+     "transition endpoints unknown: a --0|ε--> b"),
+    (TRANSDUCER, [ACCEPTING], [Transition("a", "a", word([0, 1]))], None,
+     "transition input longer than one letter: a --0,1|ε--> a"),
+    (TRANSDUCER, [ACCEPTING], [Transition("a", "a", word([7]))], None,
+     "input symbol 7 outside the alphabet in transition a --7|ε--> a"),
+    (TRANSDUCER, [ACCEPTING], [Transition("a", "a", word([0]), word([5]))],
+     [0, 1], "output symbol 5 outside the output alphabet in a --0|5--> a"),
+    (AUTOMATON, [ACCEPTING], [Transition("a", "a", word([0]), word([1]))],
+     None, "automaton transition with output: a --0|1--> a"),
+    (AUTOMATON, [State("a", True, True, word([1]))], [], None,
+     "automaton state 'a' with final output"),
+], ids=["not-a-state", "duplicate-label", "non-final-output",
+        "unknown-endpoint", "long-input", "foreign-input", "foreign-output",
+        "automaton-output", "automaton-final-output"])
+def test_constructor_names_each_single_fault(kind, states, transitions,
+                                             outputs, message):
+    with pytest.raises(ConstructionError) as raised:
+        Machine(kind, states, transitions, [0, 1], outputs)
+    assert str(raised.value) == message
 
 
 def test_process_binary_fourteen_rejects_midway(naf1):
@@ -124,7 +142,10 @@ def test_coaccessible_empty_for_nonfinal_sink():
 
 
 def test_accessible_drops_unreachable(naf1):
-    extra = naf1.add_state("lost").add_transition("lost", "0", 0, None)
+    rows = [(t.source, t.target, t.input, t.output) for t in naf1.transitions]
+    extra = build_machine(rows + [("lost", "0", 0, None)], ["I"], ["0"],
+                          naf1.input_alphabet)
+    assert len(extra.states) == 5
     assert len(extra.accessible().states) == 4
     assert extra.accessible() == naf1
 
@@ -206,10 +227,11 @@ def test_process_is_pure(naf_all, letters):
 @given(binary_words, binary_words)
 def test_output_concatenates_over_split_inputs(naf_all, u, v):
     # transition outputs only; final words are excluded from this law
-    mid, out_u, ok_u = naf_all._run_from("I", word(u))
+    start, _ = naf_all._steps()
+    mid, out_u, ok_u = naf_all._run_from(start, word(u))
     assert ok_u  # complete machine never blocks
     end, out_v, ok_v = naf_all._run_from(mid, word(v))
     assert ok_v
-    whole, out_uv, _ = naf_all._run_from("I", word(list(u) + list(v)))
+    whole, out_uv, _ = naf_all._run_from(start, word(list(u) + list(v)))
     assert whole == end
     assert out_uv == out_u + out_v

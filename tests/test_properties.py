@@ -1,9 +1,10 @@
-"""Property tests on random machines: the constructions agree with direct
-nondeterministic acceptance and with running the argument machines one
-after the other, complement is an involution, machine files round-trip
-byte-identically, word counts agree with enumeration, expansion values
-agree with the per-digit Fraction sum, and the exact linear algebra agrees
-with determinant expansion and, where installed, sympy."""
+"""Property tests on random machines: runs agree with a walk over the
+transition list, the constructions agree with direct nondeterministic
+acceptance and with running the argument machines one after the other,
+complement is an involution, machine files round-trip byte-identically,
+word counts agree with enumeration, expansion values agree with the
+per-digit Fraction sum, and the exact linear algebra agrees with
+determinant expansion and, where installed, sympy."""
 
 import random
 from fractions import Fraction
@@ -24,7 +25,8 @@ from fsmkit.polynomial import charpoly, left_kernel, solve
 from fsmkit.symbols import ABSENT, Digit, Pair, word
 from fsmkit.transducers import cartesian_product, compose, simplify
 
-from oracles import all_words, nfa_accepts, per_digit_value, rank
+from oracles import (all_words, nfa_accepts, per_digit_value, rank,
+                     run_deterministic)
 
 LETTERS = (0, 1)
 WORDS = [word(w) for w in all_words(LETTERS, 6)]
@@ -67,6 +69,15 @@ def random_transducers(draw, complete=False, one_letter=False):
                     word(draw(final_output)) if s.is_final else ())
               for s in m.states]
     return Machine(TRANSDUCER, states, m.transitions, LETTERS)
+
+
+@PROPERTY
+@given(random_transducers())
+def test_process_agrees_with_a_walk_over_the_transition_list(t):
+    for w in SHORT_WORDS:
+        run = t.process(w)
+        assert (run.accepted, run.stop_state, run.output) == \
+            run_deterministic(t, w)
 
 
 @PROPERTY

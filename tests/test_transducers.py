@@ -161,6 +161,17 @@ def test_product_of_identities_minus_writes_zero(identity01):
         assert all(s.value == 0 for s in zeroing.transduce(letters))
 
 
+def test_product_names_that_collide_get_a_suffix():
+    # the pairs ("a,b", "c") and ("a", "b,c") both print as (a,b,c)
+    left = build_machine([("a,b", "a", 0, 0), ("a", "a", 0, 0)],
+                         ["a,b"], ["a,b", "a"], input_alphabet=[0])
+    right = build_machine([("c", "b,c", 0, 1), ("b,c", "b,c", 0, 1)],
+                          ["c"], ["c", "b,c"], input_alphabet=[0])
+    prod = cartesian_product(left, right)
+    assert [st.label for st in prod.states] == ["(a,b,c)", "(a,b,c)#1"]
+    assert prod.transduce([0, 0]) == (Pair(Digit(0), Digit(1)),) * 2
+
+
 def test_product_requires_single_symbol_outputs(identity01, naf1):
     # the raw rewriter writes empty words out of its initial state
     with pytest.raises(MachineError, match="exactly one output symbol"):
