@@ -1,6 +1,6 @@
 """Constructions and decision procedures on automata.
 
-Builders (word, empty word, contains-word) and the regular operations
+Builders (word, empty word) and the regular operations
 (concatenation, union, Kleene star) may produce nondeterministic machines
 with epsilon-input transitions; determinize, complete, complement,
 intersection and minimize bring them back to canonical deterministic form.
@@ -9,6 +9,7 @@ Counting uses exact big-integer transfer-matrix powering.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
 
@@ -16,7 +17,7 @@ from .errors import ConstructionError, MachineError
 from .machine import (AUTOMATON, Machine, State, Transition, _pair_label,
                       as_label, bfs_levels, explore)
 from .polynomial import charpoly
-from .symbols import Symbol, symbol, word
+from .symbols import symbol, word
 from .transducers import simplify
 
 
@@ -54,49 +55,6 @@ def word_automaton(w, alphabet) -> Machine:
 def empty_word_automaton(alphabet) -> Machine:
     """Automaton accepting exactly the empty word."""
     return word_automaton((), alphabet)
-
-
-def contains_word(factor, alphabet) -> Machine:
-    """Automaton accepting exactly the words containing `factor` as a
-    contiguous subword (prefix-matching automaton with an absorbing accept
-    state)."""
-    factor = word(factor)
-    if not factor:
-        raise ConstructionError("the factor must not be empty")
-    letters = sorted({symbol(a) for a in alphabet}, key=lambda s: s.sort_key())
-    for s in factor:
-        if s not in letters:
-            raise ConstructionError(f"factor symbol {s} outside the alphabet")
-    m = len(factor)
-
-    # border[i]: length of the longest proper border of factor[:i]
-    border = [0] * (m + 1)
-    k = 0
-    for i in range(1, m):
-        while k and factor[i] != factor[k]:
-            k = border[k]
-        if factor[i] == factor[k]:
-            k += 1
-        border[i + 1] = k
-
-    def step(i: int, a: Symbol) -> int:
-        while True:
-            if i < m and factor[i] == a:
-                return i + 1
-            if i == 0:
-                return 0
-            i = border[i]
-
-    states = tuple(
-        State(str(i), is_initial=(i == 0), is_final=(i == m))
-        for i in range(m + 1))
-    transitions = []
-    for i in range(m):
-        for a in letters:
-            transitions.append(Transition(str(i), str(step(i, a)), (a,)))
-    for a in letters:
-        transitions.append(Transition(str(m), str(m), (a,)))
-    return Machine(AUTOMATON, states, tuple(transitions), alphabet)
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +300,9 @@ def count_words(a: Machine, n: int) -> int:
     _require_automaton(a)
     if n < 0:
         raise ConstructionError("the length must be nonnegative")
+    if n > sys.maxsize:
+        raise ConstructionError(
+            f"the length must be at most sys.maxsize = {sys.maxsize}")
     _, _, counts = _word_counts(a)
     return next(islice(counts, n, None))
 

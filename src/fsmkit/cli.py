@@ -8,6 +8,7 @@ All outputs are deterministic: identical invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -70,7 +71,11 @@ def _parse_input(args) -> tuple:
     raise FsmError("provide --input or --digits-of")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every `main` call:
+    argparse reads the output streams and the terminal width only when it
+    prints, and each parse returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="fsmkit",
         description="Finite automata and transducers with exact analyses.")

@@ -208,6 +208,16 @@ def output_projection(t: Machine) -> Machine:
     transitions = []
     fresh = 0
 
+    def add(base, is_final=False):
+        """A new state named `base`, or its first free suffix "#k" when
+        that name is taken."""
+        label, k = base, 0
+        while label in states:
+            k += 1
+            label = f"{base}#{k}"
+        states[label] = State(label, False, is_final)
+        return label
+
     def chain(source, target, output_word):
         """Spell output_word from source to target through fresh states."""
         nonlocal fresh
@@ -216,9 +226,8 @@ def output_projection(t: Machine) -> Machine:
             return
         here = source
         for s in output_word[:-1]:
-            label = f"{source}.out{fresh}"
+            label = add(f"{source}.out{fresh}")
             fresh += 1
-            states[label] = State(label)
             transitions.append(Transition(here, label, (s,)))
             here = label
         transitions.append(Transition(here, target, (output_word[-1],)))
@@ -227,14 +236,11 @@ def output_projection(t: Machine) -> Machine:
         chain(tr.source, tr.target, tr.output)
     for st in t.states:
         if st.is_final and st.final_output:
-            label = f"{st.label}.accept"
-            states[label] = State(label, False, True)
-            chain(st.label, label, st.final_output)
+            chain(st.label, add(f"{st.label}.accept", True), st.final_output)
 
-    ordered = [states[st.label] for st in t.states]
-    ordered += [states[k] for k in states
-                if not t.has_state(k)]
-    return Machine(AUTOMATON, tuple(ordered), tuple(transitions), alphabet)
+    # t's states first, in order, then the fresh ones as they were added
+    return Machine(AUTOMATON, tuple(states.values()), tuple(transitions),
+                   alphabet)
 
 
 def with_final_word_out(t: Machine, letter) -> Machine:

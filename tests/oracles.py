@@ -1,10 +1,16 @@
 """Independent test oracles: plain arithmetic and exhaustive enumeration,
 written without touching the library's algebra so that every dual check
-stays a genuine cross-validation."""
+stays a genuine cross-validation.  `contains_word` builds its automaton
+state by state (Knuth-Morris-Pratt borders), as test input for the
+library's constructions."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+from fsmkit.errors import ConstructionError
+from fsmkit.machine import AUTOMATON, Machine, State, Transition
+from fsmkit.symbols import symbol, word
 
 
 def naf_digits(n):
@@ -78,6 +84,49 @@ def nfa_accepts(machine, letters):
             return False
     finals = {st.label for st in machine.final_states()}
     return bool(current & finals)
+
+
+def contains_word(factor, alphabet) -> Machine:
+    """Automaton accepting exactly the words containing `factor` as a
+    contiguous subword (prefix-matching automaton with an absorbing accept
+    state)."""
+    factor = word(factor)
+    if not factor:
+        raise ConstructionError("the factor must not be empty")
+    letters = sorted({symbol(a) for a in alphabet}, key=lambda s: s.sort_key())
+    for s in factor:
+        if s not in letters:
+            raise ConstructionError(f"factor symbol {s} outside the alphabet")
+    m = len(factor)
+
+    # border[i]: length of the longest proper border of factor[:i]
+    border = [0] * (m + 1)
+    k = 0
+    for i in range(1, m):
+        while k and factor[i] != factor[k]:
+            k = border[k]
+        if factor[i] == factor[k]:
+            k += 1
+        border[i + 1] = k
+
+    def step(i, a):
+        while True:
+            if i < m and factor[i] == a:
+                return i + 1
+            if i == 0:
+                return 0
+            i = border[i]
+
+    states = tuple(
+        State(str(i), is_initial=(i == 0), is_final=(i == m))
+        for i in range(m + 1))
+    transitions = []
+    for i in range(m):
+        for a in letters:
+            transitions.append(Transition(str(i), str(step(i, a)), (a,)))
+    for a in letters:
+        transitions.append(Transition(str(m), str(m), (a,)))
+    return Machine(AUTOMATON, states, tuple(transitions), alphabet)
 
 
 def run_deterministic(machine, letters):

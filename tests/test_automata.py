@@ -1,18 +1,19 @@
+import sys
 from itertools import combinations
 
 import pytest
 
 from fsmkit import automata, digits, transducers
 from fsmkit.automata import (Recurrence, complement, complete, concat,
-                             contains_word, count_words, determinize,
-                             empty_word_automaton, intersection, is_equivalent,
-                             kleene_star, language, minimize, union,
-                             word_automaton, word_count_recurrence)
+                             count_words, determinize, empty_word_automaton,
+                             intersection, is_equivalent, kleene_star,
+                             language, minimize, union, word_automaton,
+                             word_count_recurrence)
 from fsmkit.errors import ConstructionError, MachineError, StateCapError
 from fsmkit.machine import AUTOMATON, build_machine
 from fsmkit.symbols import word, word_key
 
-from oracles import all_words, nfa_accepts
+from oracles import all_words, contains_word, nfa_accepts
 
 ALPHA = [-1, 0, 1]
 
@@ -316,6 +317,14 @@ def test_count_words_recurrence_relation(naf_acceptor):
     assert counts[0] == 1 and counts[1] == 3
     for n in range(2, 13):
         assert counts[n] == counts[n - 1] + 2 * counts[n - 2]
+
+
+@pytest.mark.parametrize("n, message", [
+    (-1, "nonnegative"), (sys.maxsize + 1, str(sys.maxsize)),
+    (10**20, "sys.maxsize")])
+def test_count_words_length_out_of_range(naf_acceptor, n, message):
+    with pytest.raises(ConstructionError, match=message):
+        count_words(naf_acceptor, n)
 
 
 def test_word_count_recurrence_naf(naf_acceptor):

@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -285,3 +287,100 @@ def test_bad_coordinates_exit_one_without_traceback(tmp_path, capsys,
     assert message in done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout == ""
+
+
+# One process, several verbs: each call must print what a fresh `fsmkit`
+# process prints, so the parser shared between calls carries nothing over.
+ONE_PROCESS_CALLS = [
+    ("build", "W", "-o", "W.json"),
+    ("run", "naf1.json", "--digits-of", "14"),  # rejected: exit 1
+    ("build",),  # usage error: exit 2
+    ("analyze", "count", "A.json", "--length", "12"),
+    ("export", "T.json", "--format", "tikz"),
+    ("analyze", "equivalent", "A.json", "A.json"),
+]
+
+
+def run_in_process(argv):
+    """Exit code, stdout and stderr of one `main` call, each call writing
+    to streams of its own."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys,
+                                                     monkeypatch):
+    for preset, name in (("naf1", "naf1"), ("naf-acceptor", "A"),
+                         ("T", "T")):
+        build(tmp_path, capsys, preset, name)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = {}
+    for argv in ONE_PROCESS_CALLS:
+        done = run_fresh(tmp_path, *argv, COLUMNS="80")
+        fresh[argv] = (done.returncode, done.stdout, done.stderr)
+    assert [code for code, _, _ in fresh.values()] == [0, 1, 2, 0, 0, 0]
+    for argv in ONE_PROCESS_CALLS + ONE_PROCESS_CALLS[::-1]:
+        assert run_in_process(argv) == fresh[argv], argv
+
+
+# Bad input to every file-reading verb, in fresh processes: a usage error
+# exits 2, any other fault exits 1, and neither prints a traceback.
+# A.json is an automaton and T.json a transducer.
+BAD_INPUTS = {
+    "missing-run": ("run", "missing.json", "--input", "0"),
+    "missing-minimize": ("minimize", "missing.json", "-o", "out.json"),
+    "missing-determinize": ("determinize", "missing.json", "-o", "out.json"),
+    "missing-complement": ("complement", "missing.json", "-o", "out.json"),
+    "missing-star": ("star", "missing.json", "-o", "out.json"),
+    "missing-project-output": ("project-output", "missing.json",
+                               "-o", "out.json"),
+    "missing-simplify": ("simplify", "missing.json", "-o", "out.json"),
+    "missing-trim": ("trim", "missing.json", "-o", "out.json"),
+    "missing-intersect": ("intersect", "missing.json", "A.json",
+                          "-o", "out.json"),
+    "missing-union": ("union", "A.json", "missing.json", "-o", "out.json"),
+    "missing-concat": ("concat", "missing.json", "A.json", "-o", "out.json"),
+    "missing-product": ("product", "missing.json", "T.json",
+                        "-o", "out.json"),
+    "missing-compose": ("compose", "--outer", "T.json",
+                        "--inner", "missing.json", "-o", "out.json"),
+    "missing-final-word-out": ("final-word-out", "missing.json",
+                               "--letter", "0", "-o", "out.json"),
+    "missing-export": ("export", "missing.json", "--format", "dot"),
+    "missing-count": ("analyze", "count", "missing.json", "--length", "3"),
+    "missing-recurrence": ("analyze", "recurrence", "missing.json"),
+    "missing-equivalent": ("analyze", "equivalent", "A.json",
+                           "missing.json"),
+    "missing-shortest-paths": ("analyze", "shortest-paths", "missing.json"),
+    "missing-check-minimality": ("analyze", "check-minimality",
+                                 "missing.json"),
+    "missing-density": ("analyze", "density", "missing.json"),
+    "missing-moments": ("analyze", "moments", "missing.json"),
+    "transducer-minimize": ("minimize", "T.json", "-o", "out.json"),
+    "transducer-union": ("union", "A.json", "T.json", "-o", "out.json"),
+    "transducer-count": ("analyze", "count", "T.json", "--length", "3"),
+    "transducer-recurrence": ("analyze", "recurrence", "T.json"),
+    "transducer-equivalent": ("analyze", "equivalent", "T.json", "A.json"),
+    "automaton-project-output": ("project-output", "A.json",
+                                 "-o", "out.json"),
+    "negative-length": ("analyze", "count", "A.json", "--length", "-1"),
+    "huge-length": ("analyze", "count", "A.json", "--length", str(10**20)),
+    "unknown-preset": ("build", "no-such-preset", "-o", "out.json"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_without_traceback(tmp_path, capsys, argv):
+    build(tmp_path, capsys, "naf-acceptor", "A")
+    build(tmp_path, capsys, "T")
+    done = run_fresh(tmp_path, *argv)
+    assert done.returncode in (1, 2)
+    assert done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out.json").exists()

@@ -2,14 +2,15 @@ import pytest
 
 from fsmkit import automata, digits, transducers
 from fsmkit.errors import ConstructionError, MachineError, StateCapError
-from fsmkit.machine import Machine, State, Transition, build_machine
+from fsmkit.machine import (TRANSDUCER, Machine, State, Transition,
+                            build_machine)
 from fsmkit.symbols import ABSENT, Digit, Pair, word
 from fsmkit.transducers import (abs_transducer, cartesian_product, compose,
                                 from_transition_function, identity_transducer,
                                 operator_lift, output_projection, simplify,
                                 weight_transducer, with_final_word_out)
 
-from oracles import all_words
+from oracles import all_words, nfa_accepts, run_deterministic
 
 BIN14 = digits.binary_digits(14)
 
@@ -277,6 +278,41 @@ def test_projection_language_matches_brute_force(naf_all):
         if len(out) <= 6:
             produced.add(out)
     assert enumerated == produced
+
+
+def _chain_names_collide():
+    """'a' writes 1,1 on its way to 'a.out0', the name the projection
+    would give the first state of that output chain."""
+    return build_machine([("a", "a.out0", 0, [1, 1]), ("a.out0", "a", 1, 0)],
+                         ["a"], ["a"], [0, 1])
+
+
+def _accept_names_collide():
+    """'b' is final with final output 1,1 and has a neighbour named
+    'b.accept', the name the projection would give its accepting state."""
+    return Machine(TRANSDUCER,
+                   (State("b", True, True, word([1, 1])), State("b.accept")),
+                   (Transition("b", "b.accept", word([0]), word([0])),
+                    Transition("b.accept", "b", word([0]), word([1]))),
+                   [0, 1])
+
+
+@pytest.mark.parametrize("build, fresh_states", [
+    (_chain_names_collide, 1), (_accept_names_collide, 2)])
+def test_projection_names_that_collide_get_a_suffix(build, fresh_states):
+    t = build()
+    projected = output_projection(t)
+    assert len(projected.states) == len(t.states) + fresh_states
+    # every transition writes a letter, so outputs of length <= 6 come
+    # from inputs of length <= 6
+    produced = set()
+    for letters in all_words([0, 1], 6):
+        accepted, _, out = run_deterministic(t, word(letters))
+        if accepted and len(out) <= 6:
+            produced.add(out)
+    language = {word(w) for w in all_words([0, 1], 6)
+                if nfa_accepts(projected, word(w))}
+    assert language == produced
 
 
 # ----------------------------------------------------------------------
