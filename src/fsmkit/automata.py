@@ -4,6 +4,8 @@ Builders (word, empty word) and the regular operations
 (concatenation, union, Kleene star) may produce nondeterministic machines
 with epsilon-input transitions; determinize, complete, complement,
 intersection and minimize bring them back to canonical deterministic form.
+Language equivalence is decided by the Hopcroft-Karp union-find walk over
+the two deterministic forms, without minimizing either.
 Counting uses exact big-integer transfer-matrix powering.
 """
 
@@ -219,12 +221,55 @@ def minimize(a: Machine) -> Machine:
 
 
 def is_equivalent(a: Machine, b: Machine) -> bool:
-    """True iff the two automata accept the same language (isomorphism of
-    the canonically relabeled minimal complete machines)."""
+    """True iff the two automata accept the same language, decided by the
+    union-find walk of Hopcroft and Karp, "A linear algorithm for testing
+    equivalence of finite automata" (1971); Almeida, Moreira and Reis,
+    "Testing the equivalence of regular languages" (2009), compare it
+    with the other methods.
+
+    Both deterministic forms share one index space, each with an implicit
+    non-final sink for missing moves.  Starting from the united initial
+    states, every popped pair must agree on finality, and on each letter
+    the two successors are united and pushed when their classes differ.
+    Nothing is minimized and no machine is built."""
     _require_automaton(a)
     _require_automaton(b)
     _require_same_alphabet(a, b)
-    return minimize(a) == minimize(b)
+
+    def side(m):
+        """Initial index, step rows, finality and the move to the sink,
+        which is the extra index after the states."""
+        d = m if m.is_deterministic() else determinize(m)
+        start, rows = d._steps()
+        return (start, rows + [{}], [st.is_final for st in d.states] + [False],
+                (len(rows), ()))
+
+    (p, rowsa, finala, tosinka), (q, rowsb, finalb, tosinkb) = side(a), side(b)
+    offset = len(rowsa)  # b's index i is offset + i in the shared space
+    parent = list(range(offset + len(rowsb)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    letters = a.input_alphabet
+    parent[offset + q] = p
+    stack = [(p, q)]
+    while stack:
+        p, q = stack.pop()
+        if finala[p] != finalb[q]:
+            return False
+        rowp, rowq = rowsa[p], rowsb[q]
+        for letter in letters:
+            nextp = rowp.get(letter, tosinka)[0]
+            nextq = rowq.get(letter, tosinkb)[0]
+            rootp, rootq = find(nextp), find(offset + nextq)
+            if rootp != rootq:
+                parent[rootq] = rootp
+                stack.append((nextp, nextq))
+    return True
 
 
 # ----------------------------------------------------------------------

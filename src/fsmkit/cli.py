@@ -8,10 +8,12 @@ All outputs are deterministic: identical invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import math
 import sys
+from fractions import Fraction
 
 from . import analysis, automata, digits, serialize, transducers
 from .digits import Expansion, hamming_weight
@@ -41,6 +43,17 @@ WEIGHT_FUNCTIONS = {
     "out-minus-in": lambda t: hamming_weight(t.output) - hamming_weight(t.input),
     "zero": lambda t: 0,
 }
+
+
+def _exact(x) -> str:
+    """An int or Fraction as str() prints it, at any size: formatting a
+    Decimal is exact and not subject to CPython's 4,300-digit limit on
+    int-to-str conversion."""
+    x = Fraction(x)
+    text = format(decimal.Decimal(x.numerator), "f")
+    if x.denominator != 1:
+        text += "/" + format(decimal.Decimal(x.denominator), "f")
+    return text
 
 
 def _emit(text: str, path):
@@ -169,7 +182,7 @@ def _cmd_run(args) -> int:
     print("output: " + ",".join(str(s) for s in result.output))
     if args.eval_offset is not None:
         value = Expansion(result.output, args.eval_offset).value()
-        print(f"value: {value}")
+        print(f"value: {_exact(value)}")
     if not result.accepted and not args.allow_reject:
         return 1
     return 0
@@ -246,13 +259,13 @@ def _cmd_export(args) -> int:
 
 def _cmd_analyze(args) -> int:
     if args.analysis == "count":
-        print(automata.count_words(_load(args.machine), args.length))
+        print(_exact(automata.count_words(_load(args.machine), args.length)))
     elif args.analysis == "recurrence":
         rec = automata.word_count_recurrence(_load(args.machine))
-        terms = " + ".join(f"{c}*a(n-{i + 1})"
+        terms = " + ".join(f"{_exact(c)}*a(n-{i + 1})"
                            for i, c in enumerate(rec.coefficients))
         print(f"a(n) = {terms}")
-        print("initial: " + ", ".join(str(x) for x in rec.initial_terms))
+        print("initial: " + ", ".join(map(_exact, rec.initial_terms)))
     elif args.analysis == "equivalent":
         flag = automata.is_equivalent(_load(args.left), _load(args.right))
         print(f"equivalent: {'true' if flag else 'false'}")
@@ -272,12 +285,12 @@ def _cmd_analyze(args) -> int:
         for label in sorted(paths.distance):
             print(f"{label}: {paths.distance[label]}")
     elif args.analysis == "density":
-        print(analysis.expected_density(_load(args.machine)))
+        print(_exact(analysis.expected_density(_load(args.machine))))
     elif args.analysis == "moments":
         moments = analysis.asymptotic_moments(_load(args.machine))
-        print(f"expectation: {moments.expectation}")
-        print(f"variance: {moments.variance}")
-        print(f"covariance: {moments.covariance}")
+        print(f"expectation: {_exact(moments.expectation)}")
+        print(f"variance: {_exact(moments.variance)}")
+        print(f"covariance: {_exact(moments.covariance)}")
     else:  # pragma: no cover
         raise FsmError(f"unhandled analysis {args.analysis}")
     return 0

@@ -12,6 +12,7 @@ calls return the same machine.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -46,7 +47,13 @@ class Expansion:
         """The exact value, a Fraction (also for the empty word), in
         O(n log n) bit operations for n digits: neighbouring digit values
         are folded pairwise into integers of twice the width, pass after
-        pass, and the offset is applied once to the total."""
+        pass, and the offset is applied once to the total.  An offset
+        beyond sys.maxsize in absolute value raises ConstructionError."""
+        e = self.exponent_offset
+        if abs(e) > sys.maxsize:
+            raise ConstructionError(
+                f"the exponent offset must be at most sys.maxsize = "
+                f"{sys.maxsize} in absolute value")
         values = [digit_value(d) for d in self.digits]
         width = 1
         while len(values) > 1:
@@ -56,7 +63,6 @@ class Expansion:
                       for low, high in zip(values[::2], values[1::2])]
             width *= 2
         total = values[0] if values else 0
-        e = self.exponent_offset
         return Fraction(total << e) if e >= 0 else Fraction(total, 1 << -e)
 
     def digit_string(self) -> str:

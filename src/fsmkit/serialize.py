@@ -122,11 +122,13 @@ def dumps(m: Machine) -> str:
 
 
 def loads(text: str) -> Machine:
+    """The machine of a document; a document that is not JSON, or that
+    nests arrays or symbols past the recursion limit, raises
+    ConstructionError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return machine_from_doc(json.loads(text))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConstructionError(f"not a machine file: {exc}") from exc
-    return machine_from_doc(doc)
 
 
 def save(m: Machine, path) -> None:

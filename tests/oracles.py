@@ -2,12 +2,15 @@
 written without touching the library's algebra so that every dual check
 stays a genuine cross-validation.  `contains_word` builds its automaton
 state by state (Knuth-Morris-Pratt borders), as test input for the
-library's constructions."""
+library's constructions.  `equivalent_by_minimization` decides language
+equivalence by its definition through minimal automata, a method
+independent of the union-find walk in `automata.is_equivalent`."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from fsmkit.automata import minimize
 from fsmkit.errors import ConstructionError
 from fsmkit.machine import AUTOMATON, Machine, State, Transition
 from fsmkit.symbols import symbol, word
@@ -264,3 +267,9 @@ def rank(matrix):
                 if _determinant([[matrix[r][c] for c in cols] for r in rows]):
                     return k
     return 0
+
+
+def equivalent_by_minimization(a, b):
+    """Language equivalence by the definition: the canonically relabeled
+    minimal complete automata of the two arguments are equal."""
+    return minimize(a) == minimize(b)

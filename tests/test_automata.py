@@ -277,6 +277,54 @@ def test_equivalence_examples(naf_acceptor, all_words_acceptor):
     assert is_equivalent(naf_acceptor, naf_acceptor.relabeled())
 
 
+def test_empty_languages_of_different_shapes_are_equivalent():
+    no_final = build_machine([("0", "1", 0), ("1", "0", 1)], ["0"], [],
+                             input_alphabet=[0, 1], kind=AUTOMATON)
+    unreachable_final = build_machine(
+        [("0", "0", 0), ("0", "0", 1), ("2", "2", 1)], ["0"], ["2"],
+        input_alphabet=[0, 1], kind=AUTOMATON)
+    assert is_equivalent(no_final, unreachable_final)
+    assert is_equivalent(unreachable_final, no_final)
+    assert not is_equivalent(no_final, empty_word_automaton([0, 1]))
+
+
+def test_complete_and_partial_machines_meet_at_the_implicit_sinks(
+        naf_acceptor):
+    partial = naf_acceptor.trim()  # the dead state goes, its moves with it
+    assert naf_acceptor.is_complete() and not partial.is_complete()
+    assert is_equivalent(naf_acceptor, partial)
+    assert is_equivalent(partial, naf_acceptor)
+    # one word more on the complete side, through its dead state
+    longer = determinize(union(naf_acceptor, word_automaton([1, 1], ALPHA)))
+    assert not is_equivalent(partial, longer)
+    assert not is_equivalent(longer, partial)
+
+
+def test_equivalence_preconditions_keep_their_messages(naf_acceptor,
+                                                       machine_T):
+    with pytest.raises(MachineError,
+                       match=r"^alphabet mismatch: \['0', '1'\] vs "
+                             r"\['-1', '0', '1'\]$"):
+        is_equivalent(word_automaton([1], [0, 1]), naf_acceptor)
+    for a, b in ((machine_T, naf_acceptor), (naf_acceptor, machine_T)):
+        with pytest.raises(MachineError,
+                           match="^this operation is defined on automata "
+                                 "only$"):
+            is_equivalent(a, b)
+
+
+def test_equivalence_respects_the_state_cap(monkeypatch, naf_acceptor):
+    starred = kleene_star(word_automaton([0, 1, 0, 1, 1], [0, 1]))
+    deterministic = determinize(starred)
+    monkeypatch.setenv("FSMKIT_STATE_CAP", "2")
+    # a deterministic argument is used as it is, so the cap does not apply
+    assert is_equivalent(deterministic, deterministic.relabeled())
+    with pytest.raises(StateCapError, match="state cap of 2"):
+        is_equivalent(starred, deterministic)
+    with pytest.raises(StateCapError, match="state cap of 2"):
+        is_equivalent(deterministic, starred)
+
+
 # ----------------------------------------------------------------------
 # enumeration and counting
 # ----------------------------------------------------------------------

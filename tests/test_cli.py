@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fsmkit
-from fsmkit import automata, serialize
+from fsmkit import automata, digits, serialize
 from fsmkit.cli import main
 
 
@@ -257,6 +258,51 @@ def test_bad_state_cap_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_deeply_nested_json_exits_one_without_traceback(tmp_path):
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    done = run_fresh(tmp_path, "analyze", "density", "deep.json")
+    assert done.returncode == 1
+    assert "not a machine file" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def parse_exact(text):
+    """The int or Fraction a CLI line prints, read in chunks of 1,000
+    digits, below CPython's limit on str-to-int conversion."""
+    def integer(digits):
+        sign = -1 if digits.startswith("-") else 1
+        digits = digits.lstrip("-")
+        n = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i:i + 1000]
+            n = n * 10 ** len(chunk) + int(chunk)
+        return sign * n
+
+    numerator, _, denominator = text.partition("/")
+    return Fraction(integer(numerator), integer(denominator or "1"))
+
+
+def test_exact_values_past_the_int_digit_limit_print_in_full(tmp_path,
+                                                             capsys):
+    acceptor = serialize.load(build(tmp_path, capsys, "naf-acceptor", "A"))
+    machine_T = serialize.load(build(tmp_path, capsys, "T"))
+    done = run_fresh(tmp_path, "analyze", "count", "A.json",
+                     "--length", "20000")
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    count = done.stdout.strip()
+    assert len(count) > 4300
+    assert parse_exact(count) == automata.count_words(acceptor, 20000)
+    output = machine_T.transduce(digits.binary_digits(14))
+    for offset in (100_000, -100_000):
+        done = run_fresh(tmp_path, "run", "T.json", "--digits-of", "14",
+                         "--eval-offset", str(offset))
+        assert done.returncode == 0 and "Traceback" not in done.stderr
+        value = done.stdout.splitlines()[-1].removeprefix("value: ")
+        assert len(value) > 4300
+        assert parse_exact(value) == \
+            digits.Expansion(output, offset).value()
+
+
 def test_non_utf8_machine_file_exits_one_without_traceback(tmp_path):
     (tmp_path / "bad.json").write_bytes(b"\xff\xfe")
     done = run_fresh(tmp_path, "analyze", "moments", "bad.json")
@@ -371,6 +417,8 @@ BAD_INPUTS = {
                                  "-o", "out.json"),
     "negative-length": ("analyze", "count", "A.json", "--length", "-1"),
     "huge-length": ("analyze", "count", "A.json", "--length", str(10**20)),
+    "huge-eval-offset": ("run", "T.json", "--digits-of", "14",
+                         "--eval-offset", str(10**20)),
     "unknown-preset": ("build", "no-such-preset", "-o", "out.json"),
 }
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,14 @@ def test_binary_digits_match_bin(seed):
 def test_expansion_value_of_a_pair_raises():
     with pytest.raises(ConstructionError):
         Expansion((Digit(1), Pair(Digit(0), Digit(1))), 0).value()
+
+
+@pytest.mark.parametrize("offset", [sys.maxsize + 1, -sys.maxsize - 1,
+                                    10**20])
+def test_expansion_value_names_the_offset_bound(offset):
+    with pytest.raises(ConstructionError,
+                       match=f"at most sys.maxsize = {sys.maxsize}"):
+        Expansion(word([1]), offset).value()
 
 
 def test_hamming_weight():

@@ -1,7 +1,8 @@
 """Property tests on random machines: runs agree with a walk over the
 transition list, the constructions agree with direct nondeterministic
 acceptance and with running the argument machines one after the other,
-complement is an involution, machine files round-trip byte-identically,
+complement is an involution, language equivalence agrees with comparing
+minimal automata, machine files round-trip byte-identically,
 word counts agree with enumeration, expansion values agree with the
 per-digit Fraction sum, and the exact linear algebra agrees with
 determinant expansion and, where installed, sympy."""
@@ -11,12 +12,13 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fsmkit import serialize
 from fsmkit.automata import (complement, count_words, determinize,
-                             intersection, minimize, word_count_recurrence)
+                             intersection, is_equivalent, minimize, union,
+                             word_automaton, word_count_recurrence)
 from fsmkit.digits import Expansion
 from fsmkit.errors import AnalysisError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
@@ -25,8 +27,8 @@ from fsmkit.polynomial import charpoly, left_kernel, solve
 from fsmkit.symbols import ABSENT, Digit, Pair, word
 from fsmkit.transducers import cartesian_product, compose, simplify
 
-from oracles import (all_words, nfa_accepts, per_digit_value, rank,
-                     run_deterministic)
+from oracles import (all_words, equivalent_by_minimization, nfa_accepts,
+                     per_digit_value, rank, run_deterministic)
 
 LETTERS = (0, 1)
 WORDS = [word(w) for w in all_words(LETTERS, 6)]
@@ -115,6 +117,33 @@ def test_serialize_round_trips_byte_identically(m):
 def test_minimize_is_idempotent(a):
     m = minimize(a)
     assert minimize(m) == m
+
+
+@PROPERTY
+@given(random_automata(), random_automata())
+def test_equivalence_agrees_with_minimization(a, b):
+    assert is_equivalent(a, b) == equivalent_by_minimization(a, b)
+
+
+@PROPERTY
+@given(random_automata(), st.integers(0, len(WORDS) - 1))
+def test_one_extra_word_breaks_equivalence(a, start):
+    rejected = [w for w in WORDS[start:] + WORDS[:start]
+                if not nfa_accepts(a, w)]
+    assume(rejected)
+    b = union(a, word_automaton(rejected[0], LETTERS))
+    assert not equivalent_by_minimization(a, b)
+    assert not is_equivalent(a, b)
+    assert not is_equivalent(b, a)
+
+
+@PROPERTY
+@given(random_automata())
+def test_equivalent_forms_are_equivalent(a):
+    for b in (determinize(a), minimize(a), a.relabeled()):
+        assert equivalent_by_minimization(a, b)
+        assert is_equivalent(a, b)
+        assert is_equivalent(b, a)
 
 
 @PROPERTY

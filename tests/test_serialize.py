@@ -75,6 +75,16 @@ def test_wrongly_typed_fields_are_named(naf1, section, field, value):
         serialize.machine_from_doc(doc)
 
 
+def test_deeply_nested_symbol_is_not_a_machine_file(naf1):
+    doc = serialize.machine_to_doc(naf1)
+    text = json.dumps(doc).replace(
+        '"input": [0]', '"input": [' + "[" * 3000 + "0" + ", 0]" * 3000 + "]",
+        1)
+    assert text != json.dumps(doc)
+    with pytest.raises(ConstructionError, match="not a machine file"):
+        serialize.loads(text)
+
+
 def test_file_round_trip(tmp_path, naf_all):
     path = tmp_path / "machine.json"
     serialize.save(naf_all, path)
