@@ -30,7 +30,7 @@ from math import gcd
 
 from .errors import AnalysisError, MachineError, NegativeCycleError
 from .machine import Machine, WeightedDigraph, bfs_levels
-from .polynomial import left_kernel, solve
+from .polynomial import solve
 from .symbols import Digit
 
 # ----------------------------------------------------------------------
@@ -228,16 +228,15 @@ def _terminal_chain(t: Machine):
     P = [[Fraction(0)] * len(labels) for _ in labels]
     for tr in inside:
         P[index[tr.source]][index[tr.target]] += q
-    basis = left_kernel([[x - (i == j) for j, x in enumerate(row)]
-                         for i, row in enumerate(P)])
-    if len(basis) != 1:
-        raise AnalysisError(
-            f"the stationary distribution is not unique "
-            f"(kernel dimension {len(basis)})")
-    vec = basis[0]
-    total = sum(vec, Fraction(0))
-    if total == 0:
-        raise AnalysisError("degenerate stationary vector")
+    # pi (P - I) = 0 with pi's last entry fixed to 1, less its last
+    # equation, which the others imply (each row of P - I sums to 0).  P is
+    # stochastic and irreducible here, so the system is nonsingular and pi
+    # positive (Kemeny and Snell, Finite Markov Chains, 1960).
+    n = len(labels)
+    (head,) = solve([[P[i][j] - (i == j) for i in range(n - 1)]
+                     for j in range(n - 1)], [[-x for x in P[-1][:-1]]])
+    vec = head + [Fraction(1)]
+    total = sum(vec)
     t._chain = (labels, inside, tuple(map(tuple, P)),
                 tuple(x / total for x in vec))
     return t._chain
@@ -245,8 +244,9 @@ def _terminal_chain(t: Machine):
 
 def stationary_distribution(t: Machine):
     """The probability row vector fixed by the transition matrix on the
-    terminal SCC (solved exactly as a left kernel of P - I), extended by
-    zeros on transient states; entries are exact rationals summing to 1."""
+    terminal SCC (one exact linear solve of pi (P - I) = 0 with pi's last
+    entry fixed, then scaled to sum 1), extended by zeros on transient
+    states; entries are exact rationals summing to 1."""
     if not t.is_complete():
         raise MachineError(
             "the stationary distribution needs a complete deterministic machine")

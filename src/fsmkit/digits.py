@@ -12,7 +12,6 @@ calls return the same machine.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -24,6 +23,12 @@ from .symbols import ABSENT, AbsentType, Digit, Pair, Symbol, Word, digit_value,
 
 
 _BITS = {"0": Digit(0), "1": Digit(1)}
+
+# Bound on |exponent_offset|: it keeps a value within about 2**20 bits
+# (128 KiB) beyond its digits.  The CLI prints such a value in about 2 s,
+# and printing time grows quadratically with the size (32 s at 2**22;
+# Python 3.11 on a 2-core VM).
+MAX_EXPONENT_OFFSET = 2**20
 
 
 def binary_digits(n: int) -> Word:
@@ -48,12 +53,13 @@ class Expansion:
         O(n log n) bit operations for n digits: neighbouring digit values
         are folded pairwise into integers of twice the width, pass after
         pass, and the offset is applied once to the total.  An offset
-        beyond sys.maxsize in absolute value raises ConstructionError."""
+        beyond MAX_EXPONENT_OFFSET in absolute value raises
+        ConstructionError."""
         e = self.exponent_offset
-        if abs(e) > sys.maxsize:
+        if abs(e) > MAX_EXPONENT_OFFSET:
             raise ConstructionError(
-                f"the exponent offset must be at most sys.maxsize = "
-                f"{sys.maxsize} in absolute value")
+                f"the exponent offset must be at most MAX_EXPONENT_OFFSET = "
+                f"{MAX_EXPONENT_OFFSET} in absolute value")
         values = [digit_value(d) for d in self.digits]
         width = 1
         while len(values) > 1:

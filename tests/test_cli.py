@@ -377,7 +377,9 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys,
 
 # Bad input to every file-reading verb, in fresh processes: a usage error
 # exits 2, any other fault exits 1, and neither prints a traceback.
-# A.json is an automaton and T.json a transducer.
+# A.json is an automaton, T.json a transducer, N.json the nondeterministic
+# union of A with itself, I2.json T with a second initial state and E.json
+# T with an empty alphabet.
 BAD_INPUTS = {
     "missing-run": ("run", "missing.json", "--input", "0"),
     "missing-minimize": ("minimize", "missing.json", "-o", "out.json"),
@@ -419,14 +421,30 @@ BAD_INPUTS = {
     "huge-length": ("analyze", "count", "A.json", "--length", str(10**20)),
     "huge-eval-offset": ("run", "T.json", "--digits-of", "14",
                          "--eval-offset", str(10**20)),
+    "large-eval-offset": ("run", "T.json", "--digits-of", "14",
+                          "--eval-offset", str(10**15)),
+    "nfa-density": ("analyze", "density", "N.json"),
+    "nfa-moments": ("analyze", "moments", "N.json"),
+    "two-initial-shortest-paths": ("analyze", "shortest-paths", "I2.json"),
+    "two-initial-check-minimality": ("analyze", "check-minimality",
+                                     "I2.json"),
+    "empty-alphabet-run": ("run", "E.json", "--input", "0"),
+    "empty-alphabet-density": ("analyze", "density", "E.json"),
     "unknown-preset": ("build", "no-such-preset", "-o", "out.json"),
 }
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_without_traceback(tmp_path, capsys, argv):
-    build(tmp_path, capsys, "naf-acceptor", "A")
-    build(tmp_path, capsys, "T")
+    a = serialize.load(build(tmp_path, capsys, "naf-acceptor", "A"))
+    serialize.save(automata.union(a, a), tmp_path / "N.json")
+    text = build(tmp_path, capsys, "T").read_text()
+    doc = json.loads(text)
+    next(row for row in doc["states"] if not row["initial"])["initial"] = True
+    (tmp_path / "I2.json").write_text(json.dumps(doc))
+    doc = json.loads(text)
+    doc["alphabet"] = []
+    (tmp_path / "E.json").write_text(json.dumps(doc))
     done = run_fresh(tmp_path, *argv)
     assert done.returncode in (1, 2)
     assert done.stderr

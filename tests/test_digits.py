@@ -40,11 +40,20 @@ def test_expansion_value_of_a_pair_raises():
 
 
 @pytest.mark.parametrize("offset", [sys.maxsize + 1, -sys.maxsize - 1,
-                                    10**20])
+                                    10**20, digits.MAX_EXPONENT_OFFSET + 1,
+                                    -digits.MAX_EXPONENT_OFFSET - 1])
 def test_expansion_value_names_the_offset_bound(offset):
-    with pytest.raises(ConstructionError,
-                       match=f"at most sys.maxsize = {sys.maxsize}"):
+    with pytest.raises(
+            ConstructionError,
+            match=f"at most MAX_EXPONENT_OFFSET = {digits.MAX_EXPONENT_OFFSET} "
+                  f"in absolute value"):
         Expansion(word([1]), offset).value()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_expansion_value_at_the_offset_bound(sign):
+    offset = sign * digits.MAX_EXPONENT_OFFSET
+    assert Expansion(word([1]), offset).value() == Fraction(2) ** offset
 
 
 def test_hamming_weight():

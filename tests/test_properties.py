@@ -4,8 +4,9 @@ acceptance and with running the argument machines one after the other,
 complement is an involution, language equivalence agrees with comparing
 minimal automata, machine files round-trip byte-identically,
 word counts agree with enumeration, expansion values agree with the
-per-digit Fraction sum, and the exact linear algebra agrees with
-determinant expansion and, where installed, sympy."""
+per-digit Fraction sum, the stationary vector is fixed by the full
+transition matrix, and the exact linear algebra agrees with determinant
+expansion and, where installed, sympy."""
 
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fsmkit import serialize
+from fsmkit.analysis import stationary_distribution
 from fsmkit.automata import (complement, count_words, determinize,
                              intersection, is_equivalent, minimize, union,
                              word_automaton, word_count_recurrence)
@@ -23,7 +25,7 @@ from fsmkit.digits import Expansion
 from fsmkit.errors import AnalysisError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
                             build_machine)
-from fsmkit.polynomial import charpoly, left_kernel, solve
+from fsmkit.polynomial import charpoly, solve
 from fsmkit.symbols import ABSENT, Digit, Pair, word
 from fsmkit.transducers import cartesian_product, compose, simplify
 
@@ -210,6 +212,53 @@ def test_expansion_value_matches_per_digit_sum(letters, offset):
     assert value == per_digit_value(letters, offset)
 
 
+def _transients_into_one_cycle(seed, terminal):
+    """A complete transducer over LETTERS whose transient states lead,
+    with no cycle among them, into one strongly connected terminal
+    component of `terminal` states; the states are listed in a shuffled
+    order that ends with a transient one.  Returns the machine and the
+    component's labels."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 4)
+    n = k + terminal
+    rows = []
+    for s in range(k):
+        # letter 0 walks the transients in order, letter 1 jumps ahead
+        rows += [(s, s + 1, 0, [rng.choice(LETTERS)]),
+                 (s, rng.randrange(s + 1, n), 1, [rng.choice(LETTERS)])]
+    for s in range(k, n):
+        # letter 0 closes a cycle through the component
+        rows += [(s, k + (s - k + 1) % terminal, 0, [rng.choice(LETTERS)]),
+                 (s, rng.randrange(k, n), 1, [rng.choice(LETTERS)])]
+    m = build_machine(rows, [0], [], LETTERS)
+    component = {str(s) for s in range(k, n)}
+    *mixed, last = [st for st in m.states if st.label not in component]
+    mixed += [st for st in m.states if st.label in component]
+    rng.shuffle(mixed)
+    return (Machine(TRANSDUCER, mixed + [last], m.transitions, LETTERS),
+            component)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_stationary_vector_is_fixed_by_the_full_chain(seed):
+    # seeds 0, 5, ..., 25 give a single absorbing state behind the
+    # transients, so the stationary vector's solve gets an empty system
+    t, component = _transients_into_one_cycle(seed, 1 + seed % 5)
+    labels = [st.label for st in t.states]
+    assert labels[-1] not in component
+    index = {label: i for i, label in enumerate(labels)}
+    P = [[Fraction(0)] * len(labels) for _ in labels]
+    for tr in t.transitions:
+        P[index[tr.source]][index[tr.target]] += Fraction(1, len(LETTERS))
+    pi = stationary_distribution(t)
+    assert all(type(x) is Fraction for x in pi)
+    assert [sum(pi[i] * P[i][j] for i in range(len(pi)))
+            for j in range(len(pi))] == list(pi)
+    assert sum(pi) == 1
+    assert all((x > 0) == (label in component)
+               for label, x in zip(labels, pi))
+
+
 def _fraction_matrix(seed):
     """Square matrix of small Fractions, up to 5x5; for odd seeds one row
     is a multiple of an earlier one, so singular matrices come up often."""
@@ -218,29 +267,30 @@ def _fraction_matrix(seed):
     m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
          for _ in range(n)]
     if n > 1 and seed % 2:
-        i = rng.randrange(1, n)
-        m[i] = [rng.randint(-2, 2) * x for x in m[rng.randrange(i)]]
+        i, k = rng.randrange(1, n), rng.randint(-2, 2)
+        m[i] = [k * x for x in m[rng.randrange(i)]]
     return m
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_left_kernel_and_solve_are_exact(seed):
+    """`solve` meets every right-hand side exactly, or raises when the
+    determinant-expansion rank says the matrix is singular.  (The name,
+    kept so the test ids stay stable, is from when a left-kernel routine
+    shared the elimination.)"""
     m = _fraction_matrix(seed)
     n = len(m)
-    basis = left_kernel(m)
-    for x in basis:
-        assert [sum(x[i] * m[i][j] for i in range(n)) for j in range(n)] \
-            == [0] * n
-    assert len(basis) == n - rank(m)
-    assert rank(basis) == len(basis)
     rng = random.Random(-seed)
     columns = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                 for _ in range(n)] for _ in range(2)]
-    if basis:
+    if rank(m) < n:
         with pytest.raises(AnalysisError, match="singular"):
             solve(m, columns)
         return
-    for b, x in zip(columns, solve(m, columns)):
+    solutions = solve(m, columns)
+    assert len(solutions) == len(columns)
+    for b, x in zip(columns, solutions):
+        assert all(type(v) is Fraction for v in x)
         assert [sum(m[i][j] * x[j] for j in range(n)) for i in range(n)] == b
 
 

@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsmkit import automata, serialize
-from fsmkit.errors import ConstructionError
-from fsmkit.machine import AUTOMATON, build_machine
+from fsmkit.cli import PRESETS
+from fsmkit.errors import ConstructionError, FsmError
+from fsmkit.machine import AUTOMATON, Machine, build_machine
 from fsmkit.symbols import ABSENT, Digit, Pair
 
 CASE_FIXTURES = ["naf_acceptor", "naf1", "naf_completed", "naf_all", "triple",
@@ -96,3 +99,57 @@ def test_non_utf8_file_is_not_a_machine_file(tmp_path):
     path.write_bytes(b"\xff\xfe")
     with pytest.raises(ConstructionError, match="not a machine file"):
         serialize.load(path)
+
+
+# ----------------------------------------------------------------------
+# fuzzing: any text is a machine or an FsmError
+# ----------------------------------------------------------------------
+
+FIELDS = ("kind", "alphabet", "output_alphabet", "states", "transitions",
+          "label", "initial", "final", "final_output", "from", "to", "input",
+          "output")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.sampled_from(("~", "automaton", "transducer")) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(FIELDS) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=12)
+FUZZ = settings(max_examples=200, deadline=None)
+
+
+def _loads_or_fsm_error(text):
+    try:
+        assert isinstance(serialize.loads(text), Machine)
+    except FsmError:
+        pass
+
+
+@FUZZ
+@given(JSON_VALUES)
+def test_loads_of_any_json_value_is_a_machine_or_an_fsm_error(value):
+    _loads_or_fsm_error(json.dumps(value))
+
+
+@FUZZ
+@given(st.sampled_from(sorted(PRESETS)), st.data())
+def test_loads_of_a_mutated_preset_is_a_machine_or_an_fsm_error(name, data):
+    doc = serialize.machine_to_doc(PRESETS[name]())
+    for _ in range(data.draw(st.integers(1, 3))):
+        # walk down to a random value, then replace or delete it
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            if not keys:
+                break
+            key = data.draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child \
+                    and data.draw(st.booleans()):
+                node = child
+                continue
+            if data.draw(st.booleans()):
+                node[key] = data.draw(JSON_VALUES)
+            else:
+                del node[key]
+            break
+    _loads_or_fsm_error(json.dumps(doc))
