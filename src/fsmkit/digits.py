@@ -55,11 +55,7 @@ class Expansion:
         pass, and the offset is applied once to the total.  An offset
         beyond MAX_EXPONENT_OFFSET in absolute value raises
         ConstructionError."""
-        e = self.exponent_offset
-        if abs(e) > MAX_EXPONENT_OFFSET:
-            raise ConstructionError(
-                f"the exponent offset must be at most MAX_EXPONENT_OFFSET = "
-                f"{MAX_EXPONENT_OFFSET} in absolute value")
+        e = self._bounded_offset()
         values = [digit_value(d) for d in self.digits]
         width = 1
         while len(values) > 1:
@@ -73,13 +69,16 @@ class Expansion:
 
     def digit_string(self) -> str:
         """Most-significant-first rendering like (1001̄0)_2, with a centered
-        dot before the fractional digits and negative digits overlined."""
+        dot before the fractional digits and negative digits overlined.
+        An offset beyond MAX_EXPONENT_OFFSET in absolute value raises
+        ConstructionError."""
+        e = self._bounded_offset()
         values = [digit_value(d) for d in self.digits]
-        if self.exponent_offset > 0:
-            values = [0] * self.exponent_offset + values
+        if e > 0:
+            values = [0] * e + values
             point = 0
         else:
-            point = -self.exponent_offset
+            point = -e
         while len(values) <= point:
             values.append(0)
         rendered = [_digit_char(v) for v in reversed(values)]
@@ -91,6 +90,14 @@ class Expansion:
         else:
             body = "".join(rendered) or "0"
         return f"({body})_2"
+
+    def _bounded_offset(self) -> int:
+        e = self.exponent_offset
+        if abs(e) > MAX_EXPONENT_OFFSET:
+            raise ConstructionError(
+                f"the exponent offset must be at most MAX_EXPONENT_OFFSET = "
+                f"{MAX_EXPONENT_OFFSET} in absolute value")
+        return e
 
 
 def _digit_char(v: int) -> str:

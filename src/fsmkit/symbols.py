@@ -6,6 +6,17 @@ component of a product machine's final output), or a pair of symbols
 totally ordered: digits first (by value), then the absent marker, then
 pairs (lexicographically).  That order fixes the iteration order of every
 construction in the toolkit, which makes all outputs reproducible.
+
+Symbols are interned (hash-consed): `Digit(v)`, `Pair(l, r)` and
+`AbsentType()` return the one object that exists for their value.  Equal
+symbols are then the same object, so equality and hashing are `object`'s
+identity ones, which run in C.  A machine run does one step-table lookup
+per letter, and value-based dataclass methods would cost each lookup a
+Python-level `__hash__` and `__eq__` call.  The caches keep one object per
+distinct value ever built, for the life of the process: a machine uses a
+handful of letters, and pairs nest at most MAX_PAIR_DEPTH deep.  Identity
+hashes depend on memory addresses, so a set of symbols is sorted before
+its order can reach an output.
 """
 
 from __future__ import annotations
@@ -34,14 +45,34 @@ class Symbol:
             return NotImplemented
         return self.sort_key() < other.sort_key()
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, which
+        # returns the interned object.
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
-@dataclass(frozen=True, slots=True)
+
+# The intern tables.  A constructor validates before it inserts, and
+# inserts with setdefault, so concurrent callers share the one object that
+# won.  No __init__ is generated (init=False): it would rewrite the fields
+# of a shared object on every call.  A digit keeps a plain int, so an int
+# subclass built first does not decide how every equal digit prints.
+_DIGITS: dict = {}
+_PAIRS: dict = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Digit(Symbol):
     value: int
 
-    def __post_init__(self):
-        if isinstance(self.value, bool) or not isinstance(self.value, int):
-            raise ConstructionError(f"digit value must be an int, got {self.value!r}")
+    def __new__(cls, value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConstructionError(f"digit value must be an int, got {value!r}")
+        found = _DIGITS.get(value)
+        if found is None:
+            found = object.__new__(cls)
+            object.__setattr__(found, "value", int(value))
+            found = _DIGITS.setdefault(value, found)
+        return found
 
     def sort_key(self):
         return (0, self.value)
@@ -50,8 +81,11 @@ class Digit(Symbol):
         return str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class AbsentType(Symbol):
+    def __new__(cls):
+        return ABSENT
+
     def sort_key(self):
         return (1,)
 
@@ -62,22 +96,28 @@ class AbsentType(Symbol):
         return "~"
 
 
-#: The one absent marker; all AbsentType instances compare equal anyway.
-ABSENT = AbsentType()
+#: The one absent marker; `AbsentType()` returns it.
+ABSENT = object.__new__(AbsentType)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Pair(Symbol):
     left: Symbol
     right: Symbol
 
-    def __post_init__(self):
-        if not isinstance(self.left, Symbol) or not isinstance(self.right, Symbol):
+    def __new__(cls, left, right):
+        if not isinstance(left, Symbol) or not isinstance(right, Symbol):
             raise ConstructionError("pair components must be symbols")
-        if pair_depth(self) > MAX_PAIR_DEPTH:
-            raise ConstructionError(
-                f"pair nesting deeper than {MAX_PAIR_DEPTH} is not supported"
-            )
+        found = _PAIRS.get((left, right))
+        if found is None:
+            if 1 + max(pair_depth(left), pair_depth(right)) > MAX_PAIR_DEPTH:
+                raise ConstructionError(
+                    f"pair nesting deeper than {MAX_PAIR_DEPTH} is not supported")
+            found = object.__new__(cls)
+            object.__setattr__(found, "left", left)
+            object.__setattr__(found, "right", right)
+            found = _PAIRS.setdefault((left, right), found)
+        return found
 
     def sort_key(self):
         return (2, self.left.sort_key(), self.right.sort_key())

@@ -450,3 +450,57 @@ def test_bad_input_exits_without_traceback(tmp_path, capsys, argv):
     assert done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out.json").exists()
+
+
+# The README pipeline, one fresh process per verb.  Identity hashes depend
+# on memory addresses and string hashes on PYTHONHASHSEED, so a set of
+# symbols or labels iterated in hash order would show up here as files or
+# stdout that differ between the three runs.
+README_PIPELINE = [
+    ("build", "T", "-o", "T.json"),
+    ("project-output", "T.json", "-o", "RT.json"),
+    ("minimize", "RT.json", "-o", "R.json"),
+    ("analyze", "recurrence", "R.json"),
+    ("export", "R.json", "--format", "dot", "-o", "R.dot"),
+    ("export", "T.json", "--format", "tikz", "-o", "T.tex"),
+    ("build", "W", "-o", "W.json"),
+    ("analyze", "moments", "W.json"),
+]
+
+# Allocates `n` objects, kept alive, before fsmkit is imported, which moves
+# the addresses of every object fsmkit creates afterwards.
+CLI_AFTER_ALLOCATIONS = """
+import sys
+ballast = [object() for _ in range(int(sys.argv[1]))]
+from fsmkit.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_readme_pipeline(directory, allocations, hash_seed):
+    directory.mkdir()
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=str(Path(fsmkit.__file__).parents[1]))
+    stdout = []
+    for argv in README_PIPELINE:
+        done = subprocess.run(
+            [sys.executable, "-c", CLI_AFTER_ALLOCATIONS, str(allocations),
+             *argv],
+            cwd=directory, env=env, capture_output=True, text=True,
+            timeout=60)
+        assert done.returncode == 0, (argv, done.stderr)
+        stdout.append(done.stdout)
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    return stdout, files
+
+
+def test_readme_pipeline_output_is_independent_of_hashes_and_addresses(
+        tmp_path):
+    runs = [run_readme_pipeline(tmp_path / name, allocations, seed)
+            for name, allocations, seed in (("seed0", 0, "0"),
+                                            ("seed1", 0, "1"),
+                                            ("ballast", 100_000, "0"))]
+    assert set(runs[0][1]) == {"T.json", "RT.json", "R.json", "R.dot",
+                               "T.tex", "W.json"}
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]

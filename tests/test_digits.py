@@ -56,6 +56,23 @@ def test_expansion_value_at_the_offset_bound(sign):
     assert Expansion(word([1]), offset).value() == Fraction(2) ** offset
 
 
+@pytest.mark.parametrize("offset", [10**12, digits.MAX_EXPONENT_OFFSET + 1,
+                                    -digits.MAX_EXPONENT_OFFSET - 1])
+def test_digit_string_names_the_offset_bound(offset):
+    with pytest.raises(
+            ConstructionError,
+            match=f"at most MAX_EXPONENT_OFFSET = {digits.MAX_EXPONENT_OFFSET} "
+                  f"in absolute value"):
+        Expansion(word([1]), offset).digit_string()
+
+
+def test_digit_string_at_the_offset_bound():
+    n = digits.MAX_EXPONENT_OFFSET
+    assert Expansion(word([1]), n).digit_string() == "(1" + "0" * n + ")_2"
+    assert Expansion(word([1]), -n).digit_string() == \
+        "(0·" + "0" * (n - 1) + "1)_2"
+
+
 def test_hamming_weight():
     assert hamming_weight([0, -1, 0, 0, 1]) == 2
     assert hamming_weight([]) == 0

@@ -1,10 +1,16 @@
+import copy
+import dataclasses
+import operator
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from fsmkit import digits, serialize, symbols
 from fsmkit.errors import ConstructionError
-from fsmkit.symbols import (ABSENT, Digit, Pair, format_word, pair_depth,
-                            parse_symbol_token, parse_word_text, symbol, word,
-                            word_key)
+from fsmkit.symbols import (ABSENT, AbsentType, Digit, Pair, format_word,
+                            pair_depth, parse_symbol_token, parse_word_text,
+                            symbol, word, word_key)
 
 
 def test_digit_order_by_value():
@@ -107,3 +113,95 @@ def test_word_key_matches_elementwise_comparison(u, v):
         assert u != v
     if u == v:
         assert word_key(u) == word_key(v)
+
+
+# ----------------------------------------------------------------------
+# interning: one object per symbol value
+# ----------------------------------------------------------------------
+
+def same_objects(u, v):
+    return len(u) == len(v) and all(map(operator.is_, u, v))
+
+
+def test_equal_values_are_one_object_however_built():
+    one, pair = Digit(1), Pair(Digit(1), ABSENT)
+    assert Digit(int("1")) is one and AbsentType() is ABSENT
+    assert symbol(1) is one and symbol([1, None]) is pair
+    assert same_objects(word([1, (1, None)]), (one, pair))
+    assert parse_symbol_token(" 1 ") is one
+    assert parse_symbol_token("1|~") is pair
+    assert same_objects(parse_word_text("1,1|~"), (one, pair))
+    assert same_objects(digits.binary_digits(7), (one, one, one))
+    minus = digits.build_minus()
+    loaded = serialize.loads(serialize.dumps(minus))
+    assert same_objects(loaded.input_alphabet, minus.input_alphabet)
+
+
+class Loud(int):
+    def __str__(self):
+        return "loud"
+
+
+def test_an_int_subclass_interns_as_a_plain_int():
+    built_first = Digit(Loud(987_654_321))
+    assert built_first is Digit(987_654_321)
+    assert type(built_first.value) is int
+    assert str(built_first) == "987654321"
+
+
+@pytest.mark.parametrize("sym", [Digit(-2), ABSENT,
+                                 Pair(Pair(Digit(0), ABSENT), Digit(1))],
+                         ids=["digit", "absent", "pair"])
+def test_copies_and_pickles_give_back_the_interned_object(sym):
+    assert copy.copy(sym) is sym
+    assert copy.deepcopy(sym) is sym
+    assert pickle.loads(pickle.dumps(sym)) is sym
+    assert dataclasses.replace(sym) is sym
+
+
+def test_replace_gives_the_interned_object_of_the_new_value():
+    assert dataclasses.replace(Digit(3), value=4) is Digit(4)
+    assert dataclasses.replace(Pair(Digit(0), Digit(1)), right=ABSENT) is \
+        Pair(Digit(0), ABSENT)
+
+
+def test_symbols_stay_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(Digit(1), "value", 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(Pair(Digit(0), ABSENT), "left", Digit(1))
+    assert Digit(1).value == 1
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_non_int_digits_still_raise(bad):
+    with pytest.raises(ConstructionError,
+                       match=f"digit value must be an int, got {bad!r}"):
+        Digit(bad)
+
+
+def test_a_refused_pair_is_not_cached():
+    deep = Digit(7)
+    for _ in range(4):
+        deep = Pair(deep, Digit(7))
+    cached = len(symbols._PAIRS)
+    for _ in range(2):
+        with pytest.raises(ConstructionError, match="deeper than 4"):
+            Pair(deep, Digit(7))
+        with pytest.raises(ConstructionError, match="must be symbols"):
+            Pair(deep, 7)
+    assert len(symbols._PAIRS) == cached
+
+
+symbol_likes = st.recursive(
+    st.none() | st.integers(min_value=-2, max_value=2)
+    | st.sampled_from([Digit(0), ABSENT]),
+    lambda inner: st.tuples(inner, inner) | st.lists(inner, min_size=2,
+                                                      max_size=2),
+    max_leaves=5)
+
+
+@given(symbol_likes, symbol_likes)
+def test_equality_identity_and_sort_key_agree(x, y):
+    a, b = symbol(x), symbol(y)
+    assert (a == b) is (a is b) is (a.sort_key() == b.sort_key())
