@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import ConstructionError, MachineError
-from .machine import (AUTOMATON, Machine, State, Transition, _pair_label,
-                      as_label, bfs_levels, explore)
+from .machine import (AUTOMATON, Machine, State, Transition, _lockstep,
+                      bfs_levels, explore)
 from .polynomial import charpoly
 from .symbols import symbol, word
 from .transducers import simplify
@@ -156,11 +156,12 @@ def determinize(a: Machine) -> Machine:
                    lambda subset: () if subset & finals else None)
 
 
-def complete(a: Machine, sink_label="sink") -> Machine:
-    """Add a non-final sink so every (state, letter) has a transition."""
+def complete(a: Machine) -> Machine:
+    """Add a non-final sink labeled "sink" so every (state, letter) has a
+    transition."""
     if not a.is_deterministic():
         raise MachineError("complete() requires a deterministic machine")
-    sink_label = as_label(sink_label)
+    sink_label = "sink"
     _, rows = a._steps()
     missing = [(st.label, letter)
                for st, row in zip(a.states, rows) for letter in a.input_alphabet
@@ -194,22 +195,8 @@ def intersection(a: Machine, b: Machine) -> Machine:
     _require_automaton(a)
     _require_automaton(b)
     _require_same_alphabet(a, b)
-    da, db = determinize(a), determinize(b)
-    (starta, rowsa), (startb, rowsb) = da._steps(), db._steps()
-
-    def successors(pair):
-        rowa, rowb = rowsa[pair[0]], rowsb[pair[1]]
-        for letter in a.input_alphabet:
-            stepa, stepb = rowa.get(letter), rowb.get(letter)
-            if stepa is not None and stepb is not None:
-                yield (letter,), (stepa[0], stepb[0]), ()
-
-    def final(pair):
-        both = da.states[pair[0]].is_final and db.states[pair[1]].is_final
-        return () if both else None
-
-    return explore(AUTOMATON, a.input_alphabet, [(starta, startb)],
-                   successors, _pair_label(da, db), final)
+    return _lockstep(AUTOMATON, determinize(a), determinize(b),
+                     lambda u, v: (), lambda s1, s2: ())
 
 
 def minimize(a: Machine) -> Machine:

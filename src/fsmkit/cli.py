@@ -224,12 +224,13 @@ def _cmd_op(args) -> int:
 
 def _load_coordinates(path) -> dict:
     """Label -> (x, y) from a JSON object mapping each label to exactly
-    two finite numbers."""
+    two finite numbers; a file that is not JSON, or that nests arrays
+    past the recursion limit, is not a coordinates file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             # integers are read as floats, so a huge one becomes inf below
             raw = json.load(handle, parse_int=float)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FsmError(f"not a coordinates file: {exc}") from exc
     if not isinstance(raw, dict):
         raise FsmError("coordinates must be a JSON object mapping labels "

@@ -19,7 +19,7 @@ from functools import cache
 from . import automata, transducers
 from .errors import ConstructionError
 from .machine import Machine, build_machine
-from .symbols import ABSENT, AbsentType, Digit, Pair, Symbol, Word, digit_value, word
+from .symbols import ABSENT, AbsentType, Digit, Pair, Word, digit_value, word
 
 
 _BITS = {"0": Digit(0), "1": Digit(1)}
@@ -202,18 +202,13 @@ def build_triple() -> Machine:
 
 
 @cache
-def build_minus(components=(None, -1, 0, 1)) -> Machine:
-    """Componentwise difference on pairs: writes left - right with the
-    absent marker read as zero."""
-    alphabet = [Pair(a, b)
-                for a in map(_component, components)
-                for b in map(_component, components)]
+def build_minus() -> Machine:
+    """Componentwise difference on pairs of digits -1, 0, 1 or the absent
+    marker: writes left - right with the absent marker read as zero."""
+    components = [ABSENT, Digit(-1), Digit(0), Digit(1)]
+    alphabet = [Pair(a, b) for a in components for b in components]
     return transducers.operator_lift(
         lambda p: Digit(digit_value(p.left) - digit_value(p.right)), alphabet)
-
-
-def _component(x) -> Symbol:
-    return ABSENT if x is None else Digit(x)
 
 
 @cache

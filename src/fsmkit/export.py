@@ -1,9 +1,10 @@
 """Text export of machines: Graphviz DOT and TikZ (automata library).
 
-Output is deterministic: states are visited in label order and transitions
-in canonical order, so equal machines export to identical bytes.  TikZ
-coordinates are user-supplied per state label; states without coordinates
-are placed on a circle.
+Output is deterministic: states and transitions are visited in the one
+canonical order of `machine._listing` (states by label, transitions by
+`machine._transition_key`), so equal machines export to identical bytes.
+TikZ coordinates are user-supplied per state label; states without
+coordinates are placed on a circle.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 import math
 
 from .errors import MachineError
-from .machine import Machine
-from .symbols import AbsentType, Digit, Pair, Symbol, word_key
+from .machine import Machine, _listing
+from .symbols import AbsentType, Digit, Pair, Symbol
 
 FORMATS = ("dot", "tikz")
 
@@ -37,19 +38,10 @@ def _word_text(w) -> str:
     return ",".join(str(s) for s in w) if w else "ε"
 
 
-def _sorted_states(machine):
-    return sorted(machine.states, key=lambda st: st.label)
-
-
-def _sorted_transitions(machine):
-    return sorted(machine.transitions,
-                  key=lambda t: (t.source, t.target,
-                                 word_key(t.input), word_key(t.output)))
-
-
 def _dot(machine: Machine) -> str:
+    states, transitions = _listing(machine)
     lines = ["digraph machine {", "  rankdir=LR;", "  node [shape=circle];"]
-    for i, st in enumerate(_sorted_states(machine)):
+    for i, st in enumerate(states):
         shape = "doublecircle" if st.is_final else "circle"
         text = st.label
         if st.final_output:
@@ -58,7 +50,7 @@ def _dot(machine: Machine) -> str:
         if st.is_initial:
             lines.append(f"  __initial_{i} [shape=point, style=invis];")
             lines.append(f"  __initial_{i} -> {_quote(st.label)};")
-    for t in _sorted_transitions(machine):
+    for t in transitions:
         if machine.kind == "transducer":
             label = f"{_word_text(t.input)} | {_word_text(t.output)}"
         else:
@@ -104,7 +96,7 @@ def _tikz_word(w, fmt) -> str:
 
 
 def _tikz(machine: Machine, coordinates, fmt) -> str:
-    states = _sorted_states(machine)
+    states, transitions = _listing(machine)
     n = max(len(states), 1)
     ids = {st.label: f"v{i}" for i, st in enumerate(states)}
     lines = [r"\begin{tikzpicture}[auto, initial text=, >=latex]"]
@@ -127,7 +119,7 @@ def _tikz(machine: Machine, coordinates, fmt) -> str:
     # merge parallel transitions into one labeled edge
     grouped: dict = {}
     order = []
-    for t in _sorted_transitions(machine):
+    for t in transitions:
         key = (t.source, t.target)
         if key not in grouped:
             grouped[key] = []

@@ -26,7 +26,7 @@ from typing import Callable
 
 from .errors import (ConstructionError, InvalidInputError, MachineError,
                      StateCapError)
-from .symbols import Word, format_word, symbol, word, word_key
+from .symbols import Word, _sorted_symbols, format_word, word, word_key
 
 AUTOMATON = "automaton"
 TRANSDUCER = "transducer"
@@ -87,14 +87,12 @@ class Machine:
                  output_alphabet=None):
         if kind not in (AUTOMATON, TRANSDUCER):
             raise ConstructionError(f"unknown machine kind {kind!r}")
-        alphabet = tuple(sorted(set(map(symbol, input_alphabet)),
-                                key=lambda s: s.sort_key()))
+        alphabet = _sorted_symbols(input_alphabet)
         if not alphabet:
             raise ConstructionError("the input alphabet must not be empty")
         out_alphabet = None
         if output_alphabet is not None:
-            out_alphabet = tuple(sorted(set(map(symbol, output_alphabet)),
-                                        key=lambda s: s.sort_key()))
+            out_alphabet = _sorted_symbols(output_alphabet)
 
         self.kind = kind
         self.states = tuple(states)
@@ -163,13 +161,7 @@ class Machine:
         return tuple(st for st in self.states if st.is_final)
 
     def _canonical(self):
-        state_set = frozenset(
-            (st.label, st.is_initial, st.is_final, st.final_output)
-            for st in self.states)
-        trans = tuple(sorted(
-            ((t.source, t.target, t.input, t.output) for t in self.transitions),
-            key=lambda r: (r[0], r[1], word_key(r[2]), word_key(r[3]))))
-        return (self.kind, self.input_alphabet, state_set, trans)
+        return (self.kind, self.input_alphabet, *_listing(self))
 
     def __eq__(self, other):
         if not isinstance(other, Machine):
@@ -233,32 +225,27 @@ class Machine:
         final; if some letter has no transition the run stops there and
         rejects.  Rejection is a value, not an error.
         """
-        here, rows = self._steps()
-        out = []
-        for sym in word(input_word):
-            step = rows[here].get(sym)
-            if step is None:
-                return RunResult(False, self.states[here].label, tuple(out))
-            here, written = step
-            out.extend(written)
+        here, out, consumed = self._run_from(self._steps()[0],
+                                             word(input_word))
         st = self.states[here]
-        if st.is_final:
+        accepted = consumed and st.is_final
+        if accepted:
             out.extend(st.final_output)
-            return RunResult(True, st.label, tuple(out))
-        return RunResult(False, st.label, tuple(out))
+        return RunResult(accepted, st.label, tuple(out))
 
     def _run_from(self, here, w):
         """Follow letters of w from state index `here`; returns (stop index,
-        output, consumed everything?).  Used by composition."""
+        output as a list, consumed everything?).  The one run loop, shared
+        by `process` and composition."""
         _, rows = self._steps()
         out = []
         for sym in w:
             step = rows[here].get(sym)
             if step is None:
-                return here, tuple(out), False
+                return here, out, False
             here, written = step
             out.extend(written)
-        return here, tuple(out), True
+        return here, out, True
 
     def transduce(self, input_word) -> Word:
         """Output word of an accepting run; rejection raises."""
@@ -348,11 +335,9 @@ class Machine:
                               format_letter=format_letter)
 
 
-def _state_cap(explicit=None) -> int:
-    """The most states an exploration may discover: `explicit` when given,
-    else the FSMKIT_STATE_CAP environment variable, else 10**4."""
-    if explicit is not None:
-        return explicit
+def _state_cap() -> int:
+    """The most states an exploration may discover: the FSMKIT_STATE_CAP
+    environment variable, else 10**4."""
     raw = os.environ.get(STATE_CAP_ENV)
     if not raw:
         return DEFAULT_STATE_CAP
@@ -366,32 +351,77 @@ def _state_cap(explicit=None) -> int:
     return cap
 
 
+def _transition_key(t: Transition):
+    """The canonical transition order: by source and target label, then
+    by input and output word in the canonical symbol order."""
+    return (t.source, t.target, word_key(t.input), word_key(t.output))
+
+
+def _listing(m: Machine):
+    """The states of m sorted by label and its transitions in canonical
+    order: the order of machine files and exports, and what machine
+    equality compares (labels are unique, so sorted states compare as
+    sets)."""
+    return (sorted(m.states, key=lambda st: st.label),
+            sorted(m.transitions, key=_transition_key))
+
+
+def _free_label(base: str, taken) -> str:
+    """`base`, or its first free suffix "#k" when `taken` holds it."""
+    label, k = base, 0
+    while label in taken:
+        k += 1
+        label = f"{base}#{k}"
+    return label
+
+
 def _pair_label(first: Machine, second: Machine):
     """Names (state index of `first`, state index of `second`) pairs."""
     one, two = first.states, second.states
     return lambda pair: f"({one[pair[0]].label},{two[pair[1]].label})"
 
 
+def _lockstep(kind, first: Machine, second: Machine, write,
+              final_word) -> Machine:
+    """The product of two deterministic machines over `first`'s alphabet,
+    explored from the pair of initial states and named by `_pair_label`.
+    A pair moves on each letter both states move on, writing
+    `write(output1, output2)`; it is final when both states are, with
+    final output `final_word(state1, state2)`."""
+    (start1, rows1), (start2, rows2) = first._steps(), second._steps()
+    letters = first.input_alphabet
+
+    def successors(pair):
+        row1, row2 = rows1[pair[0]], rows2[pair[1]]
+        for letter in letters:
+            a, b = row1.get(letter), row2.get(letter)
+            if a is not None and b is not None:
+                yield (letter,), (a[0], b[0]), write(a[1], b[1])
+
+    def final(pair):
+        s1, s2 = first.states[pair[0]], second.states[pair[1]]
+        return final_word(s1, s2) if s1.is_final and s2.is_final else None
+
+    return explore(kind, letters, [(start1, start2)], successors,
+                   _pair_label(first, second), final)
+
+
 def explore(kind, alphabet, starts, successors, name, final,
-            output_alphabet=None, cap=None) -> Machine:
+            output_alphabet=None) -> Machine:
     """Build a machine breadth-first from the state keys `starts`.
 
     `successors(key)` yields (input word, target key, output word) for each
     transition leaving a state, in the order the transitions are listed;
     `name(key)` labels a state once, when it is discovered, and a name
-    already taken gets the first free suffix "#k"; `final(key)` is
-    None for a non-final state and its final output word otherwise.  States
-    are listed in discovery order; discovering more than the state cap
-    (see `_state_cap`) raises StateCapError."""
-    cap = _state_cap(cap)
+    already taken gets the first free suffix "#k" (`_free_label`);
+    `final(key)` is None for a non-final state and its final output word
+    otherwise.  States are listed in discovery order; discovering more than
+    the state cap (see `_state_cap`) raises StateCapError."""
+    cap = _state_cap()
     taken = set()
 
     def fresh(key):
-        label = base = name(key)
-        k = 0
-        while label in taken:
-            k += 1
-            label = f"{base}#{k}"
+        label = _free_label(name(key), taken)
         taken.add(label)
         return label
 

@@ -2,8 +2,10 @@
 
 Symbols are encoded as an integer (digit), the string "~" (absent marker)
 or a two-element array (pair).  Words are arrays, least significant first.
-Serialization is bit-exact: states are sorted by label and transitions
-lexicographically, so equal machines always produce identical bytes.
+Serialization is bit-exact: states and transitions are listed in the one
+canonical order of `machine._listing` (states by label, transitions by
+`machine._transition_key`), so equal machines always produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 import json
 
 from .errors import ConstructionError
-from .machine import Machine, State, Transition
-from .symbols import ABSENT, AbsentType, Digit, Pair, Symbol, word_key
+from .machine import Machine, State, Transition, _listing
+from .symbols import ABSENT, AbsentType, Digit, Pair, Symbol
 
 
 def encode_symbol(s: Symbol):
@@ -48,6 +50,7 @@ def decode_word(x):
 
 
 def machine_to_doc(m: Machine) -> dict:
+    states, transitions = _listing(m)
     doc = {
         "kind": m.kind,
         "alphabet": [encode_symbol(s) for s in m.input_alphabet],
@@ -61,7 +64,7 @@ def machine_to_doc(m: Machine) -> dict:
             "final": st.is_final,
             "final_output": encode_word(st.final_output),
         }
-        for st in sorted(m.states, key=lambda st: st.label)
+        for st in states
     ]
     doc["transitions"] = [
         {
@@ -70,10 +73,7 @@ def machine_to_doc(m: Machine) -> dict:
             "input": encode_word(t.input),
             "output": encode_word(t.output),
         }
-        for t in sorted(
-            m.transitions,
-            key=lambda t: (t.source, t.target, word_key(t.input), word_key(t.output)),
-        )
+        for t in transitions
     ]
     return doc
 

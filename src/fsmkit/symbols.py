@@ -16,7 +16,8 @@ Python-level `__hash__` and `__eq__` call.  The caches keep one object per
 distinct value ever built, for the life of the process: a machine uses a
 handful of letters, and pairs nest at most MAX_PAIR_DEPTH deep.  Identity
 hashes depend on memory addresses, so a set of symbols is sorted before
-its order can reach an output.
+its order can reach an output; `_sorted_symbols` and `word_key` are the
+only places outside the symbol classes that read `sort_key`.
 """
 
 from __future__ import annotations
@@ -155,6 +156,13 @@ def symbol(x: SymbolLike) -> Symbol:
             raise ConstructionError(f"a pair needs exactly two components, got {x!r}")
         return Pair(symbol(x[0]), symbol(x[1]))
     raise ConstructionError(f"cannot interpret {x!r} as a symbol")
+
+
+def _sorted_symbols(xs) -> tuple:
+    """The distinct symbols of xs, coerced by `symbol`, in the canonical
+    order: the one way the toolkit turns a collection of letters into an
+    alphabet."""
+    return tuple(sorted(set(map(symbol, xs)), key=lambda s: s.sort_key()))
 
 
 def word(x) -> Word:

@@ -8,9 +8,10 @@ from itertools import zip_longest
 
 from .errors import ConstructionError, MachineError
 from .machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
-                      _pair_label, as_label, bfs_levels, explore)
-from .symbols import (ABSENT, AbsentType, Digit, Pair, Symbol, digit_value,
-                      symbol, word)
+                      _free_label, _lockstep, _pair_label, as_label,
+                      bfs_levels, explore)
+from .symbols import (ABSENT, AbsentType, Digit, Pair, Symbol,
+                      _sorted_symbols, digit_value, symbol, word)
 
 
 def _raw(s: Symbol):
@@ -24,16 +25,15 @@ def _raw(s: Symbol):
     raise ConstructionError(f"cannot unwrap {s!r}")
 
 
-def from_transition_function(fn, input_alphabet, initial_labels, final_labels,
-                             state_cap=None) -> Machine:
+def from_transition_function(fn, input_alphabet, initial_labels,
+                             final_labels) -> Machine:
     """Explore fn(state, letter) -> (next_state, written word) breadth-first
     from the initial labels, one transition per letter, until no new state
     appears.  Letters are passed as plain values (ints, None for the absent
     marker, nested tuples for pairs).  Exploration stops with an error when
-    more than `state_cap` states show up (default 10**4, overridable via
-    the FSMKIT_STATE_CAP environment variable)."""
-    letters = sorted({symbol(a) for a in input_alphabet},
-                     key=lambda s: s.sort_key())
+    more states show up than the state cap (10**4, or the FSMKIT_STATE_CAP
+    environment variable)."""
+    letters = _sorted_symbols(input_alphabet)
     final = set(final_labels)
 
     def successors(state):
@@ -42,8 +42,7 @@ def from_transition_function(fn, input_alphabet, initial_labels, final_labels,
             yield (letter,), target, word(written)
 
     return explore(TRANSDUCER, letters, initial_labels, successors, as_label,
-                   lambda state: () if state in final else None,
-                   cap=state_cap)
+                   lambda state: () if state in final else None)
 
 
 # ----------------------------------------------------------------------
@@ -51,17 +50,21 @@ def from_transition_function(fn, input_alphabet, initial_labels, final_labels,
 # ----------------------------------------------------------------------
 
 def _one_state(alphabet, write, output_alphabet=None) -> Machine:
-    letters = sorted({symbol(a) for a in alphabet}, key=lambda s: s.sort_key())
+    """One initial and final state with a loop on each letter a of the
+    alphabet writing write(a); the output alphabet defaults to the
+    letters written."""
+    letters = _sorted_symbols(alphabet)
     transitions = tuple(
         Transition("0", "0", (a,), word(write(a))) for a in letters)
+    if output_alphabet is None:
+        output_alphabet = [s for t in transitions for s in t.output]
     return Machine(TRANSDUCER, (State("0", True, True),), transitions,
                    letters, output_alphabet)
 
 
 def identity_transducer(alphabet) -> Machine:
     """Writes out every letter it reads."""
-    letters = [symbol(a) for a in alphabet]
-    return _one_state(letters, lambda a: a, output_alphabet=letters)
+    return _one_state(alphabet, lambda a: a)
 
 
 def weight_transducer(alphabet) -> Machine:
@@ -74,29 +77,20 @@ def weight_transducer(alphabet) -> Machine:
 
 def abs_transducer(alphabet) -> Machine:
     """Writes the absolute value of every digit it reads."""
-    letters = sorted({symbol(a) for a in alphabet},
-                     key=lambda s: s.sort_key())
-    out = sorted({Digit(abs(digit_value(a))) for a in letters},
-                 key=lambda s: s.sort_key())
-    return _one_state(letters, lambda a: Digit(abs(digit_value(a))),
-                      output_alphabet=out)
+    return _one_state(alphabet, lambda a: Digit(abs(digit_value(a))))
 
 
 def operator_lift(fn, alphabet) -> Machine:
     """One-state transducer applying fn letterwise; fn receives a Symbol
     and may return anything `symbol` coerces."""
-    letters = sorted({symbol(a) for a in alphabet},
-                     key=lambda s: s.sort_key())
-    outputs = {}
-    for a in letters:
+    def write(a):
         try:
-            outputs[a] = symbol(fn(a))
+            return symbol(fn(a))
         except Exception as exc:
             raise ConstructionError(
                 f"the lifted operator failed on {a}: {exc}") from exc
-    out_alphabet = sorted(set(outputs.values()), key=lambda s: s.sort_key())
-    return _one_state(letters, lambda a: outputs[a],
-                      output_alphabet=out_alphabet)
+
+    return _one_state(alphabet, write)
 
 
 # ----------------------------------------------------------------------
@@ -124,25 +118,15 @@ def cartesian_product(t1: Machine, t2: Machine) -> Machine:
             raise MachineError(
                 f"cartesian product needs exactly one output symbol per "
                 f"transition, offending transition: {t}")
-    start = (_single_initial(t1, "left"), _single_initial(t2, "right"))
-    (_, rows1), (_, rows2) = t1._steps(), t2._steps()
+    _single_initial(t1, "left")
+    _single_initial(t2, "right")
 
-    def successors(pair):
-        row1, row2 = rows1[pair[0]], rows2[pair[1]]
-        for letter in t1.input_alphabet:
-            a, b = row1.get(letter), row2.get(letter)
-            if a is not None and b is not None:
-                yield (letter,), (a[0], b[0]), (Pair(a[1][0], b[1][0]),)
-
-    def final(pair):
-        s1, s2 = t1.states[pair[0]], t2.states[pair[1]]
-        if not (s1.is_final and s2.is_final):
-            return None
+    def final_word(s1, s2):
         return tuple(Pair(u, v) for u, v in zip_longest(
             s1.final_output, s2.final_output, fillvalue=ABSENT))
 
-    return explore(TRANSDUCER, t1.input_alphabet, [start], successors,
-                   _pair_label(t1, t2), final)
+    return _lockstep(TRANSDUCER, t1, t2, lambda u, v: (Pair(u[0], v[0]),),
+                     final_word)
 
 
 def compose(outer: Machine, inner: Machine) -> Machine:
@@ -170,7 +154,7 @@ def compose(outer: Machine, inner: Machine) -> Machine:
                                inner.states[target].label, (letter,), read)
                 raise MachineError(
                     f"the outer machine blocks on the output of {t}")
-            yield (letter,), (target, stop), written
+            yield (letter,), (target, stop), tuple(written)
 
     def final(pair):
         inner_state = inner.states[pair[0]]
@@ -178,7 +162,7 @@ def compose(outer: Machine, inner: Machine) -> Machine:
             stop, written, complete_run = outer._run_from(
                 pair[1], inner_state.final_output)
             if complete_run and outer.states[stop].is_final:
-                return written + outer.states[stop].final_output
+                return tuple(written) + outer.states[stop].final_output
         return None
 
     return explore(TRANSDUCER, inner.input_alphabet, [start], successors,
@@ -196,9 +180,8 @@ def output_projection(t: Machine) -> Machine:
         raise MachineError("output projection is defined on transducers")
     alphabet = t.output_alphabet
     if alphabet is None:
-        observed = {s for tr in t.transitions for s in tr.output}
-        observed.update(s for st in t.states for s in st.final_output)
-        alphabet = sorted(observed, key=lambda s: s.sort_key())
+        alphabet = {s for tr in t.transitions for s in tr.output}
+        alphabet.update(s for st in t.states for s in st.final_output)
         if not alphabet:
             raise MachineError(
                 "cannot infer an output alphabet from a machine that never writes")
@@ -209,12 +192,8 @@ def output_projection(t: Machine) -> Machine:
     fresh = 0
 
     def add(base, is_final=False):
-        """A new state named `base`, or its first free suffix "#k" when
-        that name is taken."""
-        label, k = base, 0
-        while label in states:
-            k += 1
-            label = f"{base}#{k}"
+        """A new state named `base`, or its first free "#k" suffix."""
+        label = _free_label(base, states)
         states[label] = State(label, False, is_final)
         return label
 

@@ -180,6 +180,18 @@ def test_two_cycle_is_periodic():
         asymptotic_moments(swing)
 
 
+def test_is_aperiodic_refuses_an_empty_component(identity01):
+    with pytest.raises(AnalysisError, match="must not be empty"):
+        is_aperiodic(identity01, [])
+
+
+def test_moments_refuse_an_incomplete_machine():
+    partial = build_machine([("a", "a", 0, 0)], initial_labels=["a"],
+                            final_labels=["a"], input_alphabet=[0, 1])
+    with pytest.raises(MachineError, match="complete deterministic"):
+        asymptotic_moments(partial)
+
+
 def test_multiple_terminal_components_listed():
     forked = build_machine(
         [("i", "a", 0, 0), ("i", "b", 1, 0), ("a", "a", 0, 0),

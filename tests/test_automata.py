@@ -183,10 +183,11 @@ def test_complete_requires_determinism():
         complete(u)
 
 
-def test_complete_refuses_clashing_sink_label(naf_acceptor):
-    partial = naf_acceptor.coaccessible()
-    with pytest.raises(ConstructionError, match="already in use"):
-        complete(partial, sink_label="0")
+def test_complete_refuses_clashing_sink_label():
+    partial = build_machine([("a", "sink", 0), ("sink", "a", 1)], ["a"],
+                            ["sink"], input_alphabet=[0, 1], kind=AUTOMATON)
+    with pytest.raises(ConstructionError, match="'sink' already in use"):
+        complete(partial)
 
 
 def test_complement_involution(naf_acceptor):
@@ -402,3 +403,8 @@ def test_recurrence_term_of_empty_language():
     rec = word_count_recurrence(nothing)
     assert rec.order >= 1
     assert rec.term(0) == 0 and rec.term(5) == 0
+
+
+def test_recurrence_term_refuses_a_negative_index():
+    with pytest.raises(ConstructionError, match="nonnegative"):
+        Recurrence((1,), (1,)).term(-1)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fsmkit
-from fsmkit import automata, digits, serialize
+from fsmkit import automata, digits, export, serialize, transducers
 from fsmkit.cli import main
 
 
@@ -240,6 +240,47 @@ def test_every_preset_round_trips(tmp_path, capsys):
         assert path.read_bytes() == again.read_bytes()
 
 
+# Each verb writes exactly the file of the library call on the same inputs.
+# A.json is the NAF acceptor and N.json its nondeterministic union with
+# itself.
+OP_VERBS = {
+    "determinize": (automata.determinize, "N"),
+    "star": (automata.kleene_star, "A"),
+    "simplify": (transducers.simplify, "T"),
+    "union": (automata.union, "A", "N"),
+    "concat": (automata.concat, "N", "A"),
+    "product": (transducers.cartesian_product, "triple", "identity"),
+}
+
+
+@pytest.mark.parametrize("verb", OP_VERBS)
+def test_op_verb_writes_what_the_library_builds(tmp_path, capsys, verb):
+    construction, *names = OP_VERBS[verb]
+    a = serialize.load(build(tmp_path, capsys, "naf-acceptor", "A"))
+    serialize.save(automata.union(a, a), tmp_path / "N.json")
+    for preset in ("T", "triple", "identity"):
+        build(tmp_path, capsys, preset)
+    paths = [tmp_path / f"{name}.json" for name in names]
+    out = tmp_path / "out.json"
+    code, _, _ = run_cli(capsys, verb, *map(str, paths), "-o", str(out))
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == serialize.dumps(
+        construction(*map(serialize.load, paths)))
+
+
+@pytest.mark.parametrize("preset", ["T", "combined-3n-n"])
+def test_export_negative_overline_prints_the_library_render(tmp_path, capsys,
+                                                           preset):
+    # T writes negative digits, combined-3n-n pair letters
+    path = build(tmp_path, capsys, preset)
+    code, out, _ = run_cli(capsys, "export", str(path), "--format", "tikz",
+                           "--negative-overline")
+    assert code == 0
+    assert out == export.render(serialize.load(path), "tikz",
+                                format_letter=export.format_letter_negative)
+    assert ("\\overline{" in out) == (preset == "T")
+
+
 def run_fresh(tmp_path, *argv, **env):
     """The CLI in a fresh process, so nothing a test set up in this one
     (a cached preset, a caught exception) hides what a user would see."""
@@ -378,8 +419,9 @@ def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys,
 # Bad input to every file-reading verb, in fresh processes: a usage error
 # exits 2, any other fault exits 1, and neither prints a traceback.
 # A.json is an automaton, T.json a transducer, N.json the nondeterministic
-# union of A with itself, I2.json T with a second initial state and E.json
-# T with an empty alphabet.
+# union of A with itself, I2.json T with a second initial state, E.json
+# T with an empty alphabet, minus.json a transducer reading pairs,
+# comb.json one writing pairs and deep.json 100,000 nested JSON arrays.
 BAD_INPUTS = {
     "missing-run": ("run", "missing.json", "--input", "0"),
     "missing-minimize": ("minimize", "missing.json", "-o", "out.json"),
@@ -431,12 +473,28 @@ BAD_INPUTS = {
     "empty-alphabet-run": ("run", "E.json", "--input", "0"),
     "empty-alphabet-density": ("analyze", "density", "E.json"),
     "unknown-preset": ("build", "no-such-preset", "-o", "out.json"),
+    "no-run-input": ("run", "T.json"),
+    "pair-inputs-moments": ("analyze", "moments", "minus.json"),
+    "pair-outputs-density": ("analyze", "density", "comb.json"),
+    "deep-coords": ("export", "T.json", "--format", "tikz",
+                    "--coords", "deep.json"),
+}
+
+# What some of the cases above must print; each of them exits 1.
+BAD_INPUT_MESSAGES = {
+    "no-run-input": "provide --input or --digits-of",
+    "pair-inputs-moments": "input sums need digit inputs",
+    "pair-outputs-density": "output sums need digit outputs",
+    "deep-coords": "not a coordinates file",
 }
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exits_without_traceback(tmp_path, capsys, argv):
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_without_traceback(tmp_path, capsys, case):
     a = serialize.load(build(tmp_path, capsys, "naf-acceptor", "A"))
+    build(tmp_path, capsys, "minus")
+    build(tmp_path, capsys, "combined-3n-n", "comb")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     serialize.save(automata.union(a, a), tmp_path / "N.json")
     text = build(tmp_path, capsys, "T").read_text()
     doc = json.loads(text)
@@ -445,9 +503,12 @@ def test_bad_input_exits_without_traceback(tmp_path, capsys, argv):
     doc = json.loads(text)
     doc["alphabet"] = []
     (tmp_path / "E.json").write_text(json.dumps(doc))
-    done = run_fresh(tmp_path, *argv)
+    done = run_fresh(tmp_path, *BAD_INPUTS[case])
     assert done.returncode in (1, 2)
     assert done.stderr
+    if case in BAD_INPUT_MESSAGES:
+        assert done.returncode == 1
+        assert BAD_INPUT_MESSAGES[case] in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out.json").exists()
 

@@ -37,14 +37,6 @@ def test_transition_function_echo():
     assert echo == identity_transducer([0, 1])
 
 
-def test_state_cap_is_enforced():
-    with pytest.raises(StateCapError, match="10"):
-        from_transition_function(
-            lambda state, read: (state + 1, read),
-            input_alphabet=[0], initial_labels=[0], final_labels=[0],
-            state_cap=10)
-
-
 def test_state_cap_env_override(monkeypatch):
     monkeypatch.setenv("FSMKIT_STATE_CAP", "7")
     with pytest.raises(StateCapError, match="7"):
@@ -156,7 +148,7 @@ def test_product_projections_match_factors(triple, identity01):
 
 def test_product_of_identities_minus_writes_zero(identity01):
     doubled = cartesian_product(identity01, identity01)
-    minus = digits.build_minus(components=(None, 0, 1))
+    minus = digits.build_minus()
     zeroing = compose(minus, doubled)
     for letters in all_words([0, 1], 5):
         assert all(s.value == 0 for s in zeroing.transduce(letters))
