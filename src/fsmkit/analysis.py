@@ -17,9 +17,17 @@ second-order perturbation formulas for a simple eigenvalue give
     e      = lam_y  = pi A_y 1,            lam_z = pi A_z 1,
     lam_yy = pi A_yy 1 + 2 pi A_y Z A_y 1,
     lam_yz = pi A_yz 1 + pi A_y Z A_z 1 + pi A_z Z A_y 1,
-    v = lam_yy + e - e^2,                  c = lam_yz - e * lam_z,
+    v = lam_yy + e - e^2,                  c = lam_yz - e * lam_z.
 
-with one exact solve of (I - P + 1 pi) x = A_y 1, A_z 1.
+Z b is the z with (I - P) z = b - (pi b) 1 and pi z = 0 (Meyer, "The role
+of the group generalized inverse in the theory of finite Markov chains",
+SIAM Review 17, 1975), so I - P + 1 pi is never formed.  Both pi and Z b
+come from one integer matrix: with C = |input alphabet| * P the count
+matrix and B = |input alphabet| * I - C less its last row and column, pi
+solves B^T h = (C's last row less its last entry), and the Z b follow from
+one solve of B with the integer right-hand sides |input alphabet| * A_y 1,
+|input alphabet| * A_z 1 and |input alphabet| * 1, each less its last
+entry.
 """
 
 from __future__ import annotations
@@ -214,9 +222,10 @@ def _digit_sum(w, role: str) -> int:
 def _terminal_chain(t: Machine):
     """The Markov chain of uniformly random inputs on the unique terminal
     SCC of the accessible part: the SCC's labels in state order, the
-    transitions from its states, the transition matrix P and the
-    stationary row vector pi (pi P = pi, entries summing to 1), all
-    tuples.  Machines are immutable, so it is built once per machine."""
+    transitions from its states, the integer count matrix C (the
+    transition matrix is P = C / |input alphabet|) and the stationary row
+    vector pi (pi P = pi, entries summing to 1), all tuples.  Machines are
+    immutable, so it is built once per machine."""
     if t._chain is not None:
         return t._chain
     reachable = t.accessible()
@@ -224,22 +233,30 @@ def _terminal_chain(t: Machine):
     labels = tuple(st.label for st in reachable.states if st.label in scc)
     index = {label: i for i, label in enumerate(labels)}
     inside = tuple(tr for tr in reachable.transitions if tr.source in scc)
-    q = Fraction(1, len(t.input_alphabet))
-    P = [[Fraction(0)] * len(labels) for _ in labels]
+    C = [[0] * len(labels) for _ in labels]
     for tr in inside:
-        P[index[tr.source]][index[tr.target]] += q
+        C[index[tr.source]][index[tr.target]] += 1
     # pi (P - I) = 0 with pi's last entry fixed to 1, less its last
-    # equation, which the others imply (each row of P - I sums to 0).  P is
-    # stochastic and irreducible here, so the system is nonsingular and pi
-    # positive (Kemeny and Snell, Finite Markov Chains, 1960).
-    n = len(labels)
-    (head,) = solve([[P[i][j] - (i == j) for i in range(n - 1)]
-                     for j in range(n - 1)], [[-x for x in P[-1][:-1]]])
+    # equation, which the others imply (each row of P - I sums to 0); times
+    # |input alphabet| it reads B^T h = (C's last row less its last entry)
+    # for pi's head h.  P is stochastic and irreducible here, so B is
+    # nonsingular and pi positive (Kemeny and Snell, Finite Markov Chains,
+    # 1960).
+    (head,) = solve(list(zip(*_reduced(C, len(t.input_alphabet)))),
+                    [C[-1][:-1]])
     vec = head + [Fraction(1)]
     total = sum(vec)
-    t._chain = (labels, inside, tuple(map(tuple, P)),
+    t._chain = (labels, inside, tuple(map(tuple, C)),
                 tuple(x / total for x in vec))
     return t._chain
+
+
+def _reduced(C, letters):
+    """B = letters * I - C less its last row and column, an integer
+    matrix; it is |input alphabet| * (I - P) on all states but the last."""
+    n = len(C) - 1
+    return [[letters * (i == j) - C[i][j] for j in range(n)]
+            for i in range(n)]
 
 
 def stationary_distribution(t: Machine):
@@ -287,45 +304,55 @@ def asymptotic_moments(t: Machine) -> MomentsResult:
     if not t.is_complete():
         raise MachineError(
             "asymptotic moments need a complete deterministic machine")
-    labels, inside, P, pi = _terminal_chain(t)
+    labels, inside, C, pi = _terminal_chain(t)
     if not is_aperiodic(t, labels):
         raise AnalysisError("the terminal component is periodic")
     n = len(labels)
     index = {label: i for i, label in enumerate(labels)}
-    q = Fraction(1, len(t.input_alphabet))
+    letters = len(t.input_alphabet)
+    q = Fraction(1, letters)
 
     # Derivatives at y = z = 1 of A(y, z), whose (i, j) entry sums
-    # q * y^(output sum) * z^(input sum) over the transitions i -> j:
-    # row sums of A_y, A_z, A_yy and A_yz, and the row vectors pi A_y, pi A_z.
-    a_y, a_z, a_yy, a_yz = ([Fraction(0)] * n for _ in range(4))
-    pi_a_y, pi_a_z = [Fraction(0)] * n, [Fraction(0)] * n
+    # q * y^(output sum) * z^(input sum) over the transitions i -> j, all
+    # times 1 / q = |input alphabet| to keep them integers: row sums of
+    # A_y, A_z, A_yy and A_yz, and the row vectors pi A_y, pi A_z.
+    h_y, h_z, h_yy, h_yz = ([0] * n for _ in range(4))
+    pi_h_y, pi_h_z = [Fraction(0)] * n, [Fraction(0)] * n
     for tr in inside:
         h = _digit_sum(tr.output, "output")
         g = _digit_sum(tr.input, "input")
         i, j = index[tr.source], index[tr.target]
-        a_y[i] += q * h
-        a_z[i] += q * g
-        a_yy[i] += q * h * (h - 1)
-        a_yz[i] += q * h * g
-        pi_a_y[j] += pi[i] * q * h
-        pi_a_z[j] += pi[i] * q * g
+        h_y[i] += h
+        h_z[i] += g
+        h_yy[i] += h * (h - 1)
+        h_yz[i] += h * g
+        pi_h_y[j] += pi[i] * h
+        pi_h_z[j] += pi[i] * g
 
     def dot(u, v):
         return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
-    e = dot(pi, a_y)
-    lam_z = dot(pi, a_z)
-    # Z = (I - P + 1 pi)^-1 - 1 pi, so Z A_y 1 = x_y - e 1 and
-    # Z A_z 1 = x_z - lam_z 1 with x solving (I - P + 1 pi) x = A 1.
-    system = [[(i == j) - P[i][j] + pi[j] for j in range(n)]
-              for i in range(n)]
-    x_y, x_z = solve(system, [a_y, a_z])
-    z_a_y = [x - e for x in x_y]
-    z_a_z = [x - lam_z for x in x_z]
+    e = q * dot(pi, h_y)
+    lam_z = q * dot(pi, h_z)
+    # Z b for b = A 1: fixing z's last entry to 0 leaves B z' =
+    # letters * (b' - (pi b) 1') on the other entries.  Split by
+    # linearity, the right-hand sides stay integers: z' = u - (pi b) v
+    # with B u = letters * b' and B v = letters * 1'.
+    u_y, u_z, v = solve(_reduced(C, letters),
+                        [h_y[:-1], h_z[:-1], [letters] * (n - 1)])
 
-    lam_yy = dot(pi, a_yy) + 2 * dot(pi_a_y, z_a_y)
+    def fundamental(u, mean):
+        """Z b from B u = letters * b' and mean = pi b."""
+        z = [a - mean * b for a, b in zip(u, v)] + [Fraction(0)]
+        shift = dot(pi, z)
+        return [x - shift for x in z]
+
+    z_a_y = fundamental(u_y, e)
+    z_a_z = fundamental(u_z, lam_z)
+
+    lam_yy = q * (dot(pi, h_yy) + 2 * dot(pi_h_y, z_a_y))
     variance = lam_yy + e - e * e
-    lam_yz = dot(pi, a_yz) + dot(pi_a_y, z_a_z) + dot(pi_a_z, z_a_y)
+    lam_yz = q * (dot(pi, h_yz) + dot(pi_h_y, z_a_z) + dot(pi_h_z, z_a_y))
     covariance = lam_yz - e * lam_z
 
     return MomentsResult(e, variance, covariance)

@@ -6,7 +6,9 @@ with epsilon-input transitions; determinize, complete, complement,
 intersection and minimize bring them back to canonical deterministic form.
 Language equivalence is decided by the Hopcroft-Karp union-find walk over
 the two deterministic forms, without minimizing either.
-Counting uses exact big-integer transfer-matrix powering.
+Counting steps an exact big-integer count vector through the transitions
+for short lengths and evaluates the word count recurrence by Fiduccia's
+method for long ones.
 """
 
 from __future__ import annotations
@@ -326,16 +328,32 @@ def _word_counts(a: Machine):
     return size, matrix, counts()
 
 
-def count_words(a: Machine, n: int) -> int:
-    """Exact number of accepted words of length n (vector-matrix stepping
-    over big integers on the trimmed deterministic machine)."""
-    _require_automaton(a)
+def _require_index(n, name: str):
+    """Refuse anything but a nonnegative int (a bool included) as the
+    length or index called `name`."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ConstructionError(f"the {name} must be an int, not {n!r}")
     if n < 0:
-        raise ConstructionError("the length must be nonnegative")
+        raise ConstructionError(f"the {name} must be nonnegative")
+
+
+def count_words(a: Machine, n: int) -> int:
+    """Exact number of accepted words of length n, over big integers on
+    the trimmed deterministic machine of `size` states.  One rule, reading
+    only n and size, picks the method: for n >= 4 * size**2 the word count
+    recurrence is evaluated at n, below it the count vector is stepped n
+    times through the transition list.  The recurrence's characteristic
+    polynomial costs about as much as size**2 stepping rounds; measured,
+    the recurrence overtakes stepping at 3 * size**2 on R and at 3 to
+    5 * size**2 on random DFAs of 32 down to 4 states."""
+    _require_automaton(a)
+    _require_index(n, "length")
     if n > sys.maxsize:
         raise ConstructionError(
             f"the length must be at most sys.maxsize = {sys.maxsize}")
-    _, _, counts = _word_counts(a)
+    size, matrix, counts = _word_counts(a)
+    if n >= 4 * size * size:
+        return _recurrence(size, matrix, counts).term(n)
     return next(islice(counts, n, None))
 
 
@@ -352,17 +370,57 @@ class Recurrence:
         return len(self.coefficients)
 
     def term(self, n: int) -> int:
-        if n < 0:
-            raise ConstructionError("the index must be nonnegative")
-        if n < len(self.initial_terms):
-            return self.initial_terms[n]
-        window = list(self.initial_terms)
-        for _ in range(n - len(window) + 1):
-            nxt = sum(c * window[-1 - i]
-                      for i, c in enumerate(self.coefficients))
-            window.append(nxt)
-            window.pop(0)
-        return window[-1]
+        """a(n) by Fiduccia's method ("An efficient formula for linear
+        recurrences", SIAM J. Comput. 14, 1985): x^n mod the
+        characteristic polynomial x^d - c1 x^(d-1) - ... - cd, by
+        square-and-multiply, dotted with a(0)..a(d-1); O(d^2 log n)
+        big-integer products instead of O(d n).  A nonnegative int n is
+        required."""
+        _require_index(n, "index")
+        terms, d = self.initial_terms, self.order
+        if n < len(terms):
+            return terms[n]
+        # the recurrence runs on from the last d given terms, so the
+        # power is taken relative to the first of them
+        first = len(terms) - d
+        if first < 0:
+            raise ConstructionError(
+                f"a recurrence of order {d} needs {d} initial terms, "
+                f"not {len(terms)}")
+        coefficients = self.coefficients
+
+        def reduce(poly):
+            """poly mod the characteristic polynomial, as d coefficients
+            of x^0..x^(d-1): x^k = sum of c_i x^(k-i)."""
+            for k in range(len(poly) - 1, d - 1, -1):
+                top = poly[k]
+                if top:
+                    for i, c in enumerate(coefficients, 1):
+                        poly[k - i] += top * c
+            return poly[:d]
+
+        r = ([1] + [0] * d)[:d]  # x^0, which is 0 when d = 0
+        for bit in bin(n - first)[2:]:
+            square = [0] * (2 * d - 1)
+            for i, x in enumerate(r):
+                if x:
+                    for j, y in enumerate(r):
+                        square[i + j] += x * y
+            r = reduce(square)
+            if bit == "1":
+                r = reduce([0] + r)
+        return sum(x * y for x, y in zip(r, terms[first:]))
+
+
+def _recurrence(size, matrix, counts) -> Recurrence:
+    """The word count recurrence from `_word_counts`' results: the
+    characteristic polynomial of the count matrix gives the coefficients,
+    the first counts give the initial terms."""
+    if not size:
+        return Recurrence((0,), (0,))
+    # det(xI - M) = x^d + c1 x^(d-1) + ... + cd  =>  a(n) = -c1 a(n-1) - ...
+    coefficients = tuple(-c for c in charpoly(matrix)[1:])
+    return Recurrence(coefficients, tuple(islice(counts, size)))
 
 
 def word_count_recurrence(a: Machine) -> Recurrence:
@@ -370,9 +428,4 @@ def word_count_recurrence(a: Machine) -> Recurrence:
     polynomial of the trimmed deterministic transition-count matrix gives
     the coefficients, the first counts give the initial terms."""
     _require_automaton(a)
-    size, matrix, counts = _word_counts(a)
-    if not size:
-        return Recurrence((0,), (0,))
-    # det(xI - M) = x^d + c1 x^(d-1) + ... + cd  =>  a(n) = -c1 a(n-1) - ...
-    coefficients = tuple(-c for c in charpoly(matrix)[1:])
-    return Recurrence(coefficients, tuple(islice(counts, size)))
+    return _recurrence(*_word_counts(a))

@@ -1,14 +1,17 @@
 """Exact linear algebra: the characteristic polynomial of an integer
 matrix and linear solves over the rationals.
 
-Every result is an exact int or Fraction; the stationary vector, the
-moment constants and the word-count recurrences are all built from these
-two functions.
+Both compute over the integers: Faddeev-LeVerrier divides exactly by k,
+and `solve` eliminates fraction-free, forming Fractions only for its
+solutions.  Every result is an exact int or Fraction; the stationary
+vector, the moment constants and the word-count recurrences are all built
+from these two functions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import AnalysisError
 
@@ -35,19 +38,36 @@ def charpoly(matrix):
 
 def solve(matrix, columns):
     """The solutions x of M x = b, one for each right-hand side b in
-    `columns`, by exact Gauss-Jordan elimination; a singular M raises
-    AnalysisError."""
+    `columns`, as Fractions; a singular M raises AnalysisError.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp.
+    22, 1968): each row is scaled to integers by the lcm of its
+    denominators, and every later entry is a minor of the scaled matrix,
+    so each elimination step divides exactly by the previous pivot.  The
+    last pivot, the scaled matrix's determinant up to sign, is the common
+    denominator of the solutions; no gcd is taken until they are formed."""
     n = len(matrix)
-    rows = [list(matrix[i]) + [b[i] for b in columns] for i in range(n)]
+    rows = []
+    for i in range(n):
+        row = list(matrix[i]) + [b[i] for b in columns]
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    previous = 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
         if pivot is None:
             raise AnalysisError("singular linear system")
         rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = Fraction(1) / rows[c][c]
-        rows[c] = [x * inv for x in rows[c]]
+        top = rows[c]
+        p, rest = top[c], top[c + 1:]
+        # column c is never read again, so only the later ones are updated
         for i in range(n):
-            if i != c and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
-    return [[rows[i][n + k] for i in range(n)] for k in range(len(columns))]
+            if i != c:
+                row = rows[i]
+                f = row[c]
+                row[c + 1:] = [(p * a - f * b) // previous
+                               for a, b in zip(row[c + 1:], rest)]
+        previous = p
+    return [[Fraction(rows[i][n + k], previous) for i in range(n)]
+            for k in range(len(columns))]

@@ -4,14 +4,18 @@ stays a genuine cross-validation.  `contains_word` builds its automaton
 state by state (Knuth-Morris-Pratt borders), as test input for the
 library's constructions.  `equivalent_by_minimization` decides language
 equivalence by its definition through minimal automata, a method
-independent of the union-find walk in `automata.is_equivalent`."""
+independent of the union-find walk in `automata.is_equivalent`.
+`gauss_jordan_solve` is exact elimination over Fractions, the reference
+for the library's fraction-free `polynomial.solve`; `word_counts` and
+`recurrence_terms` step one letter or one term at a time, the references
+for `count_words` and `Recurrence.term`."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from fsmkit.automata import minimize
-from fsmkit.errors import ConstructionError
+from fsmkit.automata import determinize, minimize
+from fsmkit.errors import AnalysisError, ConstructionError
 from fsmkit.machine import AUTOMATON, Machine, State, Transition
 from fsmkit.symbols import symbol, word
 
@@ -273,3 +277,52 @@ def equivalent_by_minimization(a, b):
     """Language equivalence by the definition: the canonically relabeled
     minimal complete automata of the two arguments are equal."""
     return minimize(a) == minimize(b)
+
+
+def gauss_jordan_solve(matrix, columns):
+    """The solutions x of M x = b, one for each right-hand side b in
+    `columns`, by Gauss-Jordan elimination over Fractions, with a gcd in
+    every operation; a singular M raises AnalysisError with the library's
+    message."""
+    n = len(matrix)
+    rows = [list(matrix[i]) + [b[i] for b in columns] for i in range(n)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            raise AnalysisError("singular linear system")
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = Fraction(1) / rows[c][c]
+        rows[c] = [x * inv for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
+    return [[rows[i][n + k] for i in range(n)] for k in range(len(columns))]
+
+
+def word_counts(automaton, n):
+    """Numbers of accepted words of lengths 0..n: the number of words
+    leading to each state of the determinized automaton, stepped one
+    letter at a time by scanning its transition list."""
+    d = automaton if automaton.is_deterministic() else determinize(automaton)
+    finals = {st.label for st in d.states if st.is_final}
+    here = {st.label: 1 for st in d.states if st.is_initial}
+    counts = []
+    for _ in range(n + 1):
+        counts.append(sum(k for label, k in here.items() if label in finals))
+        step = {}
+        for t in d.transitions:
+            if t.source in here:
+                step[t.target] = step.get(t.target, 0) + here[t.source]
+        here = step
+    return counts
+
+
+def recurrence_terms(coefficients, initial_terms, n):
+    """Terms a(0)..a(n) of a(k) = c1 a(k-1) + ... + cd a(k-d), extending
+    the given terms one at a time."""
+    terms = list(initial_terms)
+    while len(terms) <= n:
+        terms.append(sum(c * terms[-i]
+                         for i, c in enumerate(coefficients, 1)))
+    return terms[:n + 1]

@@ -1,3 +1,4 @@
+import re
 import sys
 from itertools import combinations
 
@@ -13,7 +14,8 @@ from fsmkit.errors import ConstructionError, MachineError, StateCapError
 from fsmkit.machine import AUTOMATON, build_machine
 from fsmkit.symbols import word, word_key
 
-from oracles import all_words, contains_word, nfa_accepts
+from oracles import (all_words, contains_word, nfa_accepts,
+                     recurrence_terms)
 
 ALPHA = [-1, 0, 1]
 
@@ -374,6 +376,51 @@ def test_count_words_recurrence_relation(naf_acceptor):
 def test_count_words_length_out_of_range(naf_acceptor, n, message):
     with pytest.raises(ConstructionError, match=message):
         count_words(naf_acceptor, n)
+
+
+@pytest.mark.parametrize("n", [2.5, True, False, "3", None])
+def test_count_words_refuses_a_length_that_is_not_an_int(naf_acceptor, n):
+    with pytest.raises(ConstructionError,
+                       match=rf"the length must be an int, not {re.escape(repr(n))}"):
+        count_words(naf_acceptor, n)
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3"])
+def test_recurrence_term_refuses_an_index_that_is_not_an_int(n):
+    with pytest.raises(ConstructionError,
+                       match=rf"the index must be an int, not {re.escape(repr(n))}"):
+        Recurrence((1, 2), (1, 3)).term(n)
+
+
+def test_recurrence_term_refuses_too_few_initial_terms():
+    with pytest.raises(ConstructionError, match="order 2 needs 2 initial"):
+        Recurrence((1, 2), (1,)).term(5)
+
+
+def test_count_words_of_an_empty_trimmed_language_is_zero():
+    # the final state is unreachable, so trimming leaves no state at all
+    a = build_machine([("s", "s", 0, None), ("t", "t", 1, None)],
+                      ["s"], ["t"], input_alphabet=[0, 1], kind=AUTOMATON)
+    assert count_words(a, 10**4) == 0
+    assert word_count_recurrence(a).term(10**4) == 0
+
+
+def test_count_words_on_R_steps_below_1024_and_recurs_from_there(
+        machine_R, monkeypatch):
+    # R's trimmed form has 16 states, so the rule's 4 * size**2 is 1024;
+    # the CLI's `analyze count --length 64` stays on the stepping side
+    rec = word_count_recurrence(machine_R)
+    assert rec.order == 16
+    terms = recurrence_terms(rec.coefficients, rec.initial_terms, 1024)
+    orders = []
+    monkeypatch.setattr(automata, "charpoly",
+                        lambda m, real=automata.charpoly:
+                        orders.append(len(m)) or real(m))
+    assert count_words(machine_R, 64) == terms[64]
+    assert count_words(machine_R, 1023) == terms[1023]
+    assert orders == []
+    assert count_words(machine_R, 1024) == terms[1024]
+    assert orders == [16]
 
 
 def test_word_count_recurrence_naf(naf_acceptor):

@@ -6,7 +6,9 @@ minimal automata, machine files round-trip byte-identically,
 word counts agree with enumeration, expansion values agree with the
 per-digit Fraction sum, the stationary vector is fixed by the full
 transition matrix, and the exact linear algebra agrees with determinant
-expansion and, where installed, sympy."""
+expansion, with Gauss-Jordan elimination over Fractions and, where
+installed, sympy; word counts on both sides of the recurrence rule and
+recurrence terms agree with stepping."""
 
 import random
 from fractions import Fraction
@@ -18,9 +20,10 @@ from hypothesis import strategies as st
 
 from fsmkit import serialize
 from fsmkit.analysis import stationary_distribution
-from fsmkit.automata import (complement, count_words, determinize,
-                             intersection, is_equivalent, minimize, union,
-                             word_automaton, word_count_recurrence)
+from fsmkit.automata import (Recurrence, complement, count_words,
+                             determinize, intersection, is_equivalent,
+                             minimize, union, word_automaton,
+                             word_count_recurrence)
 from fsmkit.digits import Expansion
 from fsmkit.errors import AnalysisError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
@@ -29,8 +32,9 @@ from fsmkit.polynomial import charpoly, solve
 from fsmkit.symbols import ABSENT, Digit, Pair, word
 from fsmkit.transducers import cartesian_product, compose, simplify
 
-from oracles import (all_words, equivalent_by_minimization, nfa_accepts,
-                     per_digit_value, rank, run_deterministic)
+from oracles import (all_words, equivalent_by_minimization,
+                     gauss_jordan_solve, nfa_accepts, per_digit_value, rank,
+                     recurrence_terms, run_deterministic, word_counts)
 
 LETTERS = (0, 1)
 WORDS = [word(w) for w in all_words(LETTERS, 6)]
@@ -292,6 +296,95 @@ def test_left_kernel_and_solve_are_exact(seed):
     for b, x in zip(columns, solutions):
         assert all(type(v) is Fraction for v in x)
         assert [sum(m[i][j] * x[j] for j in range(n)) for i in range(n)] == b
+
+
+def _solve_case(seed):
+    """A square system of size 1 to 12 with up to three right-hand sides.
+    By seed mod 4: small Fractions; pi-like entries with denominators
+    up to 10**12; integer matrices |alphabet| * I - C of random count
+    matrices C less their last row and column, as the stationary and
+    moment solves build them (singular when some state cannot reach the
+    last); and matrices made singular by a row that combines two others,
+    or by a zero column."""
+    rng = random.Random(f"solve:{seed}")
+    n = 1 + seed % 12
+    kind = seed % 4
+    if kind == 1:
+        def entry():
+            return Fraction(rng.randint(-10**12, 10**12),
+                            rng.randint(1, 10**12))
+    else:
+        def entry():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if kind == 2:
+        # C on n + 1 states, less its last row and column
+        letters = rng.randint(2, 3)
+        m = [[letters * (i == j) for j in range(n + 1)] for i in range(n)]
+        for row in m:
+            for _ in range(letters):
+                row[rng.randrange(n + 1)] -= 1
+            del row[n]
+    else:
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+    if kind == 3 and n > 1:
+        if seed % 8 == 3:
+            j = rng.randrange(n)
+            for row in m:
+                row[j] = Fraction(0)
+        else:
+            i, k = rng.sample(range(n), 2)
+            r = rng.randrange(n)
+            a, b = entry(), entry()
+            m[r] = [a * x + b * y for x, y in zip(m[i], m[k])]
+    columns = [[entry() if kind != 2 else rng.randint(-5, 5)
+                for _ in range(n)] for _ in range(rng.randint(1, 3))]
+    return m, columns
+
+
+@pytest.mark.parametrize("seed", range(96))
+def test_solve_agrees_with_gauss_jordan_over_fractions(seed):
+    m, columns = _solve_case(seed)
+    try:
+        expected = gauss_jordan_solve(m, columns)
+    except AnalysisError as error:
+        with pytest.raises(AnalysisError) as caught:
+            solve(m, columns)
+        assert str(caught.value) == str(error)
+        return
+    got = solve(m, columns)
+    assert got == expected
+    assert all(type(x) is Fraction for column in got for x in column)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_automata(), st.sampled_from((-1, 0, 1, 7)))
+def test_count_words_on_both_sides_of_the_recurrence_rule(a, past):
+    """`count_words` steps below n = 4 * size**2 and evaluates the
+    recurrence from there on; both sides match stepping per state."""
+    size = len(determinize(a).trim().states)
+    n = max(4 * size * size + past, 0)
+    assert count_words(a, n) == word_counts(a, n)[n]
+
+
+RECURRENCES = st.lists(st.integers(-3, 3), max_size=6).flatmap(
+    lambda cs: st.tuples(st.just(cs), st.lists(
+        st.integers(-9, 9), min_size=len(cs), max_size=len(cs))))
+
+
+@PROPERTY
+@given(RECURRENCES)
+@example(([2, 0], [3, -1]))
+@example(([1], [3]))
+@example(([], []))
+def test_recurrence_term_agrees_with_stepping(recurrence):
+    """Orders 0 to 6, a zero last coefficient and order 1 included."""
+    coefficients, initial = recurrence
+    d = len(coefficients)
+    expected = recurrence_terms(coefficients, initial, 3 * d + 40)
+    rec = Recurrence(tuple(coefficients), tuple(initial))
+    # n < order, n = order, and on well past it
+    for n in list(range(d + 2)) + [2 * d + 7, 3 * d + 40]:
+        assert rec.term(n) == expected[n]
 
 
 @pytest.mark.parametrize("seed", range(20))
