@@ -19,7 +19,7 @@ from itertools import islice
 
 from .errors import ConstructionError, MachineError
 from .machine import (AUTOMATON, Machine, State, Transition, _lockstep,
-                      bfs_levels, explore)
+                      _refuse_past_cap, _state_cap, bfs_levels, explore)
 from .polynomial import charpoly
 from .symbols import symbol, word
 from .transducers import simplify
@@ -130,8 +130,17 @@ def determinize(a: Machine) -> Machine:
     by their sorted member labels, so the result is canonical.  Each
     state's closure and, per letter, the union of the closures of its
     targets are computed once; a subset's successor on a letter is the
-    union of its members' entries, since closure distributes over union."""
+    union of its members' entries, since closure distributes over union.
+
+    The result is kept on `a`, and later calls return that same machine,
+    so a chain of constructions on one argument determinizes it once.  A
+    kept result answers to the state cap as a new construction would: it
+    raises StateCapError when it has more states than the cap allows.  A
+    call that raises keeps nothing."""
     _require_automaton(a)
+    if a._dfa is not None:
+        _refuse_past_cap(len(a._dfa.states), _state_cap())
+        return a._dfa
     finals = {st.label for st in a.final_states()}
     epsilons = {st.label: [] for st in a.states}
     for t in a.transitions:
@@ -153,9 +162,10 @@ def determinize(a: Machine) -> Machine:
 
     start = frozenset().union(
         *(closure[st.label] for st in a.initial_states()))
-    return explore(AUTOMATON, a.input_alphabet, [start], successors,
-                   lambda subset: "{" + ",".join(sorted(subset)) + "}",
-                   lambda subset: () if subset & finals else None)
+    a._dfa = explore(AUTOMATON, a.input_alphabet, [start], successors,
+                     lambda subset: "{" + ",".join(sorted(subset)) + "}",
+                     lambda subset: () if subset & finals else None)
+    return a._dfa
 
 
 def complete(a: Machine) -> Machine:
@@ -301,17 +311,14 @@ def language(a: Machine, max_length: int):
 
 
 def _word_counts(a: Machine):
-    """Size and integer transition-count matrix of the trimmed
-    deterministic form of `a`, and a generator of its numbers of accepted
-    words of lengths 0, 1, 2, ... (each step walks the transition list
-    once, over big integers)."""
+    """Size and (source index, target index) per transition of the
+    trimmed deterministic form of `a`, and a generator of its numbers of
+    accepted words of lengths 0, 1, 2, ... (each step walks the
+    transition list once, over big integers)."""
     d = (a if a.is_deterministic() else determinize(a)).trim()
     index = {st.label: i for i, st in enumerate(d.states)}
     size = len(index)
     steps = [(index[t.source], index[t.target]) for t in d.transitions]
-    matrix = [[0] * size for _ in range(size)]
-    for i, j in steps:
-        matrix[i][j] += 1
     finals = [index[st.label] for st in d.final_states()]
 
     def counts():
@@ -325,7 +332,7 @@ def _word_counts(a: Machine):
                 step[j] += row[i]
             row = step
 
-    return size, matrix, counts()
+    return size, steps, counts()
 
 
 def _require_index(n, name: str):
@@ -345,15 +352,18 @@ def count_words(a: Machine, n: int) -> int:
     times through the transition list.  The recurrence's characteristic
     polynomial costs about as much as size**2 stepping rounds; measured,
     the recurrence overtakes stepping at 3 * size**2 on R and at 3 to
-    5 * size**2 on random DFAs of 32 down to 4 states."""
+    5 * size**2 on random DFAs of 32 down to 4 states.  The recurrence is
+    the one `word_count_recurrence` keeps on `a`, so its characteristic
+    polynomial is computed at most once per machine; `a` is determinized
+    as `determinize` does it, state cap included, on every call."""
     _require_automaton(a)
     _require_index(n, "length")
     if n > sys.maxsize:
         raise ConstructionError(
             f"the length must be at most sys.maxsize = {sys.maxsize}")
-    size, matrix, counts = _word_counts(a)
+    size, steps, counts = _word_counts(a)
     if n >= 4 * size * size:
-        return _recurrence(size, matrix, counts).term(n)
+        return _recurrence(a, size, steps, counts).term(n)
     return next(islice(counts, n, None))
 
 
@@ -412,20 +422,31 @@ class Recurrence:
         return sum(x * y for x, y in zip(r, terms[first:]))
 
 
-def _recurrence(size, matrix, counts) -> Recurrence:
-    """The word count recurrence from `_word_counts`' results: the
-    characteristic polynomial of the count matrix gives the coefficients,
-    the first counts give the initial terms."""
+def _recurrence(a, size, steps, counts) -> Recurrence:
+    """The word count recurrence of `a` from `_word_counts`' results,
+    built on first use and kept on `a`: the characteristic polynomial of
+    the count matrix gives the coefficients, the first counts give the
+    initial terms."""
+    if a._recurrence is not None:
+        return a._recurrence
     if not size:
-        return Recurrence((0,), (0,))
+        a._recurrence = Recurrence((0,), (0,))
+        return a._recurrence
+    matrix = [[0] * size for _ in range(size)]
+    for i, j in steps:
+        matrix[i][j] += 1
     # det(xI - M) = x^d + c1 x^(d-1) + ... + cd  =>  a(n) = -c1 a(n-1) - ...
     coefficients = tuple(-c for c in charpoly(matrix)[1:])
-    return Recurrence(coefficients, tuple(islice(counts, size)))
+    a._recurrence = Recurrence(coefficients, tuple(islice(counts, size)))
+    return a._recurrence
 
 
 def word_count_recurrence(a: Machine) -> Recurrence:
     """Recurrence satisfied by n -> count_words(a, n): the characteristic
     polynomial of the trimmed deterministic transition-count matrix gives
-    the coefficients, the first counts give the initial terms."""
+    the coefficients, the first counts give the initial terms.  The
+    result is kept on `a`, so later calls return it without computing the
+    polynomial again; `a` is still determinized as `determinize` does it,
+    so a kept result answers to the state cap as a new one would."""
     _require_automaton(a)
-    return _recurrence(*_word_counts(a))
+    return _recurrence(a, *_word_counts(a))

@@ -11,9 +11,13 @@ length-zero input is an epsilon transition, which the nondeterministic
 construction layers use and deterministic execution refuses.
 
 The one constructor validates every machine, construction results
-included.  A deterministic machine builds one step table on first use
+included.  Since a machine never changes, it keeps four derived forms,
+each built on first use: the step table of a deterministic machine
 (`_steps`), which runs and the constructions read: per state index, a dict
-from letter to (target index, output word).
+from letter to (target index, output word); the terminal chain of the
+analyses (`analysis._terminal_chain`); the subset construction
+(`automata.determinize`); and the word count recurrence
+(`automata.word_count_recurrence`).
 """
 
 from __future__ import annotations
@@ -135,6 +139,8 @@ class Machine:
 
         self._table = None  # lazy step table, see _steps
         self._chain = None  # lazy analysis._terminal_chain result
+        self._dfa = None  # lazy automata.determinize result
+        self._recurrence = None  # lazy automata.word_count_recurrence result
 
     # ------------------------------------------------------------------
     # basic views
@@ -351,6 +357,13 @@ def _state_cap() -> int:
     return cap
 
 
+def _refuse_past_cap(count, cap):
+    """Raise StateCapError when `count` states exceed `cap`, as an
+    exploration does on discovering one state too many."""
+    if count > cap:
+        raise StateCapError(f"exploration exceeded the state cap of {cap}")
+
+
 def _transition_key(t: Transition):
     """The canonical transition order: by source and target label, then
     by input and output word in the canonical symbol order."""
@@ -433,9 +446,7 @@ def explore(kind, alphabet, starts, successors, name, final,
         source = labels[here]
         for inp, target, out in successors(here):
             if target not in labels:
-                if len(order) >= cap:
-                    raise StateCapError(
-                        f"exploration exceeded the state cap of {cap}")
+                _refuse_past_cap(len(order) + 1, cap)
                 labels[target] = fresh(target)
                 order.append(target)
             transitions.append(Transition(source, labels[target], inp, out))

@@ -4,8 +4,10 @@ Symbols are encoded as an integer (digit), the string "~" (absent marker)
 or a two-element array (pair).  Words are arrays, least significant first.
 Serialization is bit-exact: states and transitions are listed in the one
 canonical order of `machine._listing` (states by label, transitions by
-`machine._transition_key`), so equal machines always produce identical
-bytes.
+`machine._transition_key`), so equal machines with the same output
+alphabet produce identical bytes.  Machine equality ignores the output
+alphabet, which the file records when one is declared: two machines that
+differ only there compare equal and serialize differently.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from fsmkit.automata import (Recurrence, complement, complete, concat,
                              language, minimize, union, word_automaton,
                              word_count_recurrence)
 from fsmkit.errors import ConstructionError, MachineError, StateCapError
-from fsmkit.machine import AUTOMATON, build_machine
+from fsmkit.machine import AUTOMATON, Machine, build_machine
 from fsmkit.symbols import word, word_key
 
 from oracles import (all_words, contains_word, nfa_accepts,
@@ -412,14 +412,22 @@ def test_count_words_on_R_steps_below_1024_and_recurs_from_there(
     rec = word_count_recurrence(machine_R)
     assert rec.order == 16
     terms = recurrence_terms(rec.coefficients, rec.initial_terms, 1024)
+    # R keeps its recurrence on the session fixture, so the counts run on
+    # a fresh equal copy
+    fresh = Machine(machine_R.kind, machine_R.states, machine_R.transitions,
+                    machine_R.input_alphabet)
     orders = []
     monkeypatch.setattr(automata, "charpoly",
                         lambda m, real=automata.charpoly:
                         orders.append(len(m)) or real(m))
-    assert count_words(machine_R, 64) == terms[64]
-    assert count_words(machine_R, 1023) == terms[1023]
+    assert count_words(fresh, 64) == terms[64]
+    assert count_words(fresh, 1023) == terms[1023]
     assert orders == []
-    assert count_words(machine_R, 1024) == terms[1024]
+    assert count_words(fresh, 1024) == terms[1024]
+    assert orders == [16]
+    # the kept recurrence serves every later call on the same machine
+    assert count_words(fresh, 1024) == terms[1024]
+    assert word_count_recurrence(fresh) == rec
     assert orders == [16]
 
 

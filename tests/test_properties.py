@@ -8,7 +8,10 @@ per-digit Fraction sum, the stationary vector is fixed by the full
 transition matrix, and the exact linear algebra agrees with determinant
 expansion, with Gauss-Jordan elimination over Fractions and, where
 installed, sympy; word counts on both sides of the recurrence rule and
-recurrence terms agree with stepping."""
+recurrence terms agree with stepping; and each construction and count
+gives the same result when repeated on one machine as on a fresh equal
+copy, with the state cap applied to a kept determinization as to a new
+one."""
 
 import random
 from fractions import Fraction
@@ -22,10 +25,10 @@ from fsmkit import serialize
 from fsmkit.analysis import stationary_distribution
 from fsmkit.automata import (Recurrence, complement, count_words,
                              determinize, intersection, is_equivalent,
-                             minimize, union, word_automaton,
+                             kleene_star, minimize, union, word_automaton,
                              word_count_recurrence)
 from fsmkit.digits import Expansion
-from fsmkit.errors import AnalysisError
+from fsmkit.errors import AnalysisError, StateCapError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
                             build_machine)
 from fsmkit.polynomial import charpoly, solve
@@ -35,6 +38,7 @@ from fsmkit.transducers import cartesian_product, compose, simplify
 from oracles import (all_words, equivalent_by_minimization,
                      gauss_jordan_solve, nfa_accepts, per_digit_value, rank,
                      recurrence_terms, run_deterministic, word_counts)
+from test_golden_constructions import random_nfa
 
 LETTERS = (0, 1)
 WORDS = [word(w) for w in all_words(LETTERS, 6)]
@@ -364,6 +368,68 @@ def test_count_words_on_both_sides_of_the_recurrence_rule(a, past):
     size = len(determinize(a).trim().states)
     n = max(4 * size * size + past, 0)
     assert count_words(a, n) == word_counts(a, n)[n]
+
+
+def _fresh(x):
+    """An equal machine that has computed nothing yet."""
+    return Machine(x.kind, x.states, x.transitions, x.input_alphabet)
+
+
+def _assert_repeats_agree(x):
+    """Each construction and count, run twice on x and once on a fresh
+    equal copy, gives the same bytes or the same value; the counts are
+    taken on both sides of the 4 * size**2 rule."""
+    size = len(determinize(_fresh(x)).trim().states)
+    rule = 4 * size * size
+    calls = [lambda m: serialize.dumps(determinize(m)),
+             lambda m: serialize.dumps(minimize(m)),
+             lambda m: serialize.dumps(complement(m)),
+             lambda m: serialize.dumps(intersection(m, m)),
+             lambda m: is_equivalent(m, determinize(m)),
+             word_count_recurrence]
+    calls += [lambda m, n=n: count_words(m, n)
+              for n in (max(rule - 1, 0), rule, rule + 3)]
+    for call in calls:
+        assert call(x) == call(x) == call(_fresh(x))
+    assert determinize(x) is determinize(x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_automata())
+def test_repeated_constructions_and_counts_agree(x):
+    _assert_repeats_agree(x)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_repeated_constructions_agree_on_the_golden_automata(seed):
+    _assert_repeats_agree(random_nfa(seed))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_kept_determinization_answers_to_the_state_cap(seed, monkeypatch):
+    """A cap that a fresh subset construction would pass returns the same
+    machine; one it would exceed raises the same message; a malformed cap
+    is refused as before."""
+    x = random_nfa(seed)
+    d = determinize(x)
+    k = len(d.states)
+    if k < 2:
+        x = kleene_star(word_automaton([0, 1, 1], [0, 1]))
+        d = determinize(x)
+        k = len(d.states)
+    monkeypatch.setenv("FSMKIT_STATE_CAP", str(k))
+    assert determinize(x) is d
+    monkeypatch.setenv("FSMKIT_STATE_CAP", str(k - 1))
+    with pytest.raises(StateCapError) as fresh:
+        determinize(_fresh(x))
+    with pytest.raises(StateCapError) as kept:
+        determinize(x)
+    assert str(kept.value) == str(fresh.value)
+    monkeypatch.setenv("FSMKIT_STATE_CAP", "x")
+    with pytest.raises(StateCapError, match="FSMKIT_STATE_CAP"):
+        determinize(x)
+    monkeypatch.delenv("FSMKIT_STATE_CAP")
+    assert determinize(x) is d
 
 
 RECURRENCES = st.lists(st.integers(-3, 3), max_size=6).flatmap(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsmkit import automata, serialize
+from fsmkit import automata, serialize, transducers
 from fsmkit.cli import PRESETS
 from fsmkit.errors import ConstructionError, FsmError
 from fsmkit.machine import AUTOMATON, Machine, build_machine
@@ -36,6 +36,22 @@ def test_equal_machines_serialize_identically():
     m2 = build_machine(list(reversed(rows)), ["a"], ["b"],
                        input_alphabet=[0, 1], kind=AUTOMATON)
     assert serialize.dumps(m1) == serialize.dumps(m2)
+
+
+def test_equal_machines_with_one_output_alphabet_serialize_identically():
+    w = transducers.weight_transducer([0, 1])
+    rebuilt = Machine(w.kind, w.states, w.transitions, w.input_alphabet,
+                      w.output_alphabet)
+    assert rebuilt == w
+    assert serialize.dumps(rebuilt) == serialize.dumps(w)
+
+
+def test_equality_ignores_the_output_alphabet_that_files_record():
+    w = transducers.weight_transducer([0, 1])
+    bare = Machine(w.kind, w.states, w.transitions, w.input_alphabet)
+    assert bare == w
+    assert serialize.dumps(bare) != serialize.dumps(w)
+    assert '"output_alphabet"' not in serialize.dumps(bare)
 
 
 def test_symbol_encodings(combined_3n_n):
