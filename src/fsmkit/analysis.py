@@ -98,7 +98,7 @@ def check_minimality(t: Machine, weight_fn) -> tuple:
     no input can beat the output's weight)."""
     initials = t.initial_states()
     if len(initials) != 1:
-        raise MachineError("minimality check needs exactly one initial state")
+        raise MachineError("shortest paths need exactly one initial state")
     paths = bellman_ford(t.digraph(weight_fn), initials[0].label)
     flag = all(d >= 0 for d in paths.distance.values())
     return flag, paths
@@ -191,10 +191,14 @@ def terminal_scc(m: Machine) -> set:
 def is_aperiodic(m: Machine, scc) -> bool:
     """gcd of cycle lengths inside the component equals 1, computed from
     breadth-first level differences."""
-    scc = set(scc)
-    if not scc:
+    labels = list(scc)
+    if not labels:
         raise AnalysisError("the component must not be empty")
     succ = _successors(m)
+    for label in labels:
+        if label not in succ:
+            raise AnalysisError(f"the component names no state: {label!r}")
+    scc = set(labels)
     level = bfs_levels([min(scc)], lambda here: scc.intersection(succ[here]))
     period = 0
     for label in scc:

@@ -279,6 +279,7 @@ def language(a: Machine, max_length: int):
     """Yield every accepted word of length <= max_length exactly once, in
     shortlex order under the canonical symbol order."""
     _require_automaton(a)
+    _require_index(max_length, "length")
     d = a if a.is_deterministic() else determinize(a)
     start, rows = d._steps()
 

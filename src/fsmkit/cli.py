@@ -3,6 +3,9 @@
 One verb per invocation; exit status 0 on success, 1 on domain errors
 (including a rejected run, unless --allow-reject), 2 on usage errors.
 All outputs are deterministic: identical invocations write identical bytes.
+Each operation verb writes what one library function returns (the
+`MACHINE_VERBS` table, and `final-word-out`), and `analyze shortest-paths`
+prints `check-minimality`'s distances without its verdict.
 """
 
 from __future__ import annotations
@@ -42,6 +45,26 @@ WEIGHT_FUNCTIONS = {
     "in-minus-out": lambda t: hamming_weight(t.input) - hamming_weight(t.output),
     "out-minus-in": lambda t: hamming_weight(t.output) - hamming_weight(t.input),
     "zero": lambda t: 0,
+}
+
+# Each verb that writes the machine one library function builds: the
+# function's owner and name, and the machine files it loads, in argument
+# order ("--outer" is a required option, "machine" a positional).  The
+# function is looked up by name when the verb runs, so the verb calls
+# whatever the owner holds then, a tracing wrapper included.
+MACHINE_VERBS = {
+    "minimize": (automata, "minimize", ("machine",)),
+    "determinize": (automata, "determinize", ("machine",)),
+    "complement": (automata, "complement", ("machine",)),
+    "star": (automata, "kleene_star", ("machine",)),
+    "project-output": (transducers, "output_projection", ("machine",)),
+    "simplify": (transducers, "simplify", ("machine",)),
+    "trim": (Machine, "trim", ("machine",)),
+    "intersect": (automata, "intersection", ("left", "right")),
+    "union": (automata, "union", ("left", "right")),
+    "concat": (automata, "concat", ("left", "right")),
+    "product": (transducers, "cartesian_product", ("left", "right")),
+    "compose": (transducers, "compose", ("--outer", "--inner")),
 }
 
 
@@ -109,22 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-reject", action="store_true",
                    help="exit 0 even when the input is rejected")
 
-    for verb in ("minimize", "determinize", "complement", "star",
-                 "project-output", "simplify", "trim"):
+    for verb, (_, _, files) in MACHINE_VERBS.items():
         p = sub.add_parser(verb)
-        p.add_argument("machine")
+        for file in files:
+            if file.startswith("-"):
+                p.add_argument(file, required=True)
+            else:
+                p.add_argument(file)
         p.add_argument("-o", "--output", required=True)
-
-    for verb in ("intersect", "union", "concat", "product"):
-        p = sub.add_parser(verb)
-        p.add_argument("left")
-        p.add_argument("right")
-        p.add_argument("-o", "--output", required=True)
-
-    p = sub.add_parser("compose")
-    p.add_argument("--outer", required=True)
-    p.add_argument("--inner", required=True)
-    p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("final-word-out")
     p.add_argument("machine")
@@ -189,35 +204,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_op(args) -> int:
-    if args.verb == "minimize":
-        out = automata.minimize(_load(args.machine))
-    elif args.verb == "determinize":
-        out = automata.determinize(_load(args.machine))
-    elif args.verb == "complement":
-        out = automata.complement(_load(args.machine))
-    elif args.verb == "star":
-        out = automata.kleene_star(_load(args.machine))
-    elif args.verb == "project-output":
-        out = transducers.output_projection(_load(args.machine))
-    elif args.verb == "simplify":
-        out = transducers.simplify(_load(args.machine))
-    elif args.verb == "trim":
-        out = _load(args.machine).trim()
-    elif args.verb == "intersect":
-        out = automata.intersection(_load(args.left), _load(args.right))
-    elif args.verb == "union":
-        out = automata.union(_load(args.left), _load(args.right))
-    elif args.verb == "concat":
-        out = automata.concat(_load(args.left), _load(args.right))
-    elif args.verb == "product":
-        out = transducers.cartesian_product(_load(args.left), _load(args.right))
-    elif args.verb == "compose":
-        out = transducers.compose(_load(args.outer), _load(args.inner))
-    elif args.verb == "final-word-out":
+    if args.verb == "final-word-out":
         out = transducers.with_final_word_out(
             _load(args.machine), parse_symbol_token(args.letter))
-    else:  # pragma: no cover
-        raise FsmError(f"unhandled verb {args.verb}")
+    else:
+        owner, name, files = MACHINE_VERBS[args.verb]
+        out = getattr(owner, name)(
+            *(_load(getattr(args, file.lstrip("-"))) for file in files))
     _write_machine(out, args.output)
     return 0
 
@@ -270,49 +263,30 @@ def _cmd_analyze(args) -> int:
     elif args.analysis == "equivalent":
         flag = automata.is_equivalent(_load(args.left), _load(args.right))
         print(f"equivalent: {'true' if flag else 'false'}")
-    elif args.analysis == "shortest-paths":
-        m = _load(args.machine)
-        initial = m.initial_states()
-        if len(initial) != 1:
-            raise FsmError("shortest paths need exactly one initial state")
-        paths = analysis.bellman_ford(
-            m.digraph(WEIGHT_FUNCTIONS[args.weight]), initial[0].label)
-        for label in sorted(paths.distance):
-            print(f"{label}: {paths.distance[label]}")
-    elif args.analysis == "check-minimality":
+    elif args.analysis in ("shortest-paths", "check-minimality"):
         flag, paths = analysis.check_minimality(
             _load(args.machine), WEIGHT_FUNCTIONS[args.weight])
-        print(f"minimal: {'true' if flag else 'false'}")
+        if args.analysis == "check-minimality":
+            print(f"minimal: {'true' if flag else 'false'}")
         for label in sorted(paths.distance):
             print(f"{label}: {paths.distance[label]}")
     elif args.analysis == "density":
         print(_exact(analysis.expected_density(_load(args.machine))))
-    elif args.analysis == "moments":
+    else:  # moments
         moments = analysis.asymptotic_moments(_load(args.machine))
         print(f"expectation: {_exact(moments.expectation)}")
         print(f"variance: {_exact(moments.variance)}")
         print(f"covariance: {_exact(moments.covariance)}")
-    else:  # pragma: no cover
-        raise FsmError(f"unhandled analysis {args.analysis}")
     return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"build": _cmd_build, "run": _cmd_run, "export": _cmd_export,
+               "analyze": _cmd_analyze}.get(args.verb, _cmd_op)
     try:
-        if args.verb == "build":
-            return _cmd_build(args)
-        if args.verb == "run":
-            return _cmd_run(args)
-        if args.verb == "export":
-            return _cmd_export(args)
-        if args.verb == "analyze":
-            return _cmd_analyze(args)
-        return _cmd_op(args)
-    except FsmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return command(args)
+    except (FsmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,8 @@ from typing import Callable
 
 from .errors import (ConstructionError, InvalidInputError, MachineError,
                      StateCapError)
-from .symbols import Word, _sorted_symbols, format_word, word, word_key
+from .symbols import (Symbol, Word, _sorted_symbols, format_word, word,
+                      word_key)
 
 AUTOMATON = "automaton"
 TRANSDUCER = "transducer"
@@ -85,7 +86,12 @@ def as_label(x) -> str:
 
 
 class Machine:
-    """An automaton or transducer; immutable after construction."""
+    """An automaton or transducer; immutable after construction.
+
+    The constructor refuses malformed rows with a ConstructionError naming
+    the row: states must be `State`s with a str label, bool flags and a
+    tuple of symbols as final output, transitions `Transition`s with tuple
+    input and output words whose output letters are symbols."""
 
     def __init__(self, kind, states, transitions, input_alphabet,
                  output_alphabet=None):
@@ -109,6 +115,12 @@ class Machine:
         for st in self.states:
             if not isinstance(st, State):
                 raise ConstructionError(f"not a state: {st!r}")
+            if type(st.label) is not str:
+                raise ConstructionError(f"state label is not a string: {st!r}")
+            if type(st.is_initial) is not bool or type(st.is_final) is not bool:
+                raise ConstructionError(f"state flags are not booleans: {st!r}")
+            if type(st.final_output) is not tuple:
+                raise ConstructionError(f"final output is not a tuple: {st!r}")
             if st.label in by_label:
                 raise ConstructionError(f"duplicate state label {st.label!r}")
             if st.final_output:
@@ -118,24 +130,42 @@ class Machine:
                 if automaton:
                     raise ConstructionError(
                         f"automaton state {st.label!r} with final output")
+                for s in st.final_output:
+                    if not isinstance(s, Symbol):
+                        raise ConstructionError(
+                            f"final output letter {s!r} is not a symbol: {st!r}")
             by_label[st.label] = st
 
         letters = set(alphabet)
         writable = None if out_alphabet is None else set(out_alphabet)
         for t in self.transitions:
+            if type(t) is not Transition:
+                raise ConstructionError(f"not a transition: {t!r}")
+            inp, out = t.input, t.output
+            if type(inp) is not tuple:
+                raise ConstructionError(f"transition input is not a tuple: {t!r}")
+            if type(out) is not tuple:
+                raise ConstructionError(f"transition output is not a tuple: {t!r}")
             if t.source not in by_label or t.target not in by_label:
                 raise ConstructionError(f"transition endpoints unknown: {t}")
-            if len(t.input) > 1:
+            if len(inp) > 1:
                 raise ConstructionError(f"transition input longer than one letter: {t}")
-            if t.input and t.input[0] not in letters:
+            if inp and inp[0] not in letters:
                 raise ConstructionError(
-                    f"input symbol {t.input[0]} outside the alphabet in transition {t}")
-            for s in t.output:
-                if writable is not None and s not in writable:
-                    raise ConstructionError(
-                        f"output symbol {s} outside the output alphabet in {t}")
-            if t.output and automaton:
-                raise ConstructionError(f"automaton transition with output: {t}")
+                    f"input symbol {inp[0]} outside the alphabet in transition {t}")
+            if out:
+                for s in out:
+                    # the output alphabet holds symbols only, so membership
+                    # also refuses a letter that is not one
+                    if writable is not None:
+                        if s not in writable:
+                            raise ConstructionError(
+                                f"output symbol {s} outside the output alphabet in {t}")
+                    elif not isinstance(s, Symbol):
+                        raise ConstructionError(
+                            f"output letter {s!r} is not a symbol: {t!r}")
+                if automaton:
+                    raise ConstructionError(f"automaton transition with output: {t}")
 
         self._table = None  # lazy step table, see _steps
         self._chain = None  # lazy analysis._terminal_chain result

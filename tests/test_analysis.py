@@ -185,6 +185,15 @@ def test_is_aperiodic_refuses_an_empty_component(identity01):
         is_aperiodic(identity01, [])
 
 
+@pytest.mark.parametrize("scc, message", [
+    ({"zz"}, "the component names no state: 'zz'"),
+    (["0", 5], "the component names no state: 5")], ids=["set", "mixed"])
+def test_is_aperiodic_refuses_an_unknown_label(identity01, scc, message):
+    with pytest.raises(AnalysisError) as raised:
+        is_aperiodic(identity01, scc)
+    assert str(raised.value) == message
+
+
 def test_moments_refuse_an_incomplete_machine():
     partial = build_machine([("a", "a", 0, 0)], initial_labels=["a"],
                             final_labels=["a"], input_alphabet=[0, 1])

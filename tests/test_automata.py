@@ -385,6 +385,15 @@ def test_count_words_refuses_a_length_that_is_not_an_int(naf_acceptor, n):
         count_words(naf_acceptor, n)
 
 
+@pytest.mark.parametrize("n, message", [
+    (2.5, "the length must be an int, not 2.5"),
+    (True, "the length must be an int, not True"),
+    (-1, "the length must be nonnegative")], ids=["float", "bool", "negative"])
+def test_language_refuses_a_bad_length(naf_acceptor, n, message):
+    with pytest.raises(ConstructionError, match=re.escape(message)):
+        list(language(naf_acceptor, n))
+
+
 @pytest.mark.parametrize("n", [2.5, True, "3"])
 def test_recurrence_term_refuses_an_index_that_is_not_an_int(n):
     with pytest.raises(ConstructionError,

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import io
 import json
 import os
@@ -11,7 +13,10 @@ import pytest
 
 import fsmkit
 from fsmkit import automata, digits, export, serialize, transducers
-from fsmkit.cli import main
+from fsmkit.cli import build_parser, main
+from fsmkit.machine import Machine
+
+from test_golden import GOLDEN
 
 
 def run_cli(capsys, *argv):
@@ -241,31 +246,208 @@ def test_every_preset_round_trips(tmp_path, capsys):
 
 
 # Each verb writes exactly the file of the library call on the same inputs.
-# A.json is the NAF acceptor and N.json its nondeterministic union with
-# itself.
+# Each entry is the construction, then the verb's arguments, where a name
+# in MACHINE_FILES stands for that file: A.json is the NAF acceptor, N.json
+# its nondeterministic union with itself, the others are presets.
+MACHINE_FILES = {"A", "N", "T", "triple", "identity", "minus", "comb",
+                 "naf1"}
 OP_VERBS = {
+    "minimize": (automata.minimize, "N"),
     "determinize": (automata.determinize, "N"),
+    "complement": (automata.complement, "N"),
     "star": (automata.kleene_star, "A"),
+    "project-output": (transducers.output_projection, "T"),
     "simplify": (transducers.simplify, "T"),
+    "trim": (Machine.trim, "A"),
+    "intersect": (automata.intersection, "A", "N"),
     "union": (automata.union, "A", "N"),
     "concat": (automata.concat, "N", "A"),
     "product": (transducers.cartesian_product, "triple", "identity"),
+    "compose": (transducers.compose, "--outer", "minus", "--inner", "comb"),
+    "final-word-out": (lambda m: transducers.with_final_word_out(m, 0),
+                       "naf1", "--letter", "0"),
 }
+
+
+def build_machine_files(tmp_path, capsys):
+    a = serialize.load(build(tmp_path, capsys, "naf-acceptor", "A"))
+    serialize.save(automata.union(a, a), tmp_path / "N.json")
+    for preset, name in (("T", "T"), ("triple", "triple"),
+                         ("identity", "identity"), ("minus", "minus"),
+                         ("combined-3n-n", "comb"), ("naf1", "naf1")):
+        build(tmp_path, capsys, preset, name)
+
+
+def verb_arguments(tmp_path, words):
+    """The machine files among a verb's argument words, and its argv."""
+    paths = [tmp_path / f"{w}.json" for w in words if w in MACHINE_FILES]
+    argv = [str(tmp_path / f"{w}.json") if w in MACHINE_FILES else w
+            for w in words]
+    return paths, argv
 
 
 @pytest.mark.parametrize("verb", OP_VERBS)
 def test_op_verb_writes_what_the_library_builds(tmp_path, capsys, verb):
-    construction, *names = OP_VERBS[verb]
-    a = serialize.load(build(tmp_path, capsys, "naf-acceptor", "A"))
-    serialize.save(automata.union(a, a), tmp_path / "N.json")
-    for preset in ("T", "triple", "identity"):
-        build(tmp_path, capsys, preset)
-    paths = [tmp_path / f"{name}.json" for name in names]
+    construction, *words = OP_VERBS[verb]
+    build_machine_files(tmp_path, capsys)
+    paths, argv = verb_arguments(tmp_path, words)
     out = tmp_path / "out.json"
-    code, _, _ = run_cli(capsys, verb, *map(str, paths), "-o", str(out))
+    code, _, _ = run_cli(capsys, verb, *argv, "-o", str(out))
     assert code == 0
     assert out.read_text(encoding="utf-8") == serialize.dumps(
         construction(*map(serialize.load, paths)))
+
+
+# The attribute holding the library function each machine-writing verb
+# calls.  Tracing replaces these attributes, so a verb must look its
+# function up when it runs.
+MACHINE_VERB_CALLS = {
+    "minimize": (automata, "minimize"),
+    "determinize": (automata, "determinize"),
+    "complement": (automata, "complement"),
+    "star": (automata, "kleene_star"),
+    "project-output": (transducers, "output_projection"),
+    "simplify": (transducers, "simplify"),
+    "trim": (Machine, "trim"),
+    "intersect": (automata, "intersection"),
+    "union": (automata, "union"),
+    "concat": (automata, "concat"),
+    "product": (transducers, "cartesian_product"),
+    "compose": (transducers, "compose"),
+}
+
+
+@pytest.mark.parametrize("verb", MACHINE_VERB_CALLS)
+def test_machine_verbs_call_the_library_at_run_time(tmp_path, capsys,
+                                                    monkeypatch, verb):
+    owner, name = MACHINE_VERB_CALLS[verb]
+    _, *words = OP_VERBS[verb]
+    build_machine_files(tmp_path, capsys)
+    paths, argv = verb_arguments(tmp_path, words)
+    calls = []
+
+    def spy(*machines):
+        calls.append(machines)
+        return machines[0]
+
+    monkeypatch.setattr(owner, name, spy)
+    out = tmp_path / "out.json"
+    code, _, _ = run_cli(capsys, verb, *argv, "-o", str(out))
+    assert code == 0
+    assert calls == [tuple(map(serialize.load, paths))]
+    assert out.read_bytes() == paths[0].read_bytes()
+
+
+# Every verb's arguments, in order: option strings (or the dest of a
+# positional), required, choices, default, type and action class.
+HELP = ("-h/--help", False, None, "==SUPPRESS==", None, "_HelpAction")
+MACHINE = ("machine", True, None, None, None, "_StoreAction")
+LEFT = ("left", True, None, None, None, "_StoreAction")
+RIGHT = ("right", True, None, None, None, "_StoreAction")
+OUTPUT = ("-o/--output", True, None, None, None, "_StoreAction")
+CLI_SURFACE = {
+    "": [
+        HELP,
+        ("verb", True,
+         ["build", "run", "minimize", "determinize", "complement", "star",
+          "project-output", "simplify", "trim", "intersect", "union", "concat",
+          "product", "compose", "final-word-out", "export", "analyze"],
+         None, None, "_SubParsersAction"),
+    ],
+    "build": [
+        HELP,
+        ("preset", True, None, None, None, "_StoreAction"),
+        OUTPUT,
+    ],
+    "run": [
+        HELP,
+        MACHINE,
+        ("--input", False, None, None, None, "_StoreAction"),
+        ("--digits-of", False, None, None, "int", "_StoreAction"),
+        ("--eval-offset", False, None, None, "int", "_StoreAction"),
+        ("--allow-reject", False, None, False, None, "_StoreTrueAction"),
+    ],
+    "minimize": [HELP, MACHINE, OUTPUT],
+    "determinize": [HELP, MACHINE, OUTPUT],
+    "complement": [HELP, MACHINE, OUTPUT],
+    "star": [HELP, MACHINE, OUTPUT],
+    "project-output": [HELP, MACHINE, OUTPUT],
+    "simplify": [HELP, MACHINE, OUTPUT],
+    "trim": [HELP, MACHINE, OUTPUT],
+    "intersect": [HELP, LEFT, RIGHT, OUTPUT],
+    "union": [HELP, LEFT, RIGHT, OUTPUT],
+    "concat": [HELP, LEFT, RIGHT, OUTPUT],
+    "product": [HELP, LEFT, RIGHT, OUTPUT],
+    "compose": [
+        HELP,
+        ("--outer", True, None, None, None, "_StoreAction"),
+        ("--inner", True, None, None, None, "_StoreAction"),
+        OUTPUT,
+    ],
+    "final-word-out": [
+        HELP,
+        MACHINE,
+        ("--letter", True, None, None, None, "_StoreAction"),
+        OUTPUT,
+    ],
+    "export": [
+        HELP,
+        MACHINE,
+        ("--format", True, ["dot", "tikz"], None, None, "_StoreAction"),
+        ("--coords", False, None, None, None, "_StoreAction"),
+        ("--negative-overline", False, None, False, None, "_StoreTrueAction"),
+        ("-o/--output", False, None, None, None, "_StoreAction"),
+    ],
+    "analyze": [
+        HELP,
+        ("analysis", True,
+         ["count", "recurrence", "equivalent", "shortest-paths",
+          "check-minimality", "density", "moments"],
+         None, None, "_SubParsersAction"),
+    ],
+    "analyze count": [
+        HELP,
+        MACHINE,
+        ("--length", True, None, None, "int", "_StoreAction"),
+    ],
+    "analyze recurrence": [HELP, MACHINE],
+    "analyze equivalent": [HELP, LEFT, RIGHT],
+    "analyze shortest-paths": [
+        HELP,
+        MACHINE,
+        ("--weight", False,
+         ["in-minus-out", "out-minus-in", "zero"],
+         "in-minus-out", None, "_StoreAction"),
+    ],
+    "analyze check-minimality": [
+        HELP,
+        MACHINE,
+        ("--weight", False,
+         ["in-minus-out", "out-minus-in", "zero"],
+         "in-minus-out", None, "_StoreAction"),
+    ],
+    "analyze density": [HELP, MACHINE],
+    "analyze moments": [HELP, MACHINE],
+}
+
+
+
+def parser_surface(parser, path=""):
+    """(verb path, its arguments) for `parser` and, depth first in order,
+    each of its subparsers."""
+    rows = [(path, [("/".join(a.option_strings) or a.dest, a.required,
+                     None if a.choices is None else list(a.choices),
+                     a.default, getattr(a.type, "__name__", None),
+                     type(a).__name__) for a in parser._actions])]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for verb, sub in action.choices.items():
+                rows += parser_surface(sub, f"{path} {verb}".strip())
+    return rows
+
+
+def test_cli_surface_is_pinned():
+    assert parser_surface(build_parser()) == list(CLI_SURFACE.items())
 
 
 @pytest.mark.parametrize("preset", ["T", "combined-3n-n"])
@@ -289,6 +471,21 @@ def run_fresh(tmp_path, *argv, **env):
     return subprocess.run([sys.executable, "-m", "fsmkit.cli", *argv],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=60)
+
+
+def test_console_script_entry_point_writes_the_golden_file(tmp_path):
+    # console_main is the [project.scripts] target; it reads sys.argv and
+    # exits with main's status
+    script = ("import sys\n"
+              "from fsmkit.cli import console_main\n"
+              "sys.argv = ['fsmkit', 'build', 'T', '-o', 'T.json']\n"
+              "console_main()\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(fsmkit.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    digest = hashlib.sha256((tmp_path / "T.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN["T"][0]
 
 
 def test_bad_state_cap_exits_one_without_traceback(tmp_path):

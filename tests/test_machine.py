@@ -58,9 +58,34 @@ ACCEPTING = State("a", True, True)
      None, "automaton transition with output: a --0|1--> a"),
     (AUTOMATON, [State("a", True, True, word([1]))], [], None,
      "automaton state 'a' with final output"),
+    (TRANSDUCER, [State(5, True, True)], [], None,
+     "state label is not a string: "
+     "State(label=5, is_initial=True, is_final=True, final_output=())"),
+    (TRANSDUCER, [State("a", 1, 1)], [], None,
+     "state flags are not booleans: "
+     "State(label='a', is_initial=1, is_final=1, final_output=())"),
+    (TRANSDUCER, [State("a", True, True, [Digit(1)])], [], None,
+     "final output is not a tuple: State(label='a', is_initial=True, "
+     "is_final=True, final_output=[Digit(value=1)])"),
+    (TRANSDUCER, [State("a", True, True, (1,))], [], None,
+     "final output letter 1 is not a symbol: "
+     "State(label='a', is_initial=True, is_final=True, final_output=(1,))"),
+    (TRANSDUCER, [ACCEPTING], [("a", "a", word([0]), ())], None,
+     "not a transition: ('a', 'a', (Digit(value=0),), ())"),
+    (TRANSDUCER, [ACCEPTING], [Transition("a", "a", 0)], None,
+     "transition input is not a tuple: "
+     "Transition(source='a', target='a', input=0, output=())"),
+    (TRANSDUCER, [ACCEPTING], [Transition("a", "a", word([0]), [Digit(0)])],
+     None, "transition output is not a tuple: Transition(source='a', "
+     "target='a', input=(Digit(value=0),), output=[Digit(value=0)])"),
+    (TRANSDUCER, [ACCEPTING], [Transition("a", "a", word([0]), (0,))], None,
+     "output letter 0 is not a symbol: Transition(source='a', target='a', "
+     "input=(Digit(value=0),), output=(0,))"),
 ], ids=["not-a-state", "duplicate-label", "non-final-output",
         "unknown-endpoint", "long-input", "foreign-input", "foreign-output",
-        "automaton-output", "automaton-final-output"])
+        "automaton-output", "automaton-final-output", "int-label",
+        "int-flags", "list-final-output", "raw-final-output-letter",
+        "not-a-transition", "int-input", "list-output", "raw-output-letter"])
 def test_constructor_names_each_single_fault(kind, states, transitions,
                                              outputs, message):
     with pytest.raises(ConstructionError) as raised:

@@ -37,6 +37,19 @@ def test_transition_function_echo():
     assert echo == identity_transducer([0, 1])
 
 
+def test_transition_function_reads_pairs_as_nested_tuples():
+    seen = []
+
+    def first_component(state, read):
+        seen.append(read)
+        return "0", read[0]
+
+    m = from_transition_function(first_component, [(0, None), (1, 0)],
+                                 initial_labels=["0"], final_labels=["0"])
+    assert seen == [(0, None), (1, 0)]
+    assert m.transduce([(1, 0), (0, None)]) == word([1, 0])
+
+
 def test_state_cap_env_override(monkeypatch):
     monkeypatch.setenv("FSMKIT_STATE_CAP", "7")
     with pytest.raises(StateCapError, match="7"):
@@ -349,6 +362,17 @@ def test_final_word_out_leaves_cycling_states_nonfinal():
          ("b", "ok", 1, 0), ("ok", "ok", 0, 0), ("ok", "ok", 1, 0)],
         initial_labels=["a"], final_labels=["ok"], input_alphabet=[0, 1])
     completed = with_final_word_out(spinner, 0)
+    assert not completed.state("a").is_final
+    assert not completed.state("b").is_final
+    assert completed.state("ok").is_final
+
+
+def test_final_word_out_leaves_blocked_states_nonfinal():
+    # "a" reads 0 into "b", which has no move on 0
+    blocked = build_machine(
+        [("a", "b", 0, 1), ("b", "ok", 1, 0)],
+        initial_labels=["a"], final_labels=["ok"], input_alphabet=[0, 1])
+    completed = with_final_word_out(blocked, 0)
     assert not completed.state("a").is_final
     assert not completed.state("b").is_final
     assert completed.state("ok").is_final
