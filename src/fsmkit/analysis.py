@@ -196,7 +196,7 @@ def is_aperiodic(m: Machine, scc) -> bool:
         raise AnalysisError("the component must not be empty")
     succ = _successors(m)
     for label in labels:
-        if label not in succ:
+        if type(label) is not str or label not in succ:
             raise AnalysisError(f"the component names no state: {label!r}")
     scc = set(labels)
     level = bfs_levels([min(scc)], lambda here: scc.intersection(succ[here]))

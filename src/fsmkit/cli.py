@@ -15,6 +15,7 @@ import decimal
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -79,6 +80,20 @@ def _exact(x) -> str:
     return text
 
 
+# The strings int() reads: whitespace (\s less the separators \x1c-\x1f,
+# which int() does not strip), a sign, digits with "_" separators.
+_INT_TEXT = re.compile(r"[^\S\x1c-\x1f]*[+-]?\d+(_\d+)*[^\S\x1c-\x1f]*")
+
+
+def integer(text: str) -> int:
+    """The int that int(text) reads, at any length: converting through a
+    Decimal is exact and not subject to CPython's 4,300-digit limit on
+    str-to-int conversion."""
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(decimal.Decimal(text))
+
+
 def _emit(text: str, path):
     if path is None:
         sys.stdout.write(text)
@@ -124,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="process an input word")
     p.add_argument("machine")
     p.add_argument("--input", help="comma-separated letters, e.g. 0,1,1,1")
-    p.add_argument("--digits-of", type=int,
+    p.add_argument("--digits-of", type=integer,
                    help="use the binary digits of this number as input")
     p.add_argument("--eval-offset", type=int, default=None,
                    help="also print the value of the output expansion, "

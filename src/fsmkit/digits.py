@@ -56,7 +56,7 @@ class Expansion:
         beyond MAX_EXPONENT_OFFSET in absolute value raises
         ConstructionError."""
         e = self._bounded_offset()
-        values = [digit_value(d) for d in self.digits]
+        values = _read(_VALUES, int, self.digits)
         width = 1
         while len(values) > 1:
             if len(values) % 2:
@@ -73,26 +73,24 @@ class Expansion:
         An offset beyond MAX_EXPONENT_OFFSET in absolute value raises
         ConstructionError."""
         e = self._bounded_offset()
-        values = [digit_value(d) for d in self.digits]
+        rendered = _read(_CHARS, _digit_char, self.digits)[::-1]
         if e > 0:
-            values = [0] * e + values
-            point = 0
-        else:
-            point = -e
-        while len(values) <= point:
-            values.append(0)
-        rendered = [_digit_char(v) for v in reversed(values)]
-        if point:
-            integral, fractional = rendered[:-point], rendered[-point:]
+            return f"({''.join(rendered)}{'0' * e})_2"
+        rendered[:0] = ["0"] * (1 - e - len(rendered))
+        if e:
+            integral, fractional = rendered[:e], rendered[e:]
             while len(fractional) > 1 and fractional[-1] == "0":
                 fractional.pop()
             body = "".join(integral) + "·" + "".join(fractional)
         else:
-            body = "".join(rendered) or "0"
+            body = "".join(rendered)
         return f"({body})_2"
 
     def _bounded_offset(self) -> int:
         e = self.exponent_offset
+        if isinstance(e, bool) or not isinstance(e, int):
+            raise ConstructionError(
+                f"the exponent offset must be an int, not {e!r}")
         if abs(e) > MAX_EXPONENT_OFFSET:
             raise ConstructionError(
                 f"the exponent offset must be at most MAX_EXPONENT_OFFSET = "
@@ -102,6 +100,21 @@ class Expansion:
 
 def _digit_char(v: int) -> str:
     return str(v) if v >= 0 else str(-v) + "̄"
+
+
+# Digit symbol -> its value, and -> its rendered text.  Symbols are
+# interned, so a lookup hashes by identity, in C; one entry per symbol.
+_VALUES, _CHARS = {}, {}
+
+
+def _read(table, render, letters) -> list:
+    """render(digit_value(d)) for each letter d through `table`, which a
+    miss fills; the first letter with no digit value raises there."""
+    try:
+        return list(map(table.__getitem__, letters))
+    except (KeyError, TypeError):  # a new symbol, or no symbol at all
+        table.update((d, render(digit_value(d))) for d in letters)
+    return list(map(table.__getitem__, letters))
 
 
 def hamming_weight(w) -> int:

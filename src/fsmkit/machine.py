@@ -90,8 +90,10 @@ class Machine:
 
     The constructor refuses malformed rows with a ConstructionError naming
     the row: states must be `State`s with a str label, bool flags and a
-    tuple of symbols as final output, transitions `Transition`s with tuple
-    input and output words whose output letters are symbols."""
+    tuple of symbols as final output, transitions `Transition`s with str
+    endpoints and tuple input and output words whose output letters are
+    symbols; every output letter, final ones included, must be in the
+    output alphabet when there is one."""
 
     def __init__(self, kind, states, transitions, input_alphabet,
                  output_alphabet=None):
@@ -111,6 +113,7 @@ class Machine:
         self.output_alphabet = out_alphabet
 
         automaton = kind == AUTOMATON
+        writable = None if out_alphabet is None else set(out_alphabet)
         self._by_label = by_label = {}
         for st in self.states:
             if not isinstance(st, State):
@@ -134,10 +137,13 @@ class Machine:
                     if not isinstance(s, Symbol):
                         raise ConstructionError(
                             f"final output letter {s!r} is not a symbol: {st!r}")
+                    if writable is not None and s not in writable:
+                        raise ConstructionError(
+                            f"final output symbol {s} outside the output "
+                            f"alphabet in state {st.label!r}")
             by_label[st.label] = st
 
         letters = set(alphabet)
-        writable = None if out_alphabet is None else set(out_alphabet)
         for t in self.transitions:
             if type(t) is not Transition:
                 raise ConstructionError(f"not a transition: {t!r}")
@@ -146,6 +152,9 @@ class Machine:
                 raise ConstructionError(f"transition input is not a tuple: {t!r}")
             if type(out) is not tuple:
                 raise ConstructionError(f"transition output is not a tuple: {t!r}")
+            if type(t.source) is not str or type(t.target) is not str:
+                raise ConstructionError(
+                    f"transition endpoint is not a string: {t!r}")
             if t.source not in by_label or t.target not in by_label:
                 raise ConstructionError(f"transition endpoints unknown: {t}")
             if len(inp) > 1:

@@ -17,7 +17,7 @@ from itertools import combinations, permutations, product
 from fsmkit.automata import determinize, minimize
 from fsmkit.errors import AnalysisError, ConstructionError
 from fsmkit.machine import AUTOMATON, Machine, State, Transition
-from fsmkit.symbols import symbol, word
+from fsmkit.symbols import digit_value, symbol, word
 
 
 def naf_digits(n):
@@ -48,6 +48,34 @@ def per_digit_value(letters, offset=0):
     for i, s in enumerate(letters):
         total += Fraction(getattr(s, "value", 0)) * Fraction(2) ** (i + offset)
     return total
+
+
+def per_digit_string(letters, offset=0):
+    """The (1001̄0)_2 rendering of a word of digit letters by the original
+    per-digit method: one `digit_value` and one character call per digit,
+    with the offset's zeros prepended as a list."""
+    e = offset
+    values = [digit_value(d) for d in letters]
+    if e > 0:
+        values = [0] * e + values
+        point = 0
+    else:
+        point = -e
+    while len(values) <= point:
+        values.append(0)
+    rendered = [_digit_char(v) for v in reversed(values)]
+    if point:
+        integral, fractional = rendered[:-point], rendered[-point:]
+        while len(fractional) > 1 and fractional[-1] == "0":
+            fractional.pop()
+        body = "".join(integral) + "·" + "".join(fractional)
+    else:
+        body = "".join(rendered) or "0"
+    return f"({body})_2"
+
+
+def _digit_char(v):
+    return str(v) if v >= 0 else str(-v) + "̄"
 
 
 def normalized_digits(digits, offset=0):

@@ -187,7 +187,9 @@ def test_is_aperiodic_refuses_an_empty_component(identity01):
 
 @pytest.mark.parametrize("scc, message", [
     ({"zz"}, "the component names no state: 'zz'"),
-    (["0", 5], "the component names no state: 5")], ids=["set", "mixed"])
+    (["0", 5], "the component names no state: 5"),
+    ([["0"]], "the component names no state: ['0']")],
+    ids=["set", "mixed", "unhashable"])
 def test_is_aperiodic_refuses_an_unknown_label(identity01, scc, message):
     with pytest.raises(AnalysisError) as raised:
         is_aperiodic(identity01, scc)

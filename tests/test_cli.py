@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import hashlib
 import io
 import json
@@ -363,7 +364,7 @@ CLI_SURFACE = {
         HELP,
         MACHINE,
         ("--input", False, None, None, None, "_StoreAction"),
-        ("--digits-of", False, None, None, "int", "_StoreAction"),
+        ("--digits-of", False, None, None, "integer", "_StoreAction"),
         ("--eval-offset", False, None, None, "int", "_StoreAction"),
         ("--allow-reject", False, None, False, None, "_StoreTrueAction"),
     ],
@@ -541,6 +542,19 @@ def test_exact_values_past_the_int_digit_limit_print_in_full(tmp_path,
             digits.Expansion(output, offset).value()
 
 
+def test_digits_of_past_the_int_digit_limit(tmp_path, capsys):
+    build(tmp_path, capsys, "T")
+    n = 7 ** 23_665  # 20,000 decimal digits, about 66,400 bits
+    text = format(decimal.Decimal(n), "f")
+    assert len(text) == 20_000
+    done = run_fresh(tmp_path, "run", "T.json", "--digits-of", text,
+                     "--eval-offset", "-2")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "accepted: true"
+    assert lines[-1] == "value: " + text
+
+
 def test_non_utf8_machine_file_exits_one_without_traceback(tmp_path):
     (tmp_path / "bad.json").write_bytes(b"\xff\xfe")
     done = run_fresh(tmp_path, "analyze", "moments", "bad.json")
@@ -658,6 +672,8 @@ BAD_INPUTS = {
                                  "-o", "out.json"),
     "negative-length": ("analyze", "count", "A.json", "--length", "-1"),
     "huge-length": ("analyze", "count", "A.json", "--length", str(10**20)),
+    "float-digits-of": ("run", "T.json", "--digits-of", "1e5"),
+    "negative-digits-of": ("run", "T.json", "--digits-of", "-5"),
     "huge-eval-offset": ("run", "T.json", "--digits-of", "14",
                          "--eval-offset", str(10**20)),
     "large-eval-offset": ("run", "T.json", "--digits-of", "14",
@@ -680,6 +696,7 @@ BAD_INPUTS = {
 # What some of the cases above must print; each of them exits 1.
 BAD_INPUT_MESSAGES = {
     "no-run-input": "provide --input or --digits-of",
+    "negative-digits-of": "binary digits are defined for n >= 0",
     "pair-inputs-moments": "input sums need digit inputs",
     "pair-outputs-density": "output sums need digit outputs",
     "deep-coords": "not a coordinates file",

@@ -39,6 +39,30 @@ def test_expansion_value_of_a_pair_raises():
         Expansion((Digit(1), Pair(Digit(0), Digit(1))), 0).value()
 
 
+@pytest.mark.parametrize("method", ["value", "digit_string"])
+@pytest.mark.parametrize("letters, bad", [
+    ((Pair(Digit(0), Digit(1)),), Pair(Digit(0), Digit(1))),
+    ((1,), 1),
+    (([1],), [1]),
+    ((Digit(1), Pair(Digit(0), Digit(1)), 1), Pair(Digit(0), Digit(1)))],
+    ids=["pair", "int", "unhashable", "first-of-two"])
+def test_a_letter_with_no_digit_value_raises_from_both_methods(letters, bad,
+                                                               method):
+    with pytest.raises(ConstructionError) as raised:
+        getattr(Expansion(letters, 0), method)()
+    assert str(raised.value) == f"{bad!r} has no digit value"
+
+
+@pytest.mark.parametrize("method", ["value", "digit_string"])
+@pytest.mark.parametrize("offset", [1.5, "2", True],
+                         ids=["float", "str", "bool"])
+def test_expansion_refuses_an_offset_that_is_not_an_int(offset, method):
+    with pytest.raises(ConstructionError) as raised:
+        getattr(Expansion(word([1]), offset), method)()
+    assert str(raised.value) == \
+        f"the exponent offset must be an int, not {offset!r}"
+
+
 @pytest.mark.parametrize("offset", [sys.maxsize + 1, -sys.maxsize - 1,
                                     10**20, digits.MAX_EXPONENT_OFFSET + 1,
                                     -digits.MAX_EXPONENT_OFFSET - 1])

@@ -81,11 +81,18 @@ ACCEPTING = State("a", True, True)
     (TRANSDUCER, [ACCEPTING], [Transition("a", "a", word([0]), (0,))], None,
      "output letter 0 is not a symbol: Transition(source='a', target='a', "
      "input=(Digit(value=0),), output=(0,))"),
+    (TRANSDUCER, [State("a", True, True, word([7, 7]))],
+     [Transition("a", "a", word([0]), word([1]))], [0, 1],
+     "final output symbol 7 outside the output alphabet in state 'a'"),
+    (TRANSDUCER, [ACCEPTING], [Transition(["a"], "a", word([0]), word([1]))],
+     None, "transition endpoint is not a string: Transition(source=['a'], "
+     "target='a', input=(Digit(value=0),), output=(Digit(value=1),))"),
 ], ids=["not-a-state", "duplicate-label", "non-final-output",
         "unknown-endpoint", "long-input", "foreign-input", "foreign-output",
         "automaton-output", "automaton-final-output", "int-label",
         "int-flags", "list-final-output", "raw-final-output-letter",
-        "not-a-transition", "int-input", "list-output", "raw-output-letter"])
+        "not-a-transition", "int-input", "list-output", "raw-output-letter",
+        "foreign-final-output", "list-endpoint"])
 def test_constructor_names_each_single_fault(kind, states, transitions,
                                              outputs, message):
     with pytest.raises(ConstructionError) as raised:

@@ -2,16 +2,16 @@
 transition list, the constructions agree with direct nondeterministic
 acceptance and with running the argument machines one after the other,
 complement is an involution, language equivalence agrees with comparing
-minimal automata, machine files round-trip byte-identically,
-word counts agree with enumeration, expansion values agree with the
-per-digit Fraction sum, the stationary vector is fixed by the full
-transition matrix, and the exact linear algebra agrees with determinant
-expansion, with Gauss-Jordan elimination over Fractions and, where
-installed, sympy; word counts on both sides of the recurrence rule and
-recurrence terms agree with stepping; and each construction and count
-gives the same result when repeated on one machine as on a fresh equal
-copy, with the state cap applied to a kept determinization as to a new
-one."""
+minimal automata, machine files round-trip byte-identically, word counts
+agree with enumeration, expansion values and renderings agree with the
+per-digit Fraction sum and the per-digit rendering, the stationary
+vector is fixed by the full transition matrix, and the exact linear
+algebra agrees with determinant expansion, with Gauss-Jordan elimination
+over Fractions and, where installed, sympy; word counts on both sides of
+the recurrence rule and recurrence terms agree with stepping; and each
+construction and count gives the same result when repeated on one
+machine as on a fresh equal copy, with the state cap applied to a kept
+determinization as to a new one."""
 
 import random
 from fractions import Fraction
@@ -36,8 +36,9 @@ from fsmkit.symbols import ABSENT, Digit, Pair, word
 from fsmkit.transducers import cartesian_product, compose, simplify
 
 from oracles import (all_words, equivalent_by_minimization,
-                     gauss_jordan_solve, nfa_accepts, per_digit_value, rank,
-                     recurrence_terms, run_deterministic, word_counts)
+                     gauss_jordan_solve, nfa_accepts, per_digit_string,
+                     per_digit_value, rank, recurrence_terms,
+                     run_deterministic, word_counts)
 from test_golden_constructions import random_nfa
 
 LETTERS = (0, 1)
@@ -209,15 +210,32 @@ def test_recurrence_reproduces_the_counts(a):
         assert rec.term(n) == count_words(a, n)
 
 
+# digit values of one to three decimal digits, negative (overlined) ones
+# included, and the absent marker, which reads 0
+DIGIT_LETTERS = [Digit(v) for v in range(-300, 301)] + [ABSENT]
+
+
 @PROPERTY
-@given(st.lists(st.sampled_from([Digit(v) for v in range(-2, 3)] + [ABSENT])),
-       st.integers(-8, 8))
+@given(st.lists(st.sampled_from(DIGIT_LETTERS)), st.integers(-8, 8))
 @example([], -3)
 @example([], 3)
 def test_expansion_value_matches_per_digit_sum(letters, offset):
     value = Expansion(tuple(letters), offset).value()
     assert type(value) is Fraction
     assert value == per_digit_value(letters, offset)
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(DIGIT_LETTERS)), st.integers(-40, 40))
+@example([], -3)
+@example([], 0)
+@example([], 3)
+@example([Digit(0)] * 4, -2)
+@example([Digit(0)] * 4, 0)
+@example([Digit(0)] * 4, 2)
+def test_digit_string_matches_per_digit_rendering(letters, offset):
+    assert (Expansion(tuple(letters), offset).digit_string()
+            == per_digit_string(letters, offset))
 
 
 def _transients_into_one_cycle(seed, terminal):
