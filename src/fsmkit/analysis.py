@@ -27,7 +27,10 @@ matrix and B = |input alphabet| * I - C less its last row and column, pi
 solves B^T h = (C's last row less its last entry), and the Z b follow from
 one solve of B with the integer right-hand sides |input alphabet| * A_y 1,
 |input alphabet| * A_z 1 and |input alphabet| * 1, each less its last
-entry.
+entry.  Everything stays over the integers: pi is kept as integer weights
+w over D = sum(w), the solves return numerators over one pivot, and the
+sums above are integers over known denominators, so only the results are
+formed as Fractions.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from math import gcd
 
 from .errors import AnalysisError, MachineError, NegativeCycleError
 from .machine import Machine, WeightedDigraph, bfs_levels
-from .polynomial import solve
+from .polynomial import solve_integers
 from .symbols import Digit
 
 # ----------------------------------------------------------------------
@@ -228,8 +231,9 @@ def _terminal_chain(t: Machine):
     SCC of the accessible part: the SCC's labels in state order, the
     transitions from its states, the integer count matrix C (the
     transition matrix is P = C / |input alphabet|) and the stationary row
-    vector pi (pi P = pi, entries summing to 1), all tuples.  Machines are
-    immutable, so it is built once per machine."""
+    vector as coprime positive integer weights w (pi = w / sum(w), pi P =
+    pi), all tuples.  Machines are immutable, so it is built once per
+    machine."""
     if t._chain is not None:
         return t._chain
     reachable = t.accessible()
@@ -245,13 +249,12 @@ def _terminal_chain(t: Machine):
     # |input alphabet| it reads B^T h = (C's last row less its last entry)
     # for pi's head h.  P is stochastic and irreducible here, so B is
     # nonsingular and pi positive (Kemeny and Snell, Finite Markov Chains,
-    # 1960).
-    (head,) = solve(list(zip(*_reduced(C, len(t.input_alphabet)))),
-                    [C[-1][:-1]])
-    vec = head + [Fraction(1)]
-    total = sum(vec)
+    # 1960), so every numerator of h has the sign of their denominator d.
+    (head,), d = solve_integers(list(zip(*_reduced(C, len(t.input_alphabet)))),
+                                [C[-1][:-1]])
+    g = gcd(*head, d) if d > 0 else -gcd(*head, d)
     t._chain = (labels, inside, tuple(map(tuple, C)),
-                tuple(x / total for x in vec))
+                tuple(x // g for x in head + [d]))
     return t._chain
 
 
@@ -263,29 +266,34 @@ def _reduced(C, letters):
             for i in range(n)]
 
 
+def _complete_chain(t: Machine, needs: str):
+    """`_terminal_chain` of a complete deterministic machine; `needs`
+    begins the message that refuses any other."""
+    if not t.is_complete():
+        raise MachineError(f"{needs} a complete deterministic machine")
+    return _terminal_chain(t)
+
+
 def stationary_distribution(t: Machine):
     """The probability row vector fixed by the transition matrix on the
     terminal SCC (one exact linear solve of pi (P - I) = 0 with pi's last
     entry fixed, then scaled to sum 1), extended by zeros on transient
     states; entries are exact rationals summing to 1."""
-    if not t.is_complete():
-        raise MachineError(
-            "the stationary distribution needs a complete deterministic machine")
-    labels, _, _, pi = _terminal_chain(t)
-    mass = dict(zip(labels, pi))
-    return tuple(mass.get(st.label, Fraction(0)) for st in t.states)
+    labels, _, _, w = _complete_chain(t, "the stationary distribution needs")
+    total = sum(w)
+    mass = dict(zip(labels, w))
+    return tuple(Fraction(mass.get(st.label, 0), total) for st in t.states)
 
 
 def expected_density(t: Machine) -> Fraction:
     """Linear-growth constant of the mean output sum: the stationary
-    vector dotted with the expected per-state output."""
-    v = stationary_distribution(t)
-    q = Fraction(1, len(t.input_alphabet))
-    per_state = {st.label: Fraction(0) for st in t.states}
-    for tr in t.transitions:
-        per_state[tr.source] += q * _digit_sum(tr.output, "output")
-    return sum((vi * per_state[st.label] for vi, st in zip(v, t.states)),
-               Fraction(0))
+    vector dotted with the expected per-state output.  Every output must
+    be a word of digits, on transient transitions too."""
+    labels, _, _, w = _complete_chain(t, "the stationary distribution needs")
+    mass = dict(zip(labels, w))
+    total = sum(_digit_sum(tr.output, "output") * mass.get(tr.source, 0)
+                for tr in t.transitions)
+    return Fraction(total, sum(w) * len(t.input_alphabet))
 
 
 # ----------------------------------------------------------------------
@@ -305,23 +313,20 @@ class MomentsResult:
 
 
 def asymptotic_moments(t: Machine) -> MomentsResult:
-    if not t.is_complete():
-        raise MachineError(
-            "asymptotic moments need a complete deterministic machine")
-    labels, inside, C, pi = _terminal_chain(t)
+    labels, inside, C, w = _complete_chain(t, "asymptotic moments need")
     if not is_aperiodic(t, labels):
         raise AnalysisError("the terminal component is periodic")
     n = len(labels)
     index = {label: i for i, label in enumerate(labels)}
     letters = len(t.input_alphabet)
-    q = Fraction(1, letters)
+    D = sum(w)  # pi = w / D
 
     # Derivatives at y = z = 1 of A(y, z), whose (i, j) entry sums
     # q * y^(output sum) * z^(input sum) over the transitions i -> j, all
     # times 1 / q = |input alphabet| to keep them integers: row sums of
-    # A_y, A_z, A_yy and A_yz, and the row vectors pi A_y, pi A_z.
-    h_y, h_z, h_yy, h_yz = ([0] * n for _ in range(4))
-    pi_h_y, pi_h_z = [Fraction(0)] * n, [Fraction(0)] * n
+    # A_y, A_z, A_yy and A_yz, and the row vectors w A_y, w A_z (that is,
+    # pi A_y and pi A_z times D / q).
+    h_y, h_z, h_yy, h_yz, w_y, w_z = ([0] * n for _ in range(6))
     for tr in inside:
         h = _digit_sum(tr.output, "output")
         g = _digit_sum(tr.input, "input")
@@ -330,33 +335,37 @@ def asymptotic_moments(t: Machine) -> MomentsResult:
         h_z[i] += g
         h_yy[i] += h * (h - 1)
         h_yz[i] += h * g
-        pi_h_y[j] += pi[i] * h
-        pi_h_z[j] += pi[i] * g
+        w_y[j] += w[i] * h
+        w_z[j] += w[i] * g
 
     def dot(u, v):
-        return sum((a * b for a, b in zip(u, v)), Fraction(0))
+        return sum(a * b for a, b in zip(u, v))
 
-    e = q * dot(pi, h_y)
-    lam_z = q * dot(pi, h_z)
+    # e = pi A_y 1 = E_y / (letters * D), and lam_z = E_z / (letters * D)
+    E_y, E_z = dot(w, h_y), dot(w, h_z)
     # Z b for b = A 1: fixing z's last entry to 0 leaves B z' =
     # letters * (b' - (pi b) 1') on the other entries.  Split by
     # linearity, the right-hand sides stay integers: z' = u - (pi b) v
-    # with B u = letters * b' and B v = letters * 1'.
-    u_y, u_z, v = solve(_reduced(C, letters),
-                        [h_y[:-1], h_z[:-1], [letters] * (n - 1)])
+    # with B u = letters * b' and B v = letters * 1', both over d.
+    (u_y, u_z, v), d = solve_integers(
+        _reduced(C, letters), [h_y[:-1], h_z[:-1], [letters] * (n - 1)])
+    K = d * letters * D
 
-    def fundamental(u, mean):
-        """Z b from B u = letters * b' and mean = pi b."""
-        z = [a - mean * b for a, b in zip(u, v)] + [Fraction(0)]
-        shift = dot(pi, z)
-        return [x - shift for x in z]
+    def fundamental(u, E):
+        """D * K * Z b, for B u = letters * b' and pi b = E / (letters * D):
+        z' = u - (pi b) v is over K, and Z b = z - (pi z) 1."""
+        z = [a * letters * D - E * b for a, b in zip(u, v)] + [0]
+        s = dot(w, z)
+        return [D * x - s for x in z]
 
-    z_a_y = fundamental(u_y, e)
-    z_a_z = fundamental(u_z, lam_z)
-
-    lam_yy = q * (dot(pi, h_yy) + 2 * dot(pi_h_y, z_a_y))
-    variance = lam_yy + e - e * e
-    lam_yz = q * (dot(pi, h_yz) + dot(pi_h_y, z_a_z) + dot(pi_h_z, z_a_y))
-    covariance = lam_yz - e * lam_z
-
-    return MomentsResult(e, variance, covariance)
+    zb_y, zb_z = fundamental(u_y, E_y), fundamental(u_z, E_z)
+    # lam_yy = pi A_yy 1 + 2 pi A_y Z A_y 1 and lam_yz = pi A_yz 1 +
+    # pi A_y Z A_z 1 + pi A_z Z A_y 1 over letters * D^2 * K; then
+    # v = lam_yy + e - e^2 and c = lam_yz - e lam_z over letters^2 D^2 K
+    lam_yy = dot(w, h_yy) * D * K + 2 * dot(w_y, zb_y)
+    lam_yz = dot(w, h_yz) * D * K + dot(w_y, zb_z) + dot(w_z, zb_y)
+    den = letters * letters * D * D * K
+    return MomentsResult(
+        Fraction(E_y, letters * D),
+        Fraction(letters * lam_yy + (letters * D - E_y) * E_y * K, den),
+        Fraction(letters * lam_yz - E_y * E_z * K, den))

@@ -348,22 +348,24 @@ def _require_index(n, name: str):
 def count_words(a: Machine, n: int) -> int:
     """Exact number of accepted words of length n, over big integers on
     the trimmed deterministic machine of `size` states.  One rule, reading
-    only n and size, picks the method: for n >= 4 * size**2 the word count
+    only n and size, picks the method: for n >= size**2 the word count
     recurrence is evaluated at n, below it the count vector is stepped n
     times through the transition list.  The recurrence's characteristic
     polynomial costs about as much as size**2 stepping rounds; measured,
-    the recurrence overtakes stepping at 3 * size**2 on R and at 3 to
-    5 * size**2 on random DFAs of 32 down to 4 states.  The recurrence is
-    the one `word_count_recurrence` keeps on `a`, so its characteristic
-    polynomial is computed at most once per machine; `a` is determinized
-    as `determinize` does it, state cap included, on every call."""
+    the recurrence overtakes stepping at about size**2 on R and on random
+    2-letter DFAs of 16 to 32 states, and at 1.5 to 2 * size**2 on those
+    of 6 to 8 states, where either side takes under 0.3 ms.  The
+    recurrence is the one `word_count_recurrence` keeps on `a`, so its
+    characteristic polynomial is computed at most once per machine; `a`
+    is determinized as `determinize` does it, state cap included, on
+    every call."""
     _require_automaton(a)
     _require_index(n, "length")
     if n > sys.maxsize:
         raise ConstructionError(
             f"the length must be at most sys.maxsize = {sys.maxsize}")
     size, steps, counts = _word_counts(a)
-    if n >= 4 * size * size:
+    if n >= size * size:
         return _recurrence(a, size, steps, counts).term(n)
     return next(islice(counts, n, None))
 

@@ -91,9 +91,10 @@ class Machine:
     The constructor refuses malformed rows with a ConstructionError naming
     the row: states must be `State`s with a str label, bool flags and a
     tuple of symbols as final output, transitions `Transition`s with str
-    endpoints and tuple input and output words whose output letters are
-    symbols; every output letter, final ones included, must be in the
-    output alphabet when there is one."""
+    endpoints and tuple input and output words whose letters are symbols;
+    every output letter, final ones included, must be in the output
+    alphabet when there is one.  Machines are equal when their kinds,
+    both alphabets, states and transitions are."""
 
     def __init__(self, kind, states, transitions, input_alphabet,
                  output_alphabet=None):
@@ -159,20 +160,21 @@ class Machine:
                 raise ConstructionError(f"transition endpoints unknown: {t}")
             if len(inp) > 1:
                 raise ConstructionError(f"transition input longer than one letter: {t}")
-            if inp and inp[0] not in letters:
-                raise ConstructionError(
-                    f"input symbol {inp[0]} outside the alphabet in transition {t}")
+            if inp:
+                if not isinstance(inp[0], Symbol):
+                    raise ConstructionError(
+                        f"input letter {inp[0]!r} is not a symbol: {t!r}")
+                if inp[0] not in letters:
+                    raise ConstructionError(
+                        f"input symbol {inp[0]} outside the alphabet in transition {t}")
             if out:
                 for s in out:
-                    # the output alphabet holds symbols only, so membership
-                    # also refuses a letter that is not one
-                    if writable is not None:
-                        if s not in writable:
-                            raise ConstructionError(
-                                f"output symbol {s} outside the output alphabet in {t}")
-                    elif not isinstance(s, Symbol):
+                    if not isinstance(s, Symbol):
                         raise ConstructionError(
                             f"output letter {s!r} is not a symbol: {t!r}")
+                    if writable is not None and s not in writable:
+                        raise ConstructionError(
+                            f"output symbol {s} outside the output alphabet in {t}")
                 if automaton:
                     raise ConstructionError(f"automaton transition with output: {t}")
 
@@ -206,7 +208,8 @@ class Machine:
         return tuple(st for st in self.states if st.is_final)
 
     def _canonical(self):
-        return (self.kind, self.input_alphabet, *_listing(self))
+        return (self.kind, self.input_alphabet, self.output_alphabet,
+                *_listing(self))
 
     def __eq__(self, other):
         if not isinstance(other, Machine):

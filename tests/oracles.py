@@ -6,7 +6,11 @@ library's constructions.  `equivalent_by_minimization` decides language
 equivalence by its definition through minimal automata, a method
 independent of the union-find walk in `automata.is_equivalent`.
 `gauss_jordan_solve` is exact elimination over Fractions, the reference
-for the library's fraction-free `polynomial.solve`; `word_counts` and
+for the library's fraction-free `polynomial.solve`; `faddeev_leverrier`
+computes characteristic polynomials over the integers, the reference for
+the modular `polynomial.charpoly`; `markov_constants` evaluates the
+stationary vector and the moment formulas over Fractions, the reference
+for the integer weights of `analysis`; `word_counts` and
 `recurrence_terms` step one letter or one term at a time, the references
 for `count_words` and `Recurrence.term`."""
 
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from fsmkit.analysis import terminal_scc
 from fsmkit.automata import determinize, minimize
 from fsmkit.errors import AnalysisError, ConstructionError
 from fsmkit.machine import AUTOMATON, Machine, State, Transition
@@ -326,6 +331,84 @@ def gauss_jordan_solve(matrix, columns):
                 factor = rows[i][c]
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
     return [[rows[i][n + k] for i in range(n)] for k in range(len(columns))]
+
+
+def faddeev_leverrier(matrix):
+    """Coefficients [1, c1, ..., cn] of det(x*I - M) for an integer matrix
+    M by the Faddeev-LeVerrier recurrence over the integers: every
+    coefficient of an integer matrix is an integer, so each division by k
+    is exact."""
+    n = len(matrix)
+    coeffs = [1]
+    work = [[0] * n for _ in range(n)]  # starts as the zero matrix
+    for k in range(1, n + 1):
+        # work <- M * (work + c_{k-1} * I)
+        for i in range(n):
+            work[i][i] += coeffs[-1]
+        work = [[sum(row[m] * work[m][j] for m in range(n)) for j in range(n)]
+                for row in matrix]
+        coeffs.append(-sum(work[i][i] for i in range(n)) // k)
+    return coeffs
+
+
+def _digit_total(w):
+    return sum(s.value for s in w)
+
+
+def markov_constants(t):
+    """The stationary vector of the terminal component (label -> Fraction)
+    and the moment constants (e, v, c) of a complete transducer with
+    digit inputs and outputs, over Fractions: pi solves pi (P - I) = 0
+    with its entries summing to 1, and Z b is (I - P + 1 pi)^-1 b -
+    (pi b) 1, in the formulas of the `analysis` module docstring."""
+    reachable = t.accessible()
+    scc = terminal_scc(reachable)
+    labels = [st.label for st in reachable.states if st.label in scc]
+    index = {label: i for i, label in enumerate(labels)}
+    n = len(labels)
+    q = Fraction(1, len(t.input_alphabet))
+    P = [[Fraction(0)] * n for _ in range(n)]
+    a_y, a_z, a_yy, a_yz = ([[Fraction(0)] * n for _ in range(n)]
+                            for _ in range(4))
+    for tr in reachable.transitions:
+        if tr.source in scc:
+            i, j = index[tr.source], index[tr.target]
+            h, g = _digit_total(tr.output), _digit_total(tr.input)
+            P[i][j] += q
+            a_y[i][j] += q * h
+            a_z[i][j] += q * g
+            a_yy[i][j] += q * h * (h - 1)
+            a_yz[i][j] += q * h * g
+    # (P - I)^T pi^T = 0 with the last equation replaced by sum(pi) = 1
+    system = [[P[j][i] - (i == j) for j in range(n)] for i in range(n - 1)]
+    system.append([Fraction(1)] * n)
+    (pi,) = gauss_jordan_solve(system, [[Fraction(0)] * (n - 1) + [1]])
+
+    def times(m, x):
+        return [sum(a * b for a, b in zip(row, x)) for row in m]
+
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    ones = [Fraction(1)] * n
+    shifted = [[(i == j) - P[i][j] + pi[j] for j in range(n)]
+               for i in range(n)]
+
+    def fundamental(b):
+        (x,) = gauss_jordan_solve(shifted, [b])
+        mean = dot(pi, b)
+        return [a - mean for a in x]
+
+    a_y1, a_z1 = times(a_y, ones), times(a_z, ones)
+    pi_a_y = [dot(pi, [a_y[i][j] for i in range(n)]) for j in range(n)]
+    pi_a_z = [dot(pi, [a_z[i][j] for i in range(n)]) for j in range(n)]
+    z_a_y, z_a_z = fundamental(a_y1), fundamental(a_z1)
+    e, lam_z = dot(pi, a_y1), dot(pi, a_z1)
+    lam_yy = dot(pi, times(a_yy, ones)) + 2 * dot(pi_a_y, z_a_y)
+    lam_yz = (dot(pi, times(a_yz, ones)) + dot(pi_a_y, z_a_z)
+              + dot(pi_a_z, z_a_y))
+    return (dict(zip(labels, pi)),
+            (e, lam_yy + e - e * e, lam_yz - e * lam_z))
 
 
 def word_counts(automaton, n):

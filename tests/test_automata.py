@@ -414,10 +414,10 @@ def test_count_words_of_an_empty_trimmed_language_is_zero():
     assert word_count_recurrence(a).term(10**4) == 0
 
 
-def test_count_words_on_R_steps_below_1024_and_recurs_from_there(
+def test_count_words_on_R_steps_below_256_and_recurs_from_there(
         machine_R, monkeypatch):
-    # R's trimmed form has 16 states, so the rule's 4 * size**2 is 1024;
-    # the CLI's `analyze count --length 64` stays on the stepping side
+    # R's trimmed form has 16 states, so the rule's size**2 is 256; the
+    # CLI's `analyze count --length 64` stays on the stepping side
     rec = word_count_recurrence(machine_R)
     assert rec.order == 16
     terms = recurrence_terms(rec.coefficients, rec.initial_terms, 1024)
@@ -430,9 +430,9 @@ def test_count_words_on_R_steps_below_1024_and_recurs_from_there(
                         lambda m, real=automata.charpoly:
                         orders.append(len(m)) or real(m))
     assert count_words(fresh, 64) == terms[64]
-    assert count_words(fresh, 1023) == terms[1023]
+    assert count_words(fresh, 255) == terms[255]
     assert orders == []
-    assert count_words(fresh, 1024) == terms[1024]
+    assert count_words(fresh, 256) == terms[256]
     assert orders == [16]
     # the kept recurrence serves every later call on the same machine
     assert count_words(fresh, 1024) == terms[1024]

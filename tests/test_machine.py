@@ -87,12 +87,19 @@ ACCEPTING = State("a", True, True)
     (TRANSDUCER, [ACCEPTING], [Transition(["a"], "a", word([0]), word([1]))],
      None, "transition endpoint is not a string: Transition(source=['a'], "
      "target='a', input=(Digit(value=0),), output=(Digit(value=1),))"),
+    (TRANSDUCER, [ACCEPTING], [Transition("a", "a", ([0],))], None,
+     "input letter [0] is not a symbol: Transition(source='a', target='a', "
+     "input=([0],), output=())"),
+    (TRANSDUCER, [ACCEPTING], [Transition("a", "a", word([0]), ([1],))],
+     [0, 1], "output letter [1] is not a symbol: Transition(source='a', "
+     "target='a', input=(Digit(value=0),), output=([1],))"),
 ], ids=["not-a-state", "duplicate-label", "non-final-output",
         "unknown-endpoint", "long-input", "foreign-input", "foreign-output",
         "automaton-output", "automaton-final-output", "int-label",
         "int-flags", "list-final-output", "raw-final-output-letter",
         "not-a-transition", "int-input", "list-output", "raw-output-letter",
-        "foreign-final-output", "list-endpoint"])
+        "foreign-final-output", "list-endpoint", "list-input-letter",
+        "list-output-letter"])
 def test_constructor_names_each_single_fault(kind, states, transitions,
                                              outputs, message):
     with pytest.raises(ConstructionError) as raised:

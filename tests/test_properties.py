@@ -21,8 +21,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fsmkit import serialize
-from fsmkit.analysis import stationary_distribution
+from fsmkit import export, serialize
+from fsmkit.analysis import (asymptotic_moments, expected_density,
+                             is_aperiodic, stationary_distribution,
+                             terminal_sccs)
 from fsmkit.automata import (Recurrence, complement, count_words,
                              determinize, intersection, is_equivalent,
                              kleene_star, minimize, union, word_automaton,
@@ -36,9 +38,9 @@ from fsmkit.symbols import ABSENT, Digit, Pair, word
 from fsmkit.transducers import cartesian_product, compose, simplify
 
 from oracles import (all_words, equivalent_by_minimization,
-                     gauss_jordan_solve, nfa_accepts, per_digit_string,
-                     per_digit_value, rank, recurrence_terms,
-                     run_deterministic, word_counts)
+                     gauss_jordan_solve, markov_constants, nfa_accepts,
+                     per_digit_string, per_digit_value, rank,
+                     recurrence_terms, run_deterministic, word_counts)
 from test_golden_constructions import random_nfa
 
 LETTERS = (0, 1)
@@ -121,6 +123,27 @@ def test_serialize_round_trips_byte_identically(m):
     back = serialize.loads(text)
     assert back == m
     assert serialize.dumps(back) == text
+
+
+OUTPUT_ALPHABETS = st.sampled_from((None, LETTERS, (0, 1, 2)))
+
+
+@PROPERTY
+@given(random_transducers(), random_transducers(), OUTPUT_ALPHABETS,
+       OUTPUT_ALPHABETS)
+def test_equal_machines_give_equal_bytes(t, other, first, second):
+    """The same rows with or without an output alphabet, in either order,
+    and an unrelated machine: equal machines are exactly those whose
+    files are equal, and they render equally in every export format (an
+    export lists no alphabet, so unequal machines may render equally)."""
+    a = Machine(t.kind, t.states, t.transitions, t.input_alphabet, first)
+    b = Machine(t.kind, t.states[::-1], t.transitions[::-1],
+                t.input_alphabet, second)
+    for x, y in ((a, b), (a, other), (b, other)):
+        assert (x == y) == (serialize.dumps(x) == serialize.dumps(y))
+        if x == y:
+            for fmt in export.FORMATS:
+                assert export.render(x, fmt) == export.render(y, fmt)
 
 
 @PROPERTY
@@ -285,6 +308,35 @@ def test_stationary_vector_is_fixed_by_the_full_chain(seed):
                for label, x in zip(labels, pi))
 
 
+@st.composite
+def random_chains(draw):
+    """Complete deterministic transducers with up to six states, some of
+    them transient or unreachable, over 2- and 3-letter digit alphabets
+    with negative digits, writing up to two digits of -2..2 per letter."""
+    alphabet = draw(st.sampled_from(((0, 1), (-1, 1), (-1, 0, 1), (0, 1, 2))))
+    n = draw(st.integers(1, 6))
+    rows = [(s, draw(st.integers(0, n - 1)), a,
+             draw(st.lists(st.integers(-2, 2), max_size=2)))
+            for s in range(n) for a in alphabet]
+    return build_machine(rows, [0], [], alphabet)
+
+
+@PROPERTY
+@given(random_chains())
+def test_integer_weights_match_the_fraction_formulas(t):
+    terminals = terminal_sccs(t.accessible())
+    assume(len(terminals) == 1 and is_aperiodic(t, terminals[0]))
+    pi, constants = markov_constants(t)
+    stationary = stationary_distribution(t)
+    assert stationary == tuple(pi.get(st.label, 0) for st in t.states)
+    m = asymptotic_moments(t)
+    assert (m.expectation, m.variance, m.covariance) == constants
+    assert expected_density(t) == constants[0]
+    assert all(type(x) is Fraction for x in (
+        *stationary, expected_density(t), m.expectation, m.variance,
+        m.covariance))
+
+
 def _fraction_matrix(seed):
     """Square matrix of small Fractions, up to 5x5; for odd seeds one row
     is a multiple of an earlier one, so singular matrices come up often."""
@@ -381,10 +433,10 @@ def test_solve_agrees_with_gauss_jordan_over_fractions(seed):
 @settings(max_examples=60, deadline=None)
 @given(random_automata(), st.sampled_from((-1, 0, 1, 7)))
 def test_count_words_on_both_sides_of_the_recurrence_rule(a, past):
-    """`count_words` steps below n = 4 * size**2 and evaluates the
-    recurrence from there on; both sides match stepping per state."""
+    """`count_words` steps below n = size**2 and evaluates the recurrence
+    from there on; both sides match stepping per state."""
     size = len(determinize(a).trim().states)
-    n = max(4 * size * size + past, 0)
+    n = max(size * size + past, 0)
     assert count_words(a, n) == word_counts(a, n)[n]
 
 
@@ -396,9 +448,9 @@ def _fresh(x):
 def _assert_repeats_agree(x):
     """Each construction and count, run twice on x and once on a fresh
     equal copy, gives the same bytes or the same value; the counts are
-    taken on both sides of the 4 * size**2 rule."""
+    taken on both sides of the size**2 rule."""
     size = len(determinize(_fresh(x)).trim().states)
-    rule = 4 * size * size
+    rule = size * size
     calls = [lambda m: serialize.dumps(determinize(m)),
              lambda m: serialize.dumps(minimize(m)),
              lambda m: serialize.dumps(complement(m)),
