@@ -67,7 +67,7 @@ def _dot(machine: Machine) -> str:
 
 def format_letter_plain(s: Symbol) -> str:
     if isinstance(s, Digit):
-        return str(s.value)
+        return str(s)
     if isinstance(s, AbsentType):
         return r"\sim"
     if isinstance(s, Pair):
@@ -78,7 +78,7 @@ def format_letter_plain(s: Symbol) -> str:
 def format_letter_negative(s: Symbol) -> str:
     """Render negative digits with an overline, e.g. -1 as \\overline{1}."""
     if isinstance(s, Digit) and s.value < 0:
-        return r"\overline{" + str(-s.value) + "}"
+        return r"\overline{" + str(s).lstrip("-") + "}"
     if isinstance(s, Pair):
         return (f"({format_letter_negative(s.left)}, "
                 f"{format_letter_negative(s.right)})")

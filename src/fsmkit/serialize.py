@@ -4,29 +4,21 @@ Symbols are encoded as an integer (digit), the string "~" (absent marker)
 or a two-element array (pair).  Words are arrays, least significant first.
 Serialization is bit-exact: states and transitions are listed in the one
 canonical order of `machine._listing` (states by label, transitions by
-`machine._transition_key`), so equal machines with the same output
-alphabet produce identical bytes.  Machine equality ignores the output
-alphabet, which the file records when one is declared: two machines that
-differ only there compare equal and serialize differently.
+`machine._transition_key`).  Machine equality compares the states, the
+transitions and the output alphabet, which the file records when one is
+declared, so equal machines write equal files.  A digit past the
+interpreter's limit on integer-to-text conversion cannot be written, and
+a file that holds one is not a machine file: both raise ConstructionError.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .errors import ConstructionError
 from .machine import Machine, State, Transition, _listing
-from .symbols import ABSENT, AbsentType, Digit, Pair, Symbol
-
-
-def encode_symbol(s: Symbol):
-    if isinstance(s, Digit):
-        return s.value
-    if isinstance(s, AbsentType):
-        return "~"
-    if isinstance(s, Pair):
-        return [encode_symbol(s.left), encode_symbol(s.right)]
-    raise ConstructionError(f"cannot encode {s!r}")
+from .symbols import ABSENT, Digit, Pair, Symbol
 
 
 def decode_symbol(x) -> Symbol:
@@ -41,43 +33,10 @@ def decode_symbol(x) -> Symbol:
     raise ConstructionError(f"cannot decode symbol {x!r}")
 
 
-def encode_word(w):
-    return [encode_symbol(s) for s in w]
-
-
 def decode_word(x):
     if not isinstance(x, list):
         raise ConstructionError(f"a word must be an array, got {x!r}")
     return tuple(decode_symbol(s) for s in x)
-
-
-def machine_to_doc(m: Machine) -> dict:
-    states, transitions = _listing(m)
-    doc = {
-        "kind": m.kind,
-        "alphabet": [encode_symbol(s) for s in m.input_alphabet],
-    }
-    if m.output_alphabet is not None:
-        doc["output_alphabet"] = [encode_symbol(s) for s in m.output_alphabet]
-    doc["states"] = [
-        {
-            "label": st.label,
-            "initial": st.is_initial,
-            "final": st.is_final,
-            "final_output": encode_word(st.final_output),
-        }
-        for st in states
-    ]
-    doc["transitions"] = [
-        {
-            "from": t.source,
-            "to": t.target,
-            "input": encode_word(t.input),
-            "output": encode_word(t.output),
-        }
-        for t in transitions
-    ]
-    return doc
 
 
 def _typed(row: dict, field: str, kind: type):
@@ -119,17 +78,80 @@ def machine_from_doc(doc: dict) -> Machine:
     return Machine(kind, states, transitions, alphabet, out_alphabet)
 
 
+# The writer.  json.dumps(doc, indent=2) runs CPython's pure-Python
+# encoder (the C one does not indent), so the one fixed shape of a machine
+# file is written here row by row, byte for byte as json.dumps writes it.
+# Strings are escaped by json.dumps of the one string, which runs in C.
+
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _array(items, level: int) -> str:
+    """A JSON array of written items, whose first line is at indent
+    `level`: items one level deeper, the closing bracket at `level`."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+
+
+@functools.cache
+def _symbol_text(s: Symbol, level: int) -> str:
+    """The JSON text of s as an array item at indent `level`: a digit's
+    integer, "~" for the absent marker, a pair's array of its two
+    components.  Symbols are interned, so the cache hashes by identity
+    and, like the intern tables, keeps an entry per symbol and level for
+    the life of the process; pairs nest at most MAX_PAIR_DEPTH deep."""
+    if isinstance(s, Pair):
+        return _array((_symbol_text(s.left, level + 1),
+                       _symbol_text(s.right, level + 1)), level)
+    return '"~"' if s is ABSENT else str(s)
+
+
 def dumps(m: Machine) -> str:
-    return json.dumps(machine_to_doc(m), indent=2) + "\n"
+    """The machine file of m: its states and transitions in the canonical
+    order of `machine._listing`, two-space indented, ending in a newline."""
+    states, transitions = _listing(m)
+    labels = {st.label: json.dumps(st.label) for st in states}
+    words: dict = {}
+
+    def word(w) -> str:
+        text = words.get(w)
+        if text is None:
+            text = words[w] = _array([_symbol_text(s, 4) for s in w], 3)
+        return text
+
+    def alphabet(letters) -> str:
+        return _array([_symbol_text(s, 2) for s in letters], 1)
+
+    head = (f'{{\n  "kind": {json.dumps(m.kind)},'
+            f'\n  "alphabet": {alphabet(m.input_alphabet)},\n')
+    if m.output_alphabet is not None:
+        head += f'  "output_alphabet": {alphabet(m.output_alphabet)},\n'
+    state_rows = [
+        f'{{\n      "label": {labels[st.label]},'
+        f'\n      "initial": {_JSON_BOOL[st.is_initial]},'
+        f'\n      "final": {_JSON_BOOL[st.is_final]},'
+        f'\n      "final_output": {word(st.final_output)}\n    }}'
+        for st in states]
+    transition_rows = [
+        f'{{\n      "from": {labels[t.source]},'
+        f'\n      "to": {labels[t.target]},'
+        f'\n      "input": {word(t.input)},'
+        f'\n      "output": {word(t.output)}\n    }}'
+        for t in transitions]
+    return (f'{head}  "states": {_array(state_rows, 1)},\n'
+            f'  "transitions": {_array(transition_rows, 1)}\n}}\n')
 
 
 def loads(text: str) -> Machine:
-    """The machine of a document; a document that is not JSON, or that
-    nests arrays or symbols past the recursion limit, raises
-    ConstructionError."""
+    """The machine of a document; a document that is not JSON, that
+    nests arrays or symbols past the recursion limit, or that holds an
+    integer past the interpreter's limit on text-to-integer conversion,
+    raises ConstructionError."""
     try:
         return machine_from_doc(json.loads(text))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError included
         raise ConstructionError(f"not a machine file: {exc}") from exc
 
 

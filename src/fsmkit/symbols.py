@@ -22,6 +22,7 @@ only places outside the symbol classes that read `sort_key`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import repeat
@@ -79,7 +80,13 @@ class Digit(Symbol):
         return (0, self.value)
 
     def __str__(self):
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise ConstructionError(
+                f"cannot write the {self.value.bit_length()}-bit digit: it "
+                f"has more than {sys.get_int_max_str_digits()} decimal "
+                "digits") from None
 
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)

@@ -12,8 +12,11 @@ the modular `polynomial.charpoly`; `markov_constants` evaluates the
 stationary vector and the moment formulas over Fractions, the reference
 for the integer weights of `analysis`; `word_counts` and
 `recurrence_terms` step one letter or one term at a time, the references
-for `count_words` and `Recurrence.term`."""
+for `count_words` and `Recurrence.term`.  `reference_dumps` writes a
+machine file through `json.dumps(..., indent=2)` of its document
+(`machine_to_doc`), the reference for the row writer `serialize.dumps`."""
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -21,8 +24,8 @@ from itertools import combinations, permutations, product
 from fsmkit.analysis import terminal_scc
 from fsmkit.automata import determinize, minimize
 from fsmkit.errors import AnalysisError, ConstructionError
-from fsmkit.machine import AUTOMATON, Machine, State, Transition
-from fsmkit.symbols import digit_value, symbol, word
+from fsmkit.machine import AUTOMATON, Machine, State, Transition, _listing
+from fsmkit.symbols import ABSENT, Digit, Pair, digit_value, symbol, word
 
 
 def naf_digits(n):
@@ -437,3 +440,54 @@ def recurrence_terms(coefficients, initial_terms, n):
         terms.append(sum(c * terms[-i]
                          for i, c in enumerate(coefficients, 1)))
     return terms[:n + 1]
+
+
+def encode_symbol(s):
+    """The JSON value of a symbol: a digit's integer, "~" for the absent
+    marker, a pair's two-element array."""
+    if isinstance(s, Digit):
+        return s.value
+    if s is ABSENT:
+        return "~"
+    assert isinstance(s, Pair), s
+    return [encode_symbol(s.left), encode_symbol(s.right)]
+
+
+def encode_word(w):
+    return [encode_symbol(s) for s in w]
+
+
+def machine_to_doc(m):
+    """The JSON document of a machine file, states and transitions in the
+    canonical order of `machine._listing`."""
+    states, transitions = _listing(m)
+    doc = {
+        "kind": m.kind,
+        "alphabet": encode_word(m.input_alphabet),
+    }
+    if m.output_alphabet is not None:
+        doc["output_alphabet"] = encode_word(m.output_alphabet)
+    doc["states"] = [
+        {
+            "label": st.label,
+            "initial": st.is_initial,
+            "final": st.is_final,
+            "final_output": encode_word(st.final_output),
+        }
+        for st in states
+    ]
+    doc["transitions"] = [
+        {
+            "from": t.source,
+            "to": t.target,
+            "input": encode_word(t.input),
+            "output": encode_word(t.output),
+        }
+        for t in transitions
+    ]
+    return doc
+
+
+def reference_dumps(m):
+    """The machine file of m through the standard library's encoder."""
+    return json.dumps(machine_to_doc(m), indent=2) + "\n"

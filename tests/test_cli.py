@@ -563,6 +563,21 @@ def test_non_utf8_machine_file_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_huge_integer_in_a_machine_file_exits_one_without_traceback(
+        tmp_path):
+    doc = {"kind": "automaton", "alphabet": [0, 1],
+           "states": [{"label": "a", "initial": True, "final": True}],
+           "transitions": []}
+    text = json.dumps(doc).replace("[0, 1]", "[0, " + "1" * 5001 + "]")
+    (tmp_path / "big.json").write_text(text)
+    done = run_fresh(tmp_path, "minimize", "big.json", "-o", "o.json",
+                     PYTHONINTMAXSTRDIGITS="4300")
+    assert done.returncode == 1
+    assert "not a machine file" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("content, message", [
     (b"not json", "not a coordinates file"),
     (b"\xff\xfe", "not a coordinates file"),

@@ -1,14 +1,19 @@
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsmkit import automata, serialize, transducers
+from fsmkit import automata, export, serialize, transducers
 from fsmkit.cli import PRESETS
 from fsmkit.errors import ConstructionError, FsmError
-from fsmkit.machine import AUTOMATON, Machine, build_machine
-from fsmkit.symbols import ABSENT, Digit, Pair
+from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
+                            Transition, build_machine)
+from fsmkit.symbols import ABSENT, MAX_PAIR_DEPTH, Digit, Pair
+from oracles import encode_symbol, machine_to_doc, reference_dumps
 
 CASE_FIXTURES = ["naf_acceptor", "naf1", "naf_completed", "naf_all", "triple",
                  "combined_3n_n", "naf3", "machine_T", "machine_W",
@@ -55,18 +60,18 @@ def test_equality_compares_the_output_alphabet_that_files_record():
 
 
 def test_symbol_encodings(combined_3n_n):
-    doc = serialize.machine_to_doc(combined_3n_n)
+    doc = machine_to_doc(combined_3n_n)
     # pair letters serialize as two-element arrays, absent as "~"
     outputs = [t["output"] for t in doc["transitions"]]
     assert all(isinstance(w[0], list) and len(w[0]) == 2 for w in outputs)
     finals = [s["final_output"] for s in doc["states"] if s["final_output"]]
     assert any("~" in json.dumps(w) for w in finals)
-    assert serialize.encode_symbol(Pair(Digit(1), ABSENT)) == [1, "~"]
+    assert encode_symbol(Pair(Digit(1), ABSENT)) == [1, "~"]
     assert serialize.decode_symbol([1, "~"]) == Pair(Digit(1), ABSENT)
 
 
 def test_words_serialize_lsb_first(naf_completed):
-    doc = serialize.machine_to_doc(naf_completed)
+    doc = machine_to_doc(naf_completed)
     by_label = {s["label"]: s for s in doc["states"]}
     assert by_label["2"]["final_output"] == [0, 1]
 
@@ -88,14 +93,14 @@ def test_malformed_documents_raise():
     ("transitions", "to", None),
 ])
 def test_wrongly_typed_fields_are_named(naf1, section, field, value):
-    doc = serialize.machine_to_doc(naf1)
+    doc = machine_to_doc(naf1)
     doc[section][0][field] = value
     with pytest.raises(ConstructionError, match=f"'{field}'"):
         serialize.machine_from_doc(doc)
 
 
 def test_deeply_nested_symbol_is_not_a_machine_file(naf1):
-    doc = serialize.machine_to_doc(naf1)
+    doc = machine_to_doc(naf1)
     text = json.dumps(doc).replace(
         '"input": [0]', '"input": [' + "[" * 3000 + "0" + ", 0]" * 3000 + "]",
         1)
@@ -115,6 +120,114 @@ def test_non_utf8_file_is_not_a_machine_file(tmp_path):
     path.write_bytes(b"\xff\xfe")
     with pytest.raises(ConstructionError, match="not a machine file"):
         serialize.load(path)
+
+
+def test_readme_sample_is_the_file_dumps_writes():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme[readme.index("## Machine file format"):]
+    sample = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    m = serialize.loads(sample)
+    assert serialize.dumps(m) == sample
+    assert m == PRESETS["identity"]()
+
+
+# ----------------------------------------------------------------------
+# integers past CPython's limit on int-to-str and str-to-int conversion
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def int_digit_limit():
+    """CPython's default limit of 4,300 decimal digits, whatever the
+    environment set."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_digit_past_the_limit_cannot_be_written(int_digit_limit, sign):
+    value = sign * 10 ** 5000
+    m = build_machine([("a", "b", value)], ["a"], ["b"], [0, value],
+                      kind=AUTOMATON)
+    message = "cannot write the 16610-bit digit"
+    with pytest.raises(ConstructionError, match=message):
+        serialize.dumps(m)
+    with pytest.raises(ConstructionError, match=message):
+        export.render(m, "dot")
+    for fmt in (export.format_letter_plain, export.format_letter_negative):
+        with pytest.raises(ConstructionError, match=message):
+            export.render(m, "tikz", format_letter=fmt)
+
+
+def test_digit_at_the_limit_is_written(int_digit_limit):
+    value = -(10 ** 4300 - 1)
+    m = build_machine([("a", "b", value)], ["a"], ["b"], [0, value],
+                      kind=AUTOMATON)
+    assert serialize.loads(serialize.dumps(m)) == m
+    text = export.render(m, "tikz",
+                         format_letter=export.format_letter_negative)
+    assert r"\overline{" + "9" * 4300 + "}" in text
+
+
+def test_integer_past_the_limit_is_not_a_machine_file(int_digit_limit):
+    text = serialize.dumps(build_machine(
+        [("a", "b", 7)], ["a"], ["b"], [0, 7], kind=AUTOMATON))
+    text = text.replace("7", "7" * 5001)
+    with pytest.raises(ConstructionError, match="not a machine file"):
+        serialize.loads(text)
+
+
+# ----------------------------------------------------------------------
+# the row writer against the standard library's encoder
+# ----------------------------------------------------------------------
+
+def symbols(depth=MAX_PAIR_DEPTH):
+    """Digits, the absent marker and pairs nested up to `depth` deep."""
+    leaf = st.integers().map(Digit) | st.just(ABSENT)
+    if depth == 0:
+        return leaf
+    inner = symbols(depth - 1)
+    return leaf | st.builds(Pair, inner, inner)
+
+
+LABELS = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f aé€\u2028😀')
+                 | st.characters(), max_size=5)
+
+
+@st.composite
+def any_machines(draw):
+    """Machines of either kind over any symbols and labels, with or
+    without a declared output alphabet (perhaps empty), and perhaps
+    without states or transitions."""
+    kind = draw(st.sampled_from((AUTOMATON, TRANSDUCER)))
+    alphabet = draw(st.lists(symbols(), min_size=1, max_size=3))
+    out_alphabet = draw(st.none() | st.lists(symbols(), max_size=3))
+    if kind == AUTOMATON or out_alphabet == []:
+        outputs = st.just(())
+    else:
+        letters = symbols() if out_alphabet is None else \
+            st.sampled_from(out_alphabet)
+        outputs = st.lists(letters, max_size=3).map(tuple)
+    labels = draw(st.lists(LABELS, max_size=4, unique=True))
+    states = []
+    for label in labels:
+        final = draw(st.booleans())
+        states.append(State(label, draw(st.booleans()), final,
+                            draw(outputs) if final else ()))
+    transitions = draw(st.lists(st.builds(
+        Transition, st.sampled_from(labels), st.sampled_from(labels),
+        st.lists(st.sampled_from(alphabet), max_size=1).map(tuple),
+        outputs), max_size=6)) if labels else []
+    return Machine(kind, states, transitions, alphabet, out_alphabet)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_machines())
+def test_dumps_matches_the_reference_writer_and_round_trips(m):
+    text = serialize.dumps(m)
+    assert text == reference_dumps(m)
+    assert serialize.loads(text) == m
 
 
 # ----------------------------------------------------------------------
@@ -149,7 +262,7 @@ def test_loads_of_any_json_value_is_a_machine_or_an_fsm_error(value):
 @FUZZ
 @given(st.sampled_from(sorted(PRESETS)), st.data())
 def test_loads_of_a_mutated_preset_is_a_machine_or_an_fsm_error(name, data):
-    doc = serialize.machine_to_doc(PRESETS[name]())
+    doc = machine_to_doc(PRESETS[name]())
     for _ in range(data.draw(st.integers(1, 3))):
         # walk down to a random value, then replace or delete it
         node = doc
