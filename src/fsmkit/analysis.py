@@ -1,5 +1,7 @@
 """Exact-arithmetic analyses over machines.
 
+The graph guards (Tarjan's SCCs, the terminal ones, the period test) walk
+state indices over `Machine._edges` and report states by label.
 Bellman-Ford shortest paths certify that a transducer never increases a
 weight (expansion minimality); the marked adjacency matrix of a complete
 transducer yields the stationary distribution, the expected output density
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd
 
 from .errors import AnalysisError, MachineError, NegativeCycleError
@@ -111,72 +114,59 @@ def check_minimality(t: Machine, weight_fn) -> tuple:
 # graph structure guards
 # ----------------------------------------------------------------------
 
-def _successors(m: Machine):
-    succ = {st.label: set() for st in m.states}
-    for t in m.transitions:
-        succ[t.source].add(t.target)
-    return succ
+def _components(m: Machine):
+    """Each state index's distinct successors in label order, and the
+    SCCs as sets of state indices, by iterative Tarjan ("Depth-first
+    search and linear graph algorithms", SIAM J. Comput. 1, 1972)."""
+    labels = [st.label for st in m.states]
+    succ = [set() for _ in labels]
+    for i, j in m._edges():
+        succ[i].add(j)
+    succ = [sorted(targets, key=labels.__getitem__) for targets in succ]
+    index, low, on_stack = [None] * len(labels), [0] * len(labels), set()
+    stack, components, work, counter = [], [], [], count()
+
+    def visit(v):
+        index[v] = low[v] = next(counter)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(succ[v])))
+
+    for root in range(len(labels)):
+        if index[root] is None:
+            visit(root)
+        while work:
+            node, it = work[-1]
+            for child in it:
+                if index[child] is None:
+                    visit(child)
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = set()
+                    while node not in component:
+                        component.add(stack.pop())
+                    on_stack -= component
+                    components.append(component)
+    return succ, components
 
 
 def strongly_connected_components(m: Machine):
     """SCCs of the transition graph (iterative Tarjan), as a list of sets."""
-    succ = _successors(m)
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    components = []
-    counter = [0]
-
-    for root in succ:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(succ[root])))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(sorted(succ[child]))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
+    return [{m.states[i].label for i in c} for c in _components(m)[1]]
 
 
 def terminal_sccs(m: Machine):
     """All strongly connected components without outgoing edges."""
-    succ = _successors(m)
-    result = []
-    for component in strongly_connected_components(m):
-        if all(target in component
-               for label in component for target in succ[label]):
-            result.append(component)
-    return result
+    succ, components = _components(m)
+    return [{m.states[i].label for i in c} for c in components
+            if all(j in c for i in c for j in succ[i])]
 
 
 def terminal_scc(m: Machine) -> set:
@@ -193,22 +183,30 @@ def terminal_scc(m: Machine) -> set:
 
 def is_aperiodic(m: Machine, scc) -> bool:
     """gcd of cycle lengths inside the component equals 1, computed from
-    breadth-first level differences."""
+    breadth-first level differences.  The states named must be strongly
+    connected among themselves; any other set raises AnalysisError."""
     labels = list(scc)
     if not labels:
         raise AnalysisError("the component must not be empty")
-    succ = _successors(m)
     for label in labels:
-        if type(label) is not str or label not in succ:
+        if type(label) is not str or not m.has_state(label):
             raise AnalysisError(f"the component names no state: {label!r}")
-    scc = set(labels)
-    level = bfs_levels([min(scc)], lambda here: scc.intersection(succ[here]))
-    period = 0
-    for label in scc:
-        for target in succ[label]:
-            if target in scc:
-                period = gcd(period, level[label] + 1 - level[target])
-    return period == 1
+    members = {m._by_label[label] for label in labels}
+    root = m._by_label[min(labels)]
+    edges = [(i, j) for i, j in m._edges() if i in members and j in members]
+    forward, backward = {i: [] for i in members}, {i: [] for i in members}
+    for i, j in edges:
+        forward[i].append(j)
+        backward[j].append(i)
+    level = bfs_levels([root], forward.__getitem__)
+    unreached = members - (level.keys()
+                           & bfs_levels([root], backward.__getitem__).keys())
+    if unreached:
+        raise AnalysisError(
+            f"the component is not strongly connected: "
+            f"{min(m.states[i].label for i in unreached)!r} and "
+            f"{m.states[root].label!r} are not mutually reachable inside it")
+    return gcd(*(level[i] + 1 - level[j] for i, j in edges)) == 1
 
 
 def _digit_sum(w, role: str) -> int:
@@ -228,22 +226,23 @@ def _digit_sum(w, role: str) -> int:
 
 def _terminal_chain(t: Machine):
     """The Markov chain of uniformly random inputs on the unique terminal
-    SCC of the accessible part: the SCC's labels in state order, the
-    transitions from its states, the integer count matrix C (the
-    transition matrix is P = C / |input alphabet|) and the stationary row
-    vector as coprime positive integer weights w (pi = w / sum(w), pi P =
-    pi), all tuples.  Machines are immutable, so it is built once per
-    machine."""
+    SCC of the accessible part: the SCC's labels in state order, (i, j, tr)
+    per transition tr from them, i and j its ends' indices in the labels,
+    the integer count matrix C (P = C / |input alphabet| is the transition
+    matrix) and the stationary row vector as coprime positive integer
+    weights w (pi = w / sum(w), pi P = pi), all tuples; built once per
+    machine, since machines are immutable."""
     if t._chain is not None:
         return t._chain
     reachable = t.accessible()
     scc = terminal_scc(reachable)
     labels = tuple(st.label for st in reachable.states if st.label in scc)
     index = {label: i for i, label in enumerate(labels)}
-    inside = tuple(tr for tr in reachable.transitions if tr.source in scc)
+    inside = tuple((index[tr.source], index[tr.target], tr)
+                   for tr in reachable.transitions if tr.source in scc)
     C = [[0] * len(labels) for _ in labels]
-    for tr in inside:
-        C[index[tr.source]][index[tr.target]] += 1
+    for i, j, _ in inside:
+        C[i][j] += 1
     # pi (P - I) = 0 with pi's last entry fixed to 1, less its last
     # equation, which the others imply (each row of P - I sums to 0); times
     # |input alphabet| it reads B^T h = (C's last row less its last entry)
@@ -317,7 +316,6 @@ def asymptotic_moments(t: Machine) -> MomentsResult:
     if not is_aperiodic(t, labels):
         raise AnalysisError("the terminal component is periodic")
     n = len(labels)
-    index = {label: i for i, label in enumerate(labels)}
     letters = len(t.input_alphabet)
     D = sum(w)  # pi = w / D
 
@@ -327,10 +325,9 @@ def asymptotic_moments(t: Machine) -> MomentsResult:
     # A_y, A_z, A_yy and A_yz, and the row vectors w A_y, w A_z (that is,
     # pi A_y and pi A_z times D / q).
     h_y, h_z, h_yy, h_yz, w_y, w_z = ([0] * n for _ in range(6))
-    for tr in inside:
+    for i, j, tr in inside:
         h = _digit_sum(tr.output, "output")
         g = _digit_sum(tr.input, "input")
-        i, j = index[tr.source], index[tr.target]
         h_y[i] += h
         h_z[i] += g
         h_yy[i] += h * (h - 1)

@@ -283,13 +283,7 @@ def language(a: Machine, max_length: int):
     d = a if a.is_deterministic() else determinize(a)
     start, rows = d._steps()
 
-    # distance from each state to the nearest final state, for pruning
-    rev = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for target, _ in row.values():
-            rev[target].append(i)
-    dist = bfs_levels((i for i, st in enumerate(d.states) if st.is_final),
-                      rev.__getitem__)
+    dist = d._levels(backward=True)  # to the nearest final state, to prune
 
     # depth-first with an explicit stack, so long words cannot exhaust
     # the recursion limit; letters are pushed in reverse to pop in order
@@ -317,15 +311,11 @@ def _word_counts(a: Machine):
     accepted words of lengths 0, 1, 2, ... (each step walks the
     transition list once, over big integers)."""
     d = (a if a.is_deterministic() else determinize(a)).trim()
-    index = {st.label: i for i, st in enumerate(d.states)}
-    size = len(index)
-    steps = [(index[t.source], index[t.target]) for t in d.transitions]
-    finals = [index[st.label] for st in d.final_states()]
+    size, steps = len(d.states), d._edges()
+    finals = [i for i, st in enumerate(d.states) if st.is_final]
 
     def counts():
-        row = [0] * size
-        for st in d.initial_states():
-            row[index[st.label]] = 1
+        row = [int(st.is_initial) for st in d.states]
         while True:
             yield sum(row[i] for i in finals)
             step = [0] * size

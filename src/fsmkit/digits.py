@@ -99,7 +99,8 @@ class Expansion:
 
 
 def _digit_char(v: int) -> str:
-    return str(v) if v >= 0 else str(-v) + "̄"
+    """The text of digit v; `Digit`'s str refuses one past the int limit."""
+    return str(Digit(v)) if v >= 0 else str(Digit(-v)) + "̄"
 
 
 # Digit symbol -> its value, and -> its rendered text.  Symbols are

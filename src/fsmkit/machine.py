@@ -11,13 +11,13 @@ length-zero input is an epsilon transition, which the nondeterministic
 construction layers use and deterministic execution refuses.
 
 The one constructor validates every machine, construction results
-included.  Since a machine never changes, it keeps four derived forms,
-each built on first use: the step table of a deterministic machine
-(`_steps`), which runs and the constructions read: per state index, a dict
-from letter to (target index, output word); the terminal chain of the
-analyses (`analysis._terminal_chain`); the subset construction
-(`automata.determinize`); and the word count recurrence
-(`automata.word_count_recurrence`).
+included, and indexes its states by label (`_by_label`).  The index graph
+(`_edges`: source and target index per transition) is what reachability,
+trimming, relabeling, the SCCs and the word counts walk.  Since a machine
+never changes, it keeps four derived forms, each built on first use: the
+step table of a deterministic machine (`_steps`: per state index, a dict
+from letter to (target index, output word)); the terminal chain of the
+analyses; the subset construction; and the word count recurrence.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ class Machine:
 
         automaton = kind == AUTOMATON
         writable = None if out_alphabet is None else set(out_alphabet)
-        self._by_label = by_label = {}
-        for st in self.states:
+        self._by_label = by_label = {}  # label -> state index
+        for i, st in enumerate(self.states):
             if not isinstance(st, State):
                 raise ConstructionError(f"not a state: {st!r}")
             if type(st.label) is not str:
@@ -142,7 +142,7 @@ class Machine:
                         raise ConstructionError(
                             f"final output symbol {s} outside the output "
                             f"alphabet in state {st.label!r}")
-            by_label[st.label] = st
+            by_label[st.label] = i
 
         letters = set(alphabet)
         for t in self.transitions:
@@ -194,7 +194,7 @@ class Machine:
     def state(self, label) -> State:
         label = as_label(label)
         try:
-            return self._by_label[label]
+            return self.states[self._by_label[label]]
         except KeyError:
             raise MachineError(f"no state labeled {label!r}") from None
 
@@ -248,7 +248,7 @@ class Machine:
             raise MachineError(
                 f"a deterministic run needs exactly one initial state, "
                 f"found {len(initials)}")
-        index = {st.label: i for i, st in enumerate(self.states)}
+        index = self._by_label
         rows = [{} for _ in self.states]
         for t in self.transitions:
             if not t.input:
@@ -309,29 +309,41 @@ class Machine:
     # trimming
     # ------------------------------------------------------------------
 
+    def _edges(self) -> list:
+        """(source index, target index) per transition, in their order."""
+        index = self._by_label
+        return [(index[t.source], index[t.target]) for t in self.transitions]
+
+    def _levels(self, backward=False) -> dict:
+        """`bfs_levels` of the state indices from the initial states or,
+        `backward`, against the moves from the final states."""
+        adjacent = [[] for _ in self.states]
+        for i, j in self._edges():
+            adjacent[j if backward else i].append(i if backward else j)
+        return bfs_levels((i for i, st in enumerate(self.states)
+                           if (st.is_final if backward else st.is_initial)),
+                          adjacent.__getitem__)
+
     def accessible(self) -> "Machine":
         """Restrict to states reachable from the initial states."""
-        succ = {st.label: [] for st in self.states}
-        for t in self.transitions:
-            succ[t.source].append(t.target)
-        return self._restrict(bfs_levels(
-            (st.label for st in self.initial_states()), succ.__getitem__))
+        return self._restrict(self._levels())
 
     def coaccessible(self) -> "Machine":
         """Restrict to states from which some final state is reachable."""
-        rev = {st.label: [] for st in self.states}
-        for t in self.transitions:
-            rev[t.target].append(t.source)
-        return self._restrict(bfs_levels(
-            (st.label for st in self.final_states()), rev.__getitem__))
+        return self._restrict(self._levels(backward=True))
 
     def trim(self) -> "Machine":
-        return self.accessible().coaccessible()
+        """Restrict to states both accessible and coaccessible at once (a
+        path from an accessible state never leaves the accessible part)."""
+        return self._restrict(self._levels().keys()
+                              & self._levels(backward=True).keys())
 
     def _restrict(self, keep) -> "Machine":
-        states = tuple(st for st in self.states if st.label in keep)
-        transitions = tuple(t for t in self.transitions
-                            if t.source in keep and t.target in keep)
+        """The machine on the state indices in `keep`, in state order."""
+        index = self._by_label
+        states = tuple(st for i, st in enumerate(self.states) if i in keep)
+        transitions = tuple(t for t in self.transitions if index[t.source]
+                            in keep and index[t.target] in keep)
         return Machine(self.kind, states, transitions,
                        self.input_alphabet, self.output_alphabet)
 
@@ -343,26 +355,22 @@ class Machine:
         """Rename states 0..n-1 in breadth-first order from the initial
         states, following transitions in canonical (input, output) order;
         unreachable states keep their relative order at the end."""
-        index = {st.label: i for i, st in enumerate(self.states)}
-        outgoing = {st.label: [] for st in self.states}
+        edges = list(zip(self.transitions, self._edges()))
+        outgoing = [[] for _ in self.states]
         # a stable sort, so each state's moves come out in canonical order
-        for t in sorted(self.transitions,
-                        key=lambda t: (word_key(t.input), word_key(t.output),
-                                       index[t.target])):
-            outgoing[t.source].append(t.target)
+        for t, (i, j) in sorted(edges, key=lambda e: (
+                word_key(e[0].input), word_key(e[0].output), e[1][1])):
+            outgoing[i].append(j)
 
-        reached = bfs_levels((st.label for st in self.initial_states()),
-                             outgoing.__getitem__)
+        starts = (i for i, st in enumerate(self.states) if st.is_initial)
+        reached = bfs_levels(starts, outgoing.__getitem__)
         order = list(reached)
-        order += [st.label for st in self.states if st.label not in reached]
-        mapping = {old: str(i) for i, old in enumerate(order)}
-        states = tuple(
-            State(mapping[old], self._by_label[old].is_initial,
-                  self._by_label[old].is_final, self._by_label[old].final_output)
-            for old in order)
-        transitions = tuple(
-            Transition(mapping[t.source], mapping[t.target], t.input, t.output)
-            for t in self.transitions)
+        order += [i for i in range(len(self.states)) if i not in reached]
+        names, old = {i: str(k) for k, i in enumerate(order)}, self.states
+        states = tuple(State(names[i], old[i].is_initial, old[i].is_final,
+                             old[i].final_output) for i in order)
+        transitions = tuple(Transition(names[i], names[j], t.input, t.output)
+                            for t, (i, j) in edges)
         return Machine(self.kind, states, transitions,
                        self.input_alphabet, self.output_alphabet)
 

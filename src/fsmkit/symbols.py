@@ -88,6 +88,9 @@ class Digit(Symbol):
                 f"has more than {sys.get_int_max_str_digits()} decimal "
                 "digits") from None
 
+    def __repr__(self):
+        return f"Digit(value={self})"
+
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class AbsentType(Symbol):

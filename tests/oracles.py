@@ -14,18 +14,25 @@ for the integer weights of `analysis`; `word_counts` and
 `recurrence_terms` step one letter or one term at a time, the references
 for `count_words` and `Recurrence.term`.  `reference_dumps` writes a
 machine file through `json.dumps(..., indent=2)` of its document
-(`machine_to_doc`), the reference for the row writer `serialize.dumps`."""
+(`machine_to_doc`), the reference for the row writer `serialize.dumps`.
+The `label_*` functions walk the transition graph through adjacency maps
+keyed by state label, each built from the transition list: the reference
+for the library's SCCs, period test, reachability, trimming, relabeling
+and the language enumeration's pruning, which all walk state indices."""
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 
 from fsmkit.analysis import terminal_scc
 from fsmkit.automata import determinize, minimize
 from fsmkit.errors import AnalysisError, ConstructionError
 from fsmkit.machine import AUTOMATON, Machine, State, Transition, _listing
-from fsmkit.symbols import ABSENT, Digit, Pair, digit_value, symbol, word
+from fsmkit.symbols import (ABSENT, Digit, Pair, digit_value, symbol, word,
+                            word_key)
 
 
 def naf_digits(n):
@@ -491,3 +498,205 @@ def machine_to_doc(m):
 def reference_dumps(m):
     """The machine file of m through the standard library's encoder."""
     return json.dumps(machine_to_doc(m), indent=2) + "\n"
+
+
+# ----------------------------------------------------------------------
+# label-keyed graph walks: each builds its own adjacency keyed by state
+# label from the transition list, the reference for the library's walks
+# over state indices
+# ----------------------------------------------------------------------
+
+def _bfs_levels(starts, neighbours) -> dict:
+    """Breadth-first distance of every vertex reachable from `starts`, in
+    discovery order; `neighbours(v)` iterates the vertices one step from v."""
+    level = dict.fromkeys(starts, 0)
+    queue = deque(level)
+    while queue:
+        here = queue.popleft()
+        step = level[here] + 1
+        for v in neighbours(here):
+            if v not in level:
+                level[v] = step
+                queue.append(v)
+    return level
+
+
+def label_successors(m):
+    succ = {st.label: set() for st in m.states}
+    for t in m.transitions:
+        succ[t.source].add(t.target)
+    return succ
+
+
+def label_sccs(m):
+    """SCCs of the transition graph (iterative Tarjan, successors in label
+    order), as a list of label sets."""
+    succ = label_successors(m)
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    components = []
+    counter = [0]
+
+    for root in succ:
+        if root in index:
+            continue
+        work = [(root, iter(sorted(succ[root])))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for child in it:
+                if child not in index:
+                    index[child] = low[child] = counter[0]
+                    counter[0] += 1
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(sorted(succ[child]))))
+                    advanced = True
+                    break
+                if child in on_stack:
+                    low[node] = min(low[node], index[child])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                component = set()
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.add(member)
+                    if member == node:
+                        break
+                components.append(component)
+    return components
+
+
+def label_terminal_sccs(m):
+    """All strongly connected components without outgoing edges."""
+    succ = label_successors(m)
+    return [component for component in label_sccs(m)
+            if all(target in component
+                   for label in component for target in succ[label])]
+
+
+def label_terminal_scc(m):
+    """The unique terminal SCC; several terminal components raise."""
+    terminals = label_terminal_sccs(m)
+    if len(terminals) != 1:
+        listing = "; ".join(
+            "{" + ",".join(sorted(c)) + "}" for c in terminals)
+        raise AnalysisError(
+            f"expected a unique terminal strongly connected component, "
+            f"found {len(terminals)}: {listing}")
+    return terminals[0]
+
+
+def label_is_aperiodic(m, scc):
+    """gcd of cycle lengths inside a strongly connected component equals
+    1, from breadth-first level differences."""
+    succ = label_successors(m)
+    scc = set(scc)
+    level = _bfs_levels([min(scc)],
+                        lambda here: scc.intersection(succ[here]))
+    period = 0
+    for label in scc:
+        for target in succ[label]:
+            if target in scc:
+                period = gcd(period, level[label] + 1 - level[target])
+    return period == 1
+
+
+def _label_restrict(m, keep):
+    states = tuple(st for st in m.states if st.label in keep)
+    transitions = tuple(t for t in m.transitions
+                        if t.source in keep and t.target in keep)
+    return Machine(m.kind, states, transitions,
+                   m.input_alphabet, m.output_alphabet)
+
+
+def label_accessible(m):
+    """Restrict to states reachable from the initial states."""
+    succ = {st.label: [] for st in m.states}
+    for t in m.transitions:
+        succ[t.source].append(t.target)
+    return _label_restrict(m, _bfs_levels(
+        (st.label for st in m.initial_states()), succ.__getitem__))
+
+
+def label_coaccessible(m):
+    """Restrict to states from which some final state is reachable."""
+    rev = {st.label: [] for st in m.states}
+    for t in m.transitions:
+        rev[t.target].append(t.source)
+    return _label_restrict(m, _bfs_levels(
+        (st.label for st in m.final_states()), rev.__getitem__))
+
+
+def label_trim(m):
+    """The coaccessible part of the accessible part, as two machines."""
+    return label_coaccessible(label_accessible(m))
+
+
+def label_relabeled(m):
+    """States renamed 0..n-1 breadth-first from the initial states,
+    following transitions in canonical (input, output) order; unreachable
+    states keep their relative order at the end."""
+    index = {st.label: i for i, st in enumerate(m.states)}
+    by_label = {st.label: st for st in m.states}
+    outgoing = {st.label: [] for st in m.states}
+    for t in sorted(m.transitions,
+                    key=lambda t: (word_key(t.input), word_key(t.output),
+                                   index[t.target])):
+        outgoing[t.source].append(t.target)
+    reached = _bfs_levels((st.label for st in m.initial_states()),
+                          outgoing.__getitem__)
+    order = list(reached)
+    order += [st.label for st in m.states if st.label not in reached]
+    mapping = {old: str(i) for i, old in enumerate(order)}
+    states = tuple(
+        State(mapping[old], by_label[old].is_initial,
+              by_label[old].is_final, by_label[old].final_output)
+        for old in order)
+    transitions = tuple(
+        Transition(mapping[t.source], mapping[t.target], t.input, t.output)
+        for t in m.transitions)
+    return Machine(m.kind, states, transitions,
+                   m.input_alphabet, m.output_alphabet)
+
+
+def label_language(a, max_length):
+    """Accepted words of length <= max_length in shortlex order, pruned by
+    each deterministic state's distance to a final state over the step
+    table read backward."""
+    d = a if a.is_deterministic() else determinize(a)
+    start, rows = d._steps()
+    rev = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for target, _ in row.values():
+            rev[target].append(i)
+    dist = _bfs_levels((i for i, st in enumerate(d.states) if st.is_final),
+                       rev.__getitem__)
+    for length in range(max_length + 1):
+        stack = [(start, ())]
+        while stack:
+            here, prefix = stack.pop()
+            remaining = length - len(prefix)
+            if dist.get(here, remaining + 1) > remaining:
+                continue
+            if remaining == 0:
+                if d.states[here].is_final:
+                    yield prefix
+                continue
+            row = rows[here]
+            for letter in reversed(d.input_alphabet):
+                step = row.get(letter)
+                if step is not None:
+                    stack.append((step[0], prefix + (letter,)))

@@ -196,6 +196,22 @@ def test_is_aperiodic_refuses_an_unknown_label(identity01, scc, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("rows, scc, named", [
+    # b moves to a, a never back to b: a KeyError before
+    ([("b", "a", 0), ("a", "a", 1)], ["a", "b"], "'b' and 'a'"),
+    # one cycle a -> b -> c -> a; without b, a does not reach c
+    ([("a", "b", 0), ("b", "c", 0), ("c", "a", 0)], {"c", "a"}, "'c' and 'a'"),
+    # a reaches b, b never back to a
+    ([("a", "a", 0), ("a", "b", 1), ("b", "b", 1)], ("b", "a"), "'b' and 'a'")])
+def test_is_aperiodic_refuses_states_not_strongly_connected(rows, scc, named):
+    m = build_machine(rows, ["a"], ["a"], [0, 1])
+    with pytest.raises(AnalysisError) as raised:
+        is_aperiodic(m, scc)
+    assert str(raised.value) == (
+        f"the component is not strongly connected: {named} are not "
+        f"mutually reachable inside it")
+
+
 def test_moments_refuse_an_incomplete_machine():
     partial = build_machine([("a", "a", 0, 0)], initial_labels=["a"],
                             final_labels=["a"], input_alphabet=[0, 1])

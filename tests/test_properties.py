@@ -1,7 +1,9 @@
 """Property tests on random machines: runs agree with a walk over the
 transition list, the constructions agree with direct nondeterministic
 acceptance and with running the argument machines one after the other,
-complement is an involution, language equivalence agrees with comparing
+complement is an involution, the walks over state indices (SCCs, the
+period test, reachability, trimming, relabeling and the language
+enumeration's pruning) agree with label-keyed copies, language equivalence agrees with comparing
 minimal automata, machine files round-trip byte-identically, word counts
 agree with enumeration, expansion values and renderings agree with the
 per-digit Fraction sum and the per-digit rendering, the stationary
@@ -24,22 +26,26 @@ from hypothesis import strategies as st
 from fsmkit import export, serialize
 from fsmkit.analysis import (asymptotic_moments, expected_density,
                              is_aperiodic, stationary_distribution,
+                             strongly_connected_components, terminal_scc,
                              terminal_sccs)
 from fsmkit.automata import (Recurrence, complement, count_words,
                              determinize, intersection, is_equivalent,
-                             kleene_star, minimize, union, word_automaton,
-                             word_count_recurrence)
+                             kleene_star, language, minimize, union,
+                             word_automaton, word_count_recurrence)
 from fsmkit.digits import Expansion
-from fsmkit.errors import AnalysisError, StateCapError
+from fsmkit.errors import AnalysisError, FsmError, StateCapError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
-                            build_machine)
+                            Transition, build_machine)
 from fsmkit.polynomial import charpoly, solve
 from fsmkit.symbols import ABSENT, Digit, Pair, word
 from fsmkit.transducers import cartesian_product, compose, simplify
 
 from oracles import (all_words, equivalent_by_minimization,
-                     gauss_jordan_solve, markov_constants, nfa_accepts,
-                     per_digit_string, per_digit_value, rank,
+                     gauss_jordan_solve, label_accessible,
+                     label_coaccessible, label_is_aperiodic, label_language,
+                     label_relabeled, label_sccs, label_terminal_scc,
+                     label_terminal_sccs, label_trim, markov_constants,
+                     nfa_accepts, per_digit_string, per_digit_value, rank,
                      recurrence_terms, run_deterministic, word_counts)
 from test_golden_constructions import random_nfa
 
@@ -231,6 +237,63 @@ def test_recurrence_reproduces_the_counts(a):
     rec = word_count_recurrence(a)
     for n in range(2 * rec.order + 3):
         assert rec.term(n) == count_words(a, n)
+
+
+@st.composite
+def labelled_machines(draw):
+    """Automata and transducers with up to six states whose labels hold
+    ",", "{" and "#", with epsilon moves, zero to two initial states and,
+    among the random moves, dead and unreachable states."""
+    labels = draw(st.lists(st.text(alphabet="ab,{}#", max_size=3),
+                           min_size=1, max_size=6, unique=True))
+    transducer = draw(st.booleans())
+    label = st.sampled_from(labels)
+    output = st.lists(st.sampled_from(LETTERS),
+                      max_size=2 if transducer else 0)
+    rows = draw(st.lists(
+        st.tuples(label, label, st.sampled_from((None,) + LETTERS), output),
+        max_size=12))
+    initial = draw(st.sets(label, max_size=2))
+    final = draw(st.sets(label))
+    states = [State(x, x in initial, x in final,
+                    word(draw(output)) if x in final else ())
+              for x in labels]
+    transitions = [Transition(s, t, word(a), word(out))
+                   for s, t, a, out in rows]
+    return Machine(TRANSDUCER if transducer else AUTOMATON, states,
+                   transitions, LETTERS)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except FsmError as e:
+        return type(e).__name__, str(e)
+
+
+def _rows(m):
+    """A machine with its states and transitions in their listed order."""
+    return (m.kind, m.input_alphabet, m.output_alphabet, repr(m.states),
+            repr(m.transitions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_machines())
+def test_graph_walks_agree_with_the_label_keyed_walks(m):
+    components = label_sccs(m)
+    assert strongly_connected_components(m) == components
+    assert terminal_sccs(m) == label_terminal_sccs(m)
+    assert _outcome(terminal_scc, m) == _outcome(label_terminal_scc, m)
+    for component in components:
+        assert is_aperiodic(m, component) == label_is_aperiodic(m, component)
+    for mine, reference in ((m.accessible(), label_accessible(m)),
+                            (m.coaccessible(), label_coaccessible(m)),
+                            (m.trim(), label_trim(m)),
+                            (m.relabeled(), label_relabeled(m))):
+        assert _rows(mine) == _rows(reference)
+    if m.kind == AUTOMATON:
+        assert list(language(m, 4)) == list(label_language(m, 4))
+        assert [count_words(m, n) for n in range(5)] == word_counts(m, 4)
 
 
 # digit values of one to three decimal digits, negative (overlined) ones

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fsmkit import automata, export, serialize, transducers
 from fsmkit.cli import PRESETS
+from fsmkit.digits import Expansion
 from fsmkit.errors import ConstructionError, FsmError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
                             Transition, build_machine)
@@ -158,6 +159,22 @@ def test_digit_past_the_limit_cannot_be_written(int_digit_limit, sign):
     for fmt in (export.format_letter_plain, export.format_letter_negative):
         with pytest.raises(ConstructionError, match=message):
             export.render(m, "tikz", format_letter=fmt)
+    digit = Digit(value)
+    with pytest.raises(ConstructionError, match=message):
+        Expansion((digit,), 0).digit_string()
+    with pytest.raises(ConstructionError, match=message):
+        repr(Pair(digit, ABSENT))
+    # the message refusing a bad row formats the row with its digit
+    with pytest.raises(ConstructionError, match=message):
+        Machine(AUTOMATON, [State("a")], [Transition("a", 5, (digit,))],
+                [digit])
+
+
+def test_digit_repr_names_its_value():
+    assert [repr(Digit(v)) for v in (5, -3, 0)] == \
+        ["Digit(value=5)", "Digit(value=-3)", "Digit(value=0)"]
+    assert repr(Pair(Digit(1), ABSENT)) == \
+        "Pair(left=Digit(value=1), right=Absent)"
 
 
 def test_digit_at_the_limit_is_written(int_digit_limit):
