@@ -30,7 +30,10 @@ def _require_automaton(m: Machine):
         raise MachineError("this operation is defined on automata only")
 
 
-def _require_same_alphabet(a: Machine, b: Machine):
+def _require_automata(a: Machine, b: Machine):
+    """Both arguments automata, over the same input alphabet."""
+    _require_automaton(a)
+    _require_automaton(b)
     if a.input_alphabet != b.input_alphabet:
         raise MachineError(
             f"alphabet mismatch: {list(map(str, a.input_alphabet))} vs "
@@ -65,37 +68,28 @@ def empty_word_automaton(alphabet) -> Machine:
 # regular operations (results may be nondeterministic, with epsilons)
 # ----------------------------------------------------------------------
 
-def _disjoint(a: Machine, b: Machine):
-    """States of a and b renamed apart ("0:x" / "1:x")."""
-    def rename(m, prefix):
-        states = tuple(
-            State(f"{prefix}:{st.label}", st.is_initial, st.is_final)
-            for st in m.states)
-        transitions = tuple(
-            Transition(f"{prefix}:{t.source}", f"{prefix}:{t.target}", t.input)
-            for t in m.transitions)
-        return states, transitions
-
-    sa, ta = rename(a, "0")
-    sb, tb = rename(b, "1")
-    return sa, ta, sb, tb
+def _renamed(m: Machine, prefix: str):
+    """The states and transitions of automaton m, each label x renamed
+    "{prefix}:x", so that different prefixes keep machines apart."""
+    states = tuple(State(f"{prefix}:{st.label}", st.is_initial, st.is_final)
+                   for st in m.states)
+    transitions = tuple(
+        Transition(f"{prefix}:{t.source}", f"{prefix}:{t.target}", t.input)
+        for t in m.transitions)
+    return states, transitions
 
 
 def union(a: Machine, b: Machine) -> Machine:
     """Disjoint union keeping both machines' initial states; determinize
     afterwards to run the result."""
-    _require_automaton(a)
-    _require_automaton(b)
-    _require_same_alphabet(a, b)
-    sa, ta, sb, tb = _disjoint(a, b)
+    _require_automata(a, b)
+    (sa, ta), (sb, tb) = _renamed(a, "0"), _renamed(b, "1")
     return Machine(AUTOMATON, sa + sb, ta + tb, a.input_alphabet)
 
 
 def concat(a: Machine, b: Machine) -> Machine:
-    _require_automaton(a)
-    _require_automaton(b)
-    _require_same_alphabet(a, b)
-    sa, ta, sb, tb = _disjoint(a, b)
+    _require_automata(a, b)
+    (sa, ta), (sb, tb) = _renamed(a, "0"), _renamed(b, "1")
     states = (tuple(State(st.label, st.is_initial, False) for st in sa)
               + tuple(State(st.label, False, st.is_final) for st in sb))
     epsilons = tuple(
@@ -107,17 +101,15 @@ def concat(a: Machine, b: Machine) -> Machine:
 
 def kleene_star(a: Machine) -> Machine:
     _require_automaton(a)
-    hub = State("*", is_initial=True, is_final=True)
-    states = (hub,) + tuple(
-        State(f"0:{st.label}", False, False) for st in a.states)
-    transitions = [
-        Transition(f"0:{t.source}", f"0:{t.target}", t.input)
-        for t in a.transitions]
-    for st in a.states:
+    renamed, transitions = _renamed(a, "0")
+    transitions = list(transitions)
+    for st in renamed:
         if st.is_initial:
-            transitions.append(Transition("*", f"0:{st.label}", ()))
+            transitions.append(Transition("*", st.label, ()))
         if st.is_final:
-            transitions.append(Transition(f"0:{st.label}", "*", ()))
+            transitions.append(Transition(st.label, "*", ()))
+    states = (State("*", is_initial=True, is_final=True),) + tuple(
+        State(st.label) for st in renamed)
     return Machine(AUTOMATON, states, tuple(transitions), a.input_alphabet)
 
 
@@ -171,8 +163,6 @@ def determinize(a: Machine) -> Machine:
 def complete(a: Machine) -> Machine:
     """Add a non-final sink labeled "sink" so every (state, letter) has a
     transition."""
-    if not a.is_deterministic():
-        raise MachineError("complete() requires a deterministic machine")
     sink_label = "sink"
     _, rows = a._steps()
     missing = [(st.label, letter)
@@ -204,9 +194,7 @@ def complement(a: Machine) -> Machine:
 
 def intersection(a: Machine, b: Machine) -> Machine:
     """Product construction on the determinized arguments."""
-    _require_automaton(a)
-    _require_automaton(b)
-    _require_same_alphabet(a, b)
+    _require_automata(a, b)
     return _lockstep(AUTOMATON, determinize(a), determinize(b),
                      lambda u, v: (), lambda s1, s2: ())
 
@@ -231,9 +219,7 @@ def is_equivalent(a: Machine, b: Machine) -> bool:
     states, every popped pair must agree on finality, and on each letter
     the two successors are united and pushed when their classes differ.
     Nothing is minimized and no machine is built."""
-    _require_automaton(a)
-    _require_automaton(b)
-    _require_same_alphabet(a, b)
+    _require_automata(a, b)
 
     def side(m):
         """Initial index, step rows, finality and the move to the sink,

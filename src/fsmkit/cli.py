@@ -14,7 +14,6 @@ import argparse
 import decimal
 import functools
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -231,24 +230,19 @@ def _cmd_op(args) -> int:
 
 
 def _load_coordinates(path) -> dict:
-    """Label -> (x, y) from a JSON object mapping each label to exactly
-    two finite numbers; a file that is not JSON, or that nests arrays
-    past the recursion limit, is not a coordinates file."""
+    """The JSON object of a coordinates file, whose entries the TikZ export
+    checks; a file that is not JSON, or that nests arrays past the
+    recursion limit, is not a coordinates file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            # integers are read as floats, so a huge one becomes inf below
+            # integers are read as floats, so a huge one becomes inf
             raw = json.load(handle, parse_int=float)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FsmError(f"not a coordinates file: {exc}") from exc
     if not isinstance(raw, dict):
         raise FsmError("coordinates must be a JSON object mapping labels "
                        "to [x, y]")
-    for label, xy in raw.items():
-        if not (isinstance(xy, list) and len(xy) == 2
-                and all(type(v) is float and math.isfinite(v) for v in xy)):
-            raise FsmError(
-                f"coordinates of {label!r} must be two finite numbers")
-    return {label: tuple(xy) for label, xy in raw.items()}
+    return raw
 
 
 def _cmd_export(args) -> int:

@@ -32,9 +32,11 @@ MAX_EXPONENT_OFFSET = 2**20
 
 
 def binary_digits(n: int) -> Word:
-    """Standard binary digits of n >= 0, least significant first; 0 has no
-    digits.  Read off bin(n) in one pass, so the cost is linear in the
-    length."""
+    """Standard binary digits of an int n >= 0, least significant first;
+    0 has no digits.  Read off bin(n) in one pass, so the cost is linear
+    in the length."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ConstructionError(f"binary digits are defined for ints, not {n!r}")
     if n < 0:
         raise ConstructionError("binary digits are defined for n >= 0")
     return tuple(map(_BITS.__getitem__, bin(n)[:1:-1])) if n else ()

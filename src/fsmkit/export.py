@@ -3,13 +3,14 @@
 Output is deterministic: states and transitions are visited in the one
 canonical order of `machine._listing` (states by label, transitions by
 `machine._transition_key`), so equal machines export to identical bytes.
-TikZ coordinates are user-supplied per state label; states without
-coordinates are placed on a circle.
+TikZ coordinates are user-supplied per state label, each two finite ints,
+floats or Fractions; states without coordinates are placed on a circle.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import MachineError
 from .machine import Machine, _listing
@@ -22,8 +23,23 @@ def render(machine: Machine, fmt: str, coordinates=None, format_letter=None) -> 
     if fmt == "dot":
         return _dot(machine)
     if fmt == "tikz":
-        return _tikz(machine, coordinates or {}, format_letter or format_letter_plain)
+        points = {label: _point(label, xy)
+                  for label, xy in (coordinates or {}).items()}
+        return _tikz(machine, points, format_letter or format_letter_plain)
     raise MachineError(f"unknown export format {fmt!r}; expected one of {FORMATS}")
+
+
+def _point(label, xy) -> tuple:
+    """xy as two floats; MachineError unless it is a tuple or list of two
+    finite ints, floats or Fractions (bools are refused)."""
+    try:
+        if type(xy) in (tuple, list) and {type(v) for v in xy} <= {int, float, Fraction}:
+            x, y = map(float, xy)  # OverflowError past the float range
+            if math.isfinite(x) and math.isfinite(y):
+                return x, y
+    except (ValueError, OverflowError):
+        pass
+    raise MachineError(f"coordinates of {label!r} must be two finite numbers")
 
 
 # ----------------------------------------------------------------------
@@ -101,11 +117,9 @@ def _tikz(machine: Machine, coordinates, fmt) -> str:
     ids = {st.label: f"v{i}" for i, st in enumerate(states)}
     lines = [r"\begin{tikzpicture}[auto, initial text=, >=latex]"]
     for i, st in enumerate(states):
-        if st.label in coordinates:
-            x, y = coordinates[st.label]
-        else:
-            angle = 2.0 * math.pi * i / n
-            x, y = 3.0 * math.cos(angle), 3.0 * math.sin(angle)
+        angle = 2.0 * math.pi * i / n  # on a circle, unless placed
+        x, y = coordinates.get(st.label, (3.0 * math.cos(angle),
+                                          3.0 * math.sin(angle)))
         options = ["state"]
         if st.is_initial:
             options.append("initial")
@@ -113,36 +127,29 @@ def _tikz(machine: Machine, coordinates, fmt) -> str:
             options.append("accepting")
         lines.append(
             "  \\node[%s] (%s) at (%.3f, %.3f) {$%s$};"
-            % (", ".join(options), ids[st.label], float(x), float(y),
+            % (", ".join(options), ids[st.label], x, y,
                _tex_escape(st.label)))
 
-    # merge parallel transitions into one labeled edge
+    # merge parallel transitions into one labeled edge, in listing order
     grouped: dict = {}
-    order = []
     for t in transitions:
-        key = (t.source, t.target)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
         if machine.kind == "transducer":
             label = (f"{_tikz_word(t.input, fmt)} \\mid "
                      f"{_tikz_word(t.output, fmt)}")
         else:
             label = _tikz_word(t.input, fmt)
-        grouped[key].append(label)
+        grouped.setdefault((t.source, t.target), []).append(label)
 
-    pairs = set(order)
-    for source, target in order:
-        label = ", ".join(grouped[(source, target)])
+    for (source, target), labels in grouped.items():
         if source == target:
             style = "[loop above]"
-        elif (target, source) in pairs:
+        elif (target, source) in grouped:
             style = "[bend left]"
         else:
             style = ""
         lines.append(
             f"  \\path[->] ({ids[source]}) edge{style} "
-            f"node {{${label}$}} ({ids[target]});")
+            f"node {{${', '.join(labels)}$}} ({ids[target]});")
 
     for st in states:
         if st.is_final and st.final_output:

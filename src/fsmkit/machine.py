@@ -26,7 +26,6 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import (ConstructionError, InvalidInputError, MachineError,
                      StateCapError)
@@ -378,12 +377,19 @@ class Machine:
     # graph view and export
     # ------------------------------------------------------------------
 
-    def digraph(self, edge_weight: Callable[[Transition], object]) -> WeightedDigraph:
-        """One weighted edge per transition; weights become exact rationals."""
-        vertices = tuple(st.label for st in self.states)
-        edges = tuple((t.source, t.target, Fraction(edge_weight(t)))
-                      for t in self.transitions)
-        return WeightedDigraph(vertices, edges)
+    def digraph(self, edge_weight) -> WeightedDigraph:
+        """One edge per transition t, weighted by edge_weight(t) as an exact
+        rational; a weight `Fraction()` cannot take raises ConstructionError."""
+        edges = []
+        for t in self.transitions:
+            weight = edge_weight(t)
+            try:
+                edges.append((t.source, t.target, Fraction(weight)))
+            except (TypeError, ValueError, OverflowError):
+                raise ConstructionError(
+                    f"the weight {weight!r} of {t} is not a rational") from None
+        return WeightedDigraph(tuple(st.label for st in self.states),
+                               tuple(edges))
 
     def export(self, fmt: str, coordinates=None, format_letter=None) -> str:
         from . import export as _export
@@ -534,14 +540,6 @@ def build_machine(transitions, initial_labels, final_labels, input_alphabet,
     """
     initial = [as_label(x) for x in initial_labels]
     final = [as_label(x) for x in final_labels]
-    order: list = []
-    seen = set()
-
-    def note(label):
-        if label not in seen:
-            seen.add(label)
-            order.append(label)
-
     rows = []
     for row in transitions:
         if len(row) == 3:
@@ -552,11 +550,10 @@ def build_machine(transitions, initial_labels, final_labels, input_alphabet,
         else:
             raise ConstructionError(f"transition row must have 3 or 4 entries: {row!r}")
         source, target = as_label(source), as_label(target)
-        note(source)
-        note(target)
         rows.append(Transition(source, target, word(inp), word(outp)))
-    for label in initial + final:
-        note(label)
+    # the labels, in order of first appearance
+    order = dict.fromkeys(
+        [label for t in rows for label in (t.source, t.target)] + initial + final)
     if order and not initial:
         raise ConstructionError("at least one initial state is required")
 

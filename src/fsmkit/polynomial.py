@@ -4,15 +4,13 @@ matrix and linear solves over the rationals.
 Both compute over the integers: `charpoly` reduces to Hessenberg form
 modulo one Mersenne prime chosen above twice a bound on the coefficients,
 and `solve_integers` eliminates fraction-free, returning numerators over
-one common denominator; `solve` forms Fractions only for its solutions.
-Every result is an exact int or Fraction; the stationary vector, the
-moment constants and the word-count recurrences are all built from these
-functions.
+one common denominator, which its callers divide out only where a result
+must be a Fraction.  The stationary vector, the moment constants and the
+word-count recurrences are all built from these two functions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import AnalysisError
@@ -121,9 +119,3 @@ def solve_integers(matrix, columns):
         previous = p
     return ([[rows[i][n + k] for i in range(n)] for k in range(len(columns))],
             previous)
-
-
-def solve(matrix, columns):
-    """`solve_integers`' solutions as Fractions."""
-    numerators, d = solve_integers(matrix, columns)
-    return [[Fraction(x, d) for x in column] for column in numerators]

@@ -23,10 +23,10 @@ only places outside the symbol classes that read `sort_key`.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import repeat
-from typing import Iterable, Union
 
 from .errors import ConstructionError
 
@@ -147,11 +147,10 @@ def pair_depth(s: Symbol) -> int:
     return 0
 
 
-SymbolLike = Union[Symbol, int, None, tuple]
 Word = tuple  # tuple[Symbol, ...]
 
 
-def symbol(x: SymbolLike) -> Symbol:
+def symbol(x) -> Symbol:
     """Coerce x to a Symbol: int -> Digit, None -> ABSENT, 2-tuple -> Pair."""
     if isinstance(x, Symbol):
         return x
@@ -187,12 +186,8 @@ def word(x) -> Word:
         return x
     if x is None:
         return ()
-    if isinstance(x, Symbol):
-        return (x,)
-    if isinstance(x, bool):
-        raise ConstructionError("booleans are not symbols")
-    if isinstance(x, int):
-        return (Digit(x),)
+    if isinstance(x, (Symbol, int)):  # `symbol` refuses a bool
+        return (symbol(x),)
     if isinstance(x, Iterable):
         return tuple(symbol(e) for e in x)
     raise ConstructionError(f"cannot interpret {x!r} as a word")

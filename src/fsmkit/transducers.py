@@ -32,16 +32,30 @@ def from_transition_function(fn, input_alphabet, initial_labels,
     appears.  Letters are passed as plain values (ints, None for the absent
     marker, nested tuples for pairs).  Exploration stops with an error when
     more states show up than the state cap (10**4, or the FSMKIT_STATE_CAP
-    environment variable)."""
+    environment variable).  A bad label or fn call raises ConstructionError."""
     letters = _sorted_symbols(input_alphabet)
     final = set(final_labels)
+    starts = list(initial_labels)
+    for label in starts:
+        try:
+            hash(label)
+        except TypeError:
+            raise ConstructionError(
+                f"the initial label {label!r} is unhashable") from None
 
     def successors(state):
         for letter in letters:
-            target, written = fn(state, _raw(letter))
-            yield (letter,), target, word(written)
+            try:
+                target, written = fn(state, _raw(letter))
+                hash(target)
+                written = word(written)
+            except Exception as exc:
+                raise ConstructionError(
+                    f"the transition function failed on state {state!r}, "
+                    f"letter {letter}: {exc}") from exc
+            yield (letter,), target, written
 
-    return explore(TRANSDUCER, letters, initial_labels, successors, as_label,
+    return explore(TRANSDUCER, letters, starts, successors, as_label,
                    lambda state: () if state in final else None)
 
 
@@ -97,11 +111,12 @@ def operator_lift(fn, alphabet) -> Machine:
 # product and composition
 # ----------------------------------------------------------------------
 
-def _single_initial(m: Machine, role: str) -> int:
-    initials = [i for i, st in enumerate(m.states) if st.is_initial]
-    if len(initials) != 1:
-        raise MachineError(f"the {role} machine needs exactly one initial state")
-    return initials[0]
+def _steps_of(m: Machine, role: str):
+    """`m._steps()`, its MachineError naming m's role in the construction."""
+    try:
+        return m._steps()
+    except MachineError as exc:
+        raise MachineError(f"the {role} machine: {exc}") from exc
 
 
 def cartesian_product(t1: Machine, t2: Machine) -> Machine:
@@ -118,8 +133,8 @@ def cartesian_product(t1: Machine, t2: Machine) -> Machine:
             raise MachineError(
                 f"cartesian product needs exactly one output symbol per "
                 f"transition, offending transition: {t}")
-    _single_initial(t1, "left")
-    _single_initial(t2, "right")
+    _steps_of(t1, "left")
+    _steps_of(t2, "right")
 
     def final_word(s1, s2):
         return tuple(Pair(u, v) for u, v in zip_longest(
@@ -137,10 +152,8 @@ def compose(outer: Machine, inner: Machine) -> Machine:
     final output, stops in a final state; the composed final output is what
     the outer machine writes while consuming it, followed by the outer
     final output."""
-    start = (_single_initial(inner, "inner"), _single_initial(outer, "outer"))
-    if not inner.is_deterministic() or not outer.is_deterministic():
-        raise MachineError("composition requires deterministic machines")
-    _, inner_rows = inner._steps()
+    inner_start, inner_rows = _steps_of(inner, "inner")
+    start = (inner_start, _steps_of(outer, "outer")[0])
 
     def successors(pair):
         row = inner_rows[pair[0]]
@@ -269,8 +282,6 @@ def simplify(t: Machine) -> Machine:
     complete automaton it is the minimal automaton, on a transducer it is
     not guaranteed to be globally minimal.  Blocks are numbered in the
     breadth-first order of `Machine.relabeled`."""
-    if not t.is_deterministic():
-        raise MachineError("simplify() requires a deterministic machine")
     start, rows = t._steps()
     n = len(t.states)
     moves = [[row.get(letter) for row in rows] for letter in t.input_alphabet]

@@ -6,9 +6,11 @@ library's constructions.  `equivalent_by_minimization` decides language
 equivalence by its definition through minimal automata, a method
 independent of the union-find walk in `automata.is_equivalent`.
 `gauss_jordan_solve` is exact elimination over Fractions, the reference
-for the library's fraction-free `polynomial.solve`; `faddeev_leverrier`
-computes characteristic polynomials over the integers, the reference for
-the modular `polynomial.charpoly`; `markov_constants` evaluates the
+for the library's fraction-free `polynomial.solve_integers`, and `solve`
+divides that function's numerators out into the Fractions the tests
+compare (no library code needs them); `faddeev_leverrier` computes
+characteristic polynomials over the integers, the reference for the
+modular `polynomial.charpoly`; `markov_constants` evaluates the
 stationary vector and the moment formulas over Fractions, the reference
 for the integer weights of `analysis`; `word_counts` and
 `recurrence_terms` step one letter or one term at a time, the references
@@ -31,6 +33,7 @@ from fsmkit.analysis import terminal_scc
 from fsmkit.automata import determinize, minimize
 from fsmkit.errors import AnalysisError, ConstructionError
 from fsmkit.machine import AUTOMATON, Machine, State, Transition, _listing
+from fsmkit.polynomial import solve_integers
 from fsmkit.symbols import (ABSENT, Digit, Pair, digit_value, symbol, word,
                             word_key)
 
@@ -341,6 +344,13 @@ def gauss_jordan_solve(matrix, columns):
                 factor = rows[i][c]
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[c])]
     return [[rows[i][n + k] for i in range(n)] for k in range(len(columns))]
+
+
+def solve(matrix, columns):
+    """`polynomial.solve_integers`' solutions as Fractions, the form that
+    `gauss_jordan_solve` returns."""
+    numerators, d = solve_integers(matrix, columns)
+    return [[Fraction(x, d) for x in column] for column in numerators]
 
 
 def faddeev_leverrier(matrix):

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -32,6 +33,15 @@ def test_binary_digits_match_bin(seed):
     rng = random.Random(seed)
     n = rng.getrandbits(rng.randint(1, 2 ** 16))
     assert binary_digits(n) == word(int(b) for b in reversed(bin(n)[2:]))
+
+
+@pytest.mark.parametrize("n", [2.5, "3", True, False, None, Fraction(4)])
+@pytest.mark.parametrize("digits_of", [binary_digits, naf_of,
+                                       three_half_naf_of])
+def test_digit_paths_refuse_a_value_that_is_not_an_int(digits_of, n):
+    with pytest.raises(ConstructionError,
+                       match=re.escape(f"defined for ints, not {n!r}")):
+        digits_of(n)
 
 
 def test_expansion_value_of_a_pair_raises():

@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 
 from fsmkit.errors import MachineError
@@ -66,3 +69,29 @@ def test_export_identical_for_equal_machines():
 def test_unknown_format_raises(identity01):
     with pytest.raises(MachineError, match="unknown export format"):
         identity01.export("svg")
+
+
+@pytest.mark.parametrize("label, xy", [
+    ("0", (1,)), ("0", (1, 2, 3)), ("0", ()), ("0", "xy"), ("0", None),
+    ("0", {1: 2, 3: 4}), ("0", (True, 0)), ("0", (0, False)), ("0", ("1", 2)),
+    ("0", (float("nan"), 0)), ("0", (0, float("inf"))), ("0", (10**400, 0)),
+    ("0", (0, Fraction(-10**400, 3))), ("nowhere", (1,)),
+    ("nowhere", (float("inf"), 0)),
+], ids=["one", "three", "none-given", "text", "null", "dict", "true",
+        "false", "string", "nan", "inf", "huge-int", "huge-fraction",
+        "no-state-one", "no-state-inf"])
+def test_tikz_refuses_bad_coordinates(machine_T, label, xy):
+    with pytest.raises(MachineError, match=re.escape(
+            f"coordinates of {label!r} must be two finite numbers")):
+        machine_T.export("tikz", coordinates={**T_COORDINATES, label: xy})
+
+
+def test_tikz_places_ints_floats_and_fractions_alike(machine_T):
+    as_floats = {label: (float(x), float(y))
+                 for label, (x, y) in T_COORDINATES.items()}
+    as_fractions = {label: [Fraction(x), Fraction(y)]
+                    for label, (x, y) in T_COORDINATES.items()}
+    expected = machine_T.export("tikz", coordinates=as_floats)
+    assert machine_T.export("tikz", coordinates=T_COORDINATES) == expected
+    assert machine_T.export("tikz", coordinates=as_fractions) == expected
+    assert "(-2.000, 0.750)" in expected

@@ -1,7 +1,11 @@
+import re
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
-from fsmkit import digits
+from fsmkit import analysis, digits
 from fsmkit.errors import ConstructionError, InvalidInputError, MachineError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
                             build_machine)
@@ -227,6 +231,27 @@ def test_digraph_one_edge_per_transition(naf_all):
 def test_digraph_loop_becomes_self_loop(identity01):
     g = identity01.digraph(lambda t: 1)
     assert all(u == v == "0" for u, v, _ in g.edges)
+
+
+@pytest.mark.parametrize("weight, value", [
+    (2, 2), (True, 1), (0.5, Fraction(1, 2)), (Fraction(2, 3), Fraction(2, 3)),
+    ("1/3", Fraction(1, 3)), (Decimal("0.25"), Fraction(1, 4))])
+def test_digraph_keeps_every_weight_fraction_takes(identity01, weight, value):
+    g = identity01.digraph(lambda t: weight)
+    assert [w for _, _, w in g.edges] == [value, value]
+    assert all(type(w) is Fraction for _, _, w in g.edges)
+
+
+@pytest.mark.parametrize("weight", [
+    None, "x", float("nan"), float("inf"), -float("inf"), [1]],
+    ids=["none", "text", "nan", "inf", "minus-inf", "list"])
+def test_digraph_refuses_a_weight_that_is_not_rational(identity01, weight):
+    message = re.escape(f"the weight {weight!r} of 0 --0|0--> 0 is not a "
+                        "rational")
+    with pytest.raises(ConstructionError, match=message):
+        identity01.digraph(lambda t: weight)
+    with pytest.raises(ConstructionError, match=message):
+        analysis.check_minimality(identity01, lambda t: weight)
 
 
 def test_is_deterministic_and_complete(naf1, naf_acceptor):

@@ -36,7 +36,7 @@ from fsmkit.digits import Expansion
 from fsmkit.errors import AnalysisError, FsmError, StateCapError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
                             Transition, build_machine)
-from fsmkit.polynomial import charpoly, solve
+from fsmkit.polynomial import charpoly
 from fsmkit.symbols import ABSENT, Digit, Pair, word
 from fsmkit.transducers import cartesian_product, compose, simplify
 
@@ -46,7 +46,8 @@ from oracles import (all_words, equivalent_by_minimization,
                      label_relabeled, label_sccs, label_terminal_scc,
                      label_terminal_sccs, label_trim, markov_constants,
                      nfa_accepts, per_digit_string, per_digit_value, rank,
-                     recurrence_terms, run_deterministic, word_counts)
+                     recurrence_terms, run_deterministic, solve,
+                     word_counts)
 from test_golden_constructions import random_nfa
 
 LETTERS = (0, 1)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fsmkit import automata, digits, transducers
@@ -52,6 +54,35 @@ def test_transition_function_reads_pairs_as_nested_tuples():
                                  initial_labels=["0"], final_labels=["0"])
     assert seen == [(0, None), (1, 0)]
     assert m.transduce([(1, 0), (0, None)]) == word([1, 0])
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (lambda: int("x"), "invalid literal for int()"),
+    (lambda: None, "cannot unpack"),
+    (lambda: 3, "cannot unpack"),
+    (lambda: ("b", 1, 0), "too many values to unpack"),
+    (lambda: (["b"], 1), "unhashable type: 'list'"),
+    (lambda: (("b", {}), 1), "unhashable type: 'dict'"),
+    (lambda: ("b", "x"), "cannot interpret 'x' as a symbol"),
+], ids=["raises", "none", "int", "triple", "list-state", "nested-dict-state",
+        "text-word"])
+def test_transition_function_failure_names_the_state_and_letter(bad, reason):
+    def fn(state, read):
+        return ("b", read) if state == "a" or read == 0 else bad()
+    with pytest.raises(ConstructionError, match=re.escape(
+            f"the transition function failed on state 'b', letter 1: {reason}")):
+        from_transition_function(fn, input_alphabet=[0, 1],
+                                 initial_labels=["a"], final_labels=["a"])
+
+
+@pytest.mark.parametrize("labels", [[["a"]], ["a", {"b": 0}], [("a", [])]],
+                         ids=["list", "dict", "tuple-with-list"])
+def test_transition_function_refuses_an_unhashable_initial_label(labels):
+    with pytest.raises(ConstructionError, match=re.escape(
+            f"the initial label {labels[-1]!r} is unhashable")):
+        from_transition_function(lambda state, read: ("a", read),
+                                 input_alphabet=[0, 1], initial_labels=labels,
+                                 final_labels=["a"])
 
 
 def test_state_cap_env_override(monkeypatch):
@@ -213,6 +244,50 @@ def test_product_names_the_factor_without_single_initial(identity01):
                           ["a", "b"], ["a"], input_alphabet=[0, 1])
     with pytest.raises(MachineError, match="right machine"):
         cartesian_product(identity01, twice)
+
+
+TWO_INITIAL = build_machine([("a", "a", 0, 0), ("b", "b", 1, 1)],
+                            ["a", "b"], ["a"], input_alphabet=[0, 1])
+BRANCHING = build_machine([("a", "a", 0, 0), ("a", "b", 0, 1),
+                           ("b", "b", 1, 1)],
+                          ["a"], ["a", "b"], input_alphabet=[0, 1])
+JUMPING = build_machine([("a", "b", None, 0), ("b", "b", 1, 1)],
+                        ["a"], ["b"], input_alphabet=[0, 1])
+ONE_INITIAL = "a deterministic run needs exactly one initial state, found 2"
+NONDETERMINISTIC = "nondeterministic on state 'a', letter 0"
+EPSILON = "epsilon transition blocks execution: a --ε|0--> b"
+
+
+@pytest.mark.parametrize("construct, first, second, message", [
+    (cartesian_product, None, TWO_INITIAL, "the right machine: " + ONE_INITIAL),
+    (cartesian_product, TWO_INITIAL, None, "the left machine: " + ONE_INITIAL),
+    (cartesian_product, BRANCHING, None,
+     "the left machine: " + NONDETERMINISTIC),
+    (cartesian_product, None, JUMPING, "the right machine: " + EPSILON),
+    (compose, None, TWO_INITIAL, "the inner machine: " + ONE_INITIAL),
+    (compose, TWO_INITIAL, None, "the outer machine: " + ONE_INITIAL),
+    (compose, BRANCHING, None, "the outer machine: " + NONDETERMINISTIC),
+    (compose, None, BRANCHING, "the inner machine: " + NONDETERMINISTIC),
+    (compose, None, JUMPING, "the inner machine: " + EPSILON),
+], ids=["product-right-initials", "product-left-initials",
+        "product-left-branching", "product-right-epsilon",
+        "compose-inner-initials", "compose-outer-initials",
+        "compose-outer-branching", "compose-inner-branching",
+        "compose-inner-epsilon"])
+def test_product_and_composition_name_the_machine_and_the_reason(
+        identity01, construct, first, second, message):
+    with pytest.raises(MachineError, match="^" + re.escape(message) + "$"):
+        construct(first or identity01, second or identity01)
+
+
+@pytest.mark.parametrize("construct", [simplify, automata.complete])
+@pytest.mark.parametrize("machine, message", [
+    (TWO_INITIAL, ONE_INITIAL), (BRANCHING, NONDETERMINISTIC),
+    (JUMPING, EPSILON)], ids=["initials", "branching", "epsilon"])
+def test_simplify_and_complete_raise_the_step_table_message(construct, machine,
+                                                            message):
+    with pytest.raises(MachineError, match="^" + re.escape(message) + "$"):
+        construct(machine)
 
 
 # ----------------------------------------------------------------------
