@@ -24,14 +24,15 @@ second-order perturbation formulas for a simple eigenvalue give
 Z b is the z with (I - P) z = b - (pi b) 1 and pi z = 0 (Meyer, "The role
 of the group generalized inverse in the theory of finite Markov chains",
 SIAM Review 17, 1975), so I - P + 1 pi is never formed.  Both pi and Z b
-come from one integer matrix: with C = |input alphabet| * P the count
-matrix and B = |input alphabet| * I - C less its last row and column, pi
-solves B^T h = (C's last row less its last entry), and the Z b follow from
-one solve of B with the integer right-hand sides |input alphabet| * A_y 1,
-|input alphabet| * A_z 1 and |input alphabet| * 1, each less its last
-entry.  Everything stays over the integers: pi is kept as integer weights
-w over D = sum(w), the solves return numerators over one pivot, and the
-sums above are integers over known denominators, so only the results are
+come from one integer matrix, kept with the terminal chain: with C =
+|input alphabet| * P the count matrix and B = |input alphabet| * I - C
+less its last row and column, pi solves B^T h = (C's last row less its
+last entry), and the Z b follow from one solve of B with the integer
+right-hand sides |input alphabet| * A_y 1, |input alphabet| * A_z 1 and
+|input alphabet| * 1, each less its last entry.  Everything stays over
+the integers: pi is kept as integer weights w over D = sum(w), the
+solves take integers and return numerators over one pivot, and the sums
+above are integers over known denominators, so only the results are
 formed as Fractions.
 """
 
@@ -224,14 +225,19 @@ def _digit_sum(w, role: str) -> int:
 # stationary distribution and densities
 # ----------------------------------------------------------------------
 
-def _terminal_chain(t: Machine):
+def _terminal_chain(t: Machine, needs: str):
     """The Markov chain of uniformly random inputs on the unique terminal
-    SCC of the accessible part: the SCC's labels in state order, (i, j, tr)
-    per transition tr from them, i and j its ends' indices in the labels,
-    the integer count matrix C (P = C / |input alphabet| is the transition
-    matrix) and the stationary row vector as coprime positive integer
-    weights w (pi = w / sum(w), pi P = pi), all tuples; built once per
-    machine, since machines are immutable."""
+    SCC of the accessible part of a complete deterministic machine;
+    `needs` begins the message that refuses any other machine.  The chain
+    is the SCC's labels in state order, (i, j, tr) per transition tr from
+    them, i and j its ends' indices in the labels, the integer matrix
+    B = |input alphabet| * I - C less its last row and column (C the count
+    matrix, so P = C / |input alphabet| is the transition matrix) and the
+    stationary row vector as coprime positive integer weights w
+    (pi = w / sum(w), pi P = pi), all tuples; built once per machine,
+    since machines are immutable."""
+    if not t.is_complete():
+        raise MachineError(f"{needs} a complete deterministic machine")
     if t._chain is not None:
         return t._chain
     reachable = t.accessible()
@@ -240,37 +246,25 @@ def _terminal_chain(t: Machine):
     index = {label: i for i, label in enumerate(labels)}
     inside = tuple((index[tr.source], index[tr.target], tr)
                    for tr in reachable.transitions if tr.source in scc)
-    C = [[0] * len(labels) for _ in labels]
+    n = len(labels) - 1
+    letters = len(t.input_alphabet)
+    # letters * I - C less its last column; the last row is popped below
+    B = [[letters * (i == j) for j in range(n)] for i in range(n + 1)]
     for i, j, _ in inside:
-        C[i][j] += 1
+        if j < n:
+            B[i][j] -= 1
+    last = [-x for x in B.pop()]
     # pi (P - I) = 0 with pi's last entry fixed to 1, less its last
     # equation, which the others imply (each row of P - I sums to 0); times
     # |input alphabet| it reads B^T h = (C's last row less its last entry)
     # for pi's head h.  P is stochastic and irreducible here, so B is
     # nonsingular and pi positive (Kemeny and Snell, Finite Markov Chains,
     # 1960), so every numerator of h has the sign of their denominator d.
-    (head,), d = solve_integers(list(zip(*_reduced(C, len(t.input_alphabet)))),
-                                [C[-1][:-1]])
+    (head,), d = solve_integers(list(zip(*B)), [last])
     g = gcd(*head, d) if d > 0 else -gcd(*head, d)
-    t._chain = (labels, inside, tuple(map(tuple, C)),
+    t._chain = (labels, inside, tuple(map(tuple, B)),
                 tuple(x // g for x in head + [d]))
     return t._chain
-
-
-def _reduced(C, letters):
-    """B = letters * I - C less its last row and column, an integer
-    matrix; it is |input alphabet| * (I - P) on all states but the last."""
-    n = len(C) - 1
-    return [[letters * (i == j) - C[i][j] for j in range(n)]
-            for i in range(n)]
-
-
-def _complete_chain(t: Machine, needs: str):
-    """`_terminal_chain` of a complete deterministic machine; `needs`
-    begins the message that refuses any other."""
-    if not t.is_complete():
-        raise MachineError(f"{needs} a complete deterministic machine")
-    return _terminal_chain(t)
 
 
 def stationary_distribution(t: Machine):
@@ -278,7 +272,7 @@ def stationary_distribution(t: Machine):
     terminal SCC (one exact linear solve of pi (P - I) = 0 with pi's last
     entry fixed, then scaled to sum 1), extended by zeros on transient
     states; entries are exact rationals summing to 1."""
-    labels, _, _, w = _complete_chain(t, "the stationary distribution needs")
+    labels, _, _, w = _terminal_chain(t, "the stationary distribution needs")
     total = sum(w)
     mass = dict(zip(labels, w))
     return tuple(Fraction(mass.get(st.label, 0), total) for st in t.states)
@@ -288,7 +282,7 @@ def expected_density(t: Machine) -> Fraction:
     """Linear-growth constant of the mean output sum: the stationary
     vector dotted with the expected per-state output.  Every output must
     be a word of digits, on transient transitions too."""
-    labels, _, _, w = _complete_chain(t, "the stationary distribution needs")
+    labels, _, _, w = _terminal_chain(t, "the stationary distribution needs")
     mass = dict(zip(labels, w))
     total = sum(_digit_sum(tr.output, "output") * mass.get(tr.source, 0)
                 for tr in t.transitions)
@@ -312,7 +306,7 @@ class MomentsResult:
 
 
 def asymptotic_moments(t: Machine) -> MomentsResult:
-    labels, inside, C, w = _complete_chain(t, "asymptotic moments need")
+    labels, inside, B, w = _terminal_chain(t, "asymptotic moments need")
     if not is_aperiodic(t, labels):
         raise AnalysisError("the terminal component is periodic")
     n = len(labels)
@@ -345,7 +339,7 @@ def asymptotic_moments(t: Machine) -> MomentsResult:
     # linearity, the right-hand sides stay integers: z' = u - (pi b) v
     # with B u = letters * b' and B v = letters * 1', both over d.
     (u_y, u_z, v), d = solve_integers(
-        _reduced(C, letters), [h_y[:-1], h_z[:-1], [letters] * (n - 1)])
+        B, [h_y[:-1], h_z[:-1], [letters] * (n - 1)])
     K = d * letters * D
 
     def fundamental(u, E):

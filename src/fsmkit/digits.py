@@ -162,6 +162,14 @@ def _triple_transition(carry, read):
 # builders
 # ----------------------------------------------------------------------
 
+def _completed(fn, alphabet, initial) -> Machine:
+    """The rewriter explored from transition function fn, starting at
+    `initial` with final state 0, completed with final outputs by reading
+    zeros."""
+    m = transducers.from_transition_function(fn, alphabet, [initial], [0])
+    return transducers.with_final_word_out(m, 0)
+
+
 @cache
 def build_naf_acceptor() -> Machine:
     """Minimal complete acceptor of non-adjacent forms over {-1, 0, 1}:
@@ -192,29 +200,20 @@ def build_naf1() -> Machine:
 def build_naf2() -> Machine:
     """The same rewriter from its transition function, completed with
     final outputs by reading zeros."""
-    m = transducers.from_transition_function(
-        _naf_transition, input_alphabet=[0, 1],
-        initial_labels=["I"], final_labels=[0])
-    return transducers.with_final_word_out(m, 0)
+    return _completed(_naf_transition, [0, 1], "I")
 
 
 @cache
 def build_naf_all() -> Machine:
     """NAF rewriter for any expansion over digits {-1, 0, 1}, completed
     with final outputs; six states."""
-    m = transducers.from_transition_function(
-        _naf_transition, input_alphabet=[-1, 0, 1],
-        initial_labels=["I"], final_labels=[0])
-    return transducers.with_final_word_out(m, 0)
+    return _completed(_naf_transition, [-1, 0, 1], "I")
 
 
 @cache
 def build_triple() -> Machine:
     """Multiply a binary expansion by three, completed with final outputs."""
-    m = transducers.from_transition_function(
-        _triple_transition, input_alphabet=[0, 1],
-        initial_labels=[0], final_labels=[0])
-    return transducers.with_final_word_out(m, 0)
+    return _completed(_triple_transition, [0, 1], 0)
 
 
 @cache

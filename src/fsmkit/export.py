@@ -3,13 +3,15 @@
 Output is deterministic: states and transitions are visited in the one
 canonical order of `machine._listing` (states by label, transitions by
 `machine._transition_key`), so equal machines export to identical bytes.
-TikZ coordinates are user-supplied per state label, each two finite ints,
-floats or Fractions; states without coordinates are placed on a circle.
+TikZ coordinates are a user-supplied mapping from state labels to points,
+each two finite ints, floats or Fractions; states without coordinates are
+placed on a circle.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import MachineError
@@ -23,6 +25,10 @@ def render(machine: Machine, fmt: str, coordinates=None, format_letter=None) -> 
     if fmt == "dot":
         return _dot(machine)
     if fmt == "tikz":
+        if coordinates is not None and not isinstance(coordinates, Mapping):
+            raise MachineError(
+                f"coordinates must map state labels to points, not a "
+                f"{type(coordinates).__name__}")
         points = {label: _point(label, xy)
                   for label, xy in (coordinates or {}).items()}
         return _tikz(machine, points, format_letter or format_letter_plain)

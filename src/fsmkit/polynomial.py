@@ -1,7 +1,8 @@
 """Exact linear algebra: the characteristic polynomial of an integer
-matrix and linear solves over the rationals.
+matrix and linear solves of integer systems over the rationals.
 
-Both compute over the integers: `charpoly` reduces to Hessenberg form
+Both take ints only (a float, Fraction or bool entry raises AnalysisError)
+and compute over the integers: `charpoly` reduces to Hessenberg form
 modulo one Mersenne prime chosen above twice a bound on the coefficients,
 and `solve_integers` eliminates fraction-free, returning numerators over
 one common denominator, which its callers divide out only where a result
@@ -11,8 +12,6 @@ word-count recurrences are all built from these two functions.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import AnalysisError
 
 # Exponents e of Mersenne primes 2^e - 1 (OEIS A000043) from 61 on, so
@@ -20,6 +19,18 @@ from .errors import AnalysisError
 _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
                        4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209,
                        44497, 86243, 110503, 132049)
+
+
+def _require_ints(*matrices):
+    """Refuse the first entry of the matrices (each a sequence of rows)
+    that is not an int; floats, Fractions and bools included."""
+    for matrix in matrices:
+        for row in matrix:
+            for x in row:
+                if type(x) is not int:
+                    raise AnalysisError(
+                        f"exact linear algebra takes int entries only, "
+                        f"found {type(x).__name__} {x!r}")
 
 
 def _modulus(matrix) -> int:
@@ -42,6 +53,7 @@ def charpoly(matrix):
     matrix M, by Hessenberg reduction over GF(p), p from `_modulus` (H.
     Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
     1993, Algorithm 2.2.9): O(n^3) products of residues."""
+    _require_ints(matrix)
     p = _modulus(matrix)
     n = len(matrix)
     h = [[x % p for x in row] for row in matrix]
@@ -86,21 +98,18 @@ def solve_integers(matrix, columns):
     """The solutions x of M x = b, one for each right-hand side b in
     `columns`, as integer numerators over one common denominator:
     (numerators, d) with x = numerators[k] / d for the k-th column, and d
-    the last pivot; a singular M raises AnalysisError.
+    the last pivot; a singular M raises AnalysisError.  M and every b
+    take ints only; a caller with rational rows scales them first.
 
     Fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
     and multistep integer-preserving Gaussian elimination", Math. Comp.
-    22, 1968): each row is scaled to integers by the lcm of its
-    denominators, and every later entry is a minor of the scaled matrix,
-    so each elimination step divides exactly by the previous pivot.  The
-    last pivot, the scaled matrix's determinant up to sign, is the common
-    denominator of the solutions; no gcd is taken."""
+    22, 1968): every entry is a minor of the integer matrix, so each
+    elimination step divides exactly by the previous pivot.  The last
+    pivot, M's determinant up to sign, is the common denominator of the
+    solutions; no gcd is taken."""
+    _require_ints(matrix, columns)
     n = len(matrix)
-    rows = []
-    for i in range(n):
-        row = list(matrix[i]) + [b[i] for b in columns]
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    rows = [list(matrix[i]) + [b[i] for b in columns] for i in range(n)]
     previous = 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if rows[i][c]), None)

@@ -34,14 +34,15 @@ def from_transition_function(fn, input_alphabet, initial_labels,
     more states show up than the state cap (10**4, or the FSMKIT_STATE_CAP
     environment variable).  A bad label or fn call raises ConstructionError."""
     letters = _sorted_symbols(input_alphabet)
-    final = set(final_labels)
-    starts = list(initial_labels)
-    for label in starts:
-        try:
-            hash(label)
-        except TypeError:
-            raise ConstructionError(
-                f"the initial label {label!r} is unhashable") from None
+    starts, finals = list(initial_labels), list(final_labels)
+    for role, labels in (("initial", starts), ("final", finals)):
+        for label in labels:
+            try:
+                hash(label)
+            except TypeError:
+                raise ConstructionError(
+                    f"the {role} label {label!r} is unhashable") from None
+    final = set(finals)
 
     def successors(state):
         for letter in letters:

@@ -7,8 +7,9 @@ equivalence by its definition through minimal automata, a method
 independent of the union-find walk in `automata.is_equivalent`.
 `gauss_jordan_solve` is exact elimination over Fractions, the reference
 for the library's fraction-free `polynomial.solve_integers`, and `solve`
-divides that function's numerators out into the Fractions the tests
-compare (no library code needs them); `faddeev_leverrier` computes
+scales rational rows to integers for that function and divides its
+numerators out into the Fractions the tests compare (no library code
+needs them); `faddeev_leverrier` computes
 characteristic polynomials over the integers, the reference for the
 modular `polynomial.charpoly`; `markov_constants` evaluates the
 stationary vector and the moment formulas over Fractions, the reference
@@ -27,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 from fsmkit.analysis import terminal_scc
 from fsmkit.automata import determinize, minimize
@@ -348,8 +349,15 @@ def gauss_jordan_solve(matrix, columns):
 
 def solve(matrix, columns):
     """`polynomial.solve_integers`' solutions as Fractions, the form that
-    `gauss_jordan_solve` returns."""
-    numerators, d = solve_integers(matrix, columns)
+    `gauss_jordan_solve` returns.  Each rational row, with its entries of
+    the right-hand sides, is first scaled to integers by the lcm of its
+    denominators, since the library solve takes integers only."""
+    scales = [lcm(*(Fraction(x).denominator
+                    for x in [*matrix[i], *(b[i] for b in columns)]))
+              for i in range(len(matrix))]
+    numerators, d = solve_integers(
+        [[int(x * s) for x in row] for row, s in zip(matrix, scales)],
+        [[int(x * s) for x, s in zip(b, scales)] for b in columns])
     return [[Fraction(x, d) for x in column] for column in numerators]
 
 

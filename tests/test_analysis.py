@@ -272,10 +272,12 @@ def test_stationarity_is_exact(machine_W):
 
 def test_terminal_chain_is_built_once_as_tuples(weight_naf):
     first = stationary_distribution(weight_naf)
-    chain = analysis._terminal_chain(weight_naf)
-    assert analysis._terminal_chain(weight_naf) is chain
-    labels, inside, P, pi = chain
-    assert all(type(part) is tuple for part in (labels, inside, P, pi, *P))
+    needs = "the stationary distribution needs"
+    chain = analysis._terminal_chain(weight_naf, needs)
+    assert analysis._terminal_chain(weight_naf, needs) is chain
+    labels, inside, B, w = chain
+    assert all(type(part) is tuple for part in (labels, inside, B, w, *B))
+    assert [len(row) for row in B] == [len(labels) - 1] * (len(labels) - 1)
     assert stationary_distribution(weight_naf) == first
     assert expected_density(weight_naf) == \
         asymptotic_moments(weight_naf).expectation

@@ -86,6 +86,17 @@ def test_tikz_refuses_bad_coordinates(machine_T, label, xy):
         machine_T.export("tikz", coordinates={**T_COORDINATES, label: xy})
 
 
+@pytest.mark.parametrize("coordinates", [
+    [("0", (1, 2))], (), "", 0, {("0", (1, 2))}], ids=[
+    "pairs-list", "empty-tuple", "empty-string", "zero", "set"])
+def test_tikz_refuses_coordinates_that_are_not_a_mapping(machine_T,
+                                                         coordinates):
+    with pytest.raises(MachineError, match=re.escape(
+            f"coordinates must map state labels to points, not a "
+            f"{type(coordinates).__name__}")):
+        machine_T.export("tikz", coordinates=coordinates)
+
+
 def test_tikz_places_ints_floats_and_fractions_alike(machine_T):
     as_floats = {label: (float(x), float(y))
                  for label, (x, y) in T_COORDINATES.items()}

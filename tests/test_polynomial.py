@@ -1,8 +1,11 @@
 """The modular characteristic polynomial against the integer
 Faddeev-LeVerrier reference: its prime, its refusal past the prime list,
-and its coefficients on the shapes that stress a Hessenberg reduction."""
+and its coefficients on the shapes that stress a Hessenberg reduction;
+and the int-only contract of both exact routines."""
 
 import random
+import re
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from fsmkit import polynomial
 from fsmkit.errors import AnalysisError
-from fsmkit.polynomial import charpoly
+from fsmkit.polynomial import charpoly, solve_integers
 
 from oracles import faddeev_leverrier
 
@@ -100,3 +103,24 @@ def test_a_bound_past_the_prime_list_is_refused(monkeypatch):
                        match=r"bound 2\*\(1\+2\)\^57 exceeds the largest "
                              r"listed prime 2\^89-1"):
         charpoly(bigger)
+
+
+@pytest.mark.parametrize("call, found", [
+    (lambda: charpoly([[1.5, 1, 0], [1, 0, 1], [0, 1, 1]]), "float 1.5"),
+    (lambda: charpoly([[1, 0], [0, Fraction(1, 2)]]),
+     "Fraction Fraction(1, 2)"),
+    (lambda: charpoly([[1, True], [0, 1]]), "bool True"),
+    (lambda: solve_integers([[1.5]], [[1]]), "float 1.5"),
+    (lambda: solve_integers([[2, 0], [0, Fraction(3)]], [[1, 1]]),
+     "Fraction Fraction(3, 1)"),
+    (lambda: solve_integers([[2]], [[1], [Fraction(1, 2)]]),
+     "Fraction Fraction(1, 2)"),
+    (lambda: solve_integers([[1, 0], [0, 1]], [[0, False]]), "bool False"),
+    (lambda: solve_integers([[1, 2.0], [0, 1.5]], [[1, 1]]), "float 2.0"),
+], ids=["charpoly-float", "charpoly-fraction", "charpoly-bool",
+        "solve-float", "solve-integral-fraction", "solve-fraction-rhs",
+        "solve-bool-rhs", "solve-first-entry"])
+def test_exact_routines_refuse_an_entry_that_is_not_an_int(call, found):
+    with pytest.raises(AnalysisError, match=re.escape(
+            f"exact linear algebra takes int entries only, found {found}")):
+        call()

@@ -85,6 +85,16 @@ def test_transition_function_refuses_an_unhashable_initial_label(labels):
                                  final_labels=["a"])
 
 
+@pytest.mark.parametrize("labels", [[["a"]], ["a", {"b": 0}], [("a", [])]],
+                         ids=["list", "dict", "tuple-with-list"])
+def test_transition_function_refuses_an_unhashable_final_label(labels):
+    with pytest.raises(ConstructionError, match=re.escape(
+            f"the final label {labels[-1]!r} is unhashable")):
+        from_transition_function(lambda state, read: (state, read),
+                                 input_alphabet=[0, 1], initial_labels=["a"],
+                                 final_labels=labels)
+
+
 def test_state_cap_env_override(monkeypatch):
     monkeypatch.setenv("FSMKIT_STATE_CAP", "7")
     with pytest.raises(StateCapError, match="7"):
