@@ -234,37 +234,39 @@ def _terminal_chain(t: Machine, needs: str):
     B = |input alphabet| * I - C less its last row and column (C the count
     matrix, so P = C / |input alphabet| is the transition matrix) and the
     stationary row vector as coprime positive integer weights w
-    (pi = w / sum(w), pi P = pi), all tuples; built once per machine,
-    since machines are immutable."""
+    (pi = w / sum(w), pi P = pi), all tuples, kept by `t._kept`."""
     if not t.is_complete():
         raise MachineError(f"{needs} a complete deterministic machine")
-    if t._chain is not None:
-        return t._chain
-    reachable = t.accessible()
-    scc = terminal_scc(reachable)
-    labels = tuple(st.label for st in reachable.states if st.label in scc)
-    index = {label: i for i, label in enumerate(labels)}
-    inside = tuple((index[tr.source], index[tr.target], tr)
-                   for tr in reachable.transitions if tr.source in scc)
-    n = len(labels) - 1
-    letters = len(t.input_alphabet)
-    # letters * I - C less its last column; the last row is popped below
-    B = [[letters * (i == j) for j in range(n)] for i in range(n + 1)]
-    for i, j, _ in inside:
-        if j < n:
-            B[i][j] -= 1
-    last = [-x for x in B.pop()]
-    # pi (P - I) = 0 with pi's last entry fixed to 1, less its last
-    # equation, which the others imply (each row of P - I sums to 0); times
-    # |input alphabet| it reads B^T h = (C's last row less its last entry)
-    # for pi's head h.  P is stochastic and irreducible here, so B is
-    # nonsingular and pi positive (Kemeny and Snell, Finite Markov Chains,
-    # 1960), so every numerator of h has the sign of their denominator d.
-    (head,), d = solve_integers(list(zip(*B)), [last])
-    g = gcd(*head, d) if d > 0 else -gcd(*head, d)
-    t._chain = (labels, inside, tuple(map(tuple, B)),
+
+    def chain():
+        reachable = t.accessible()
+        scc = terminal_scc(reachable)
+        labels = tuple(st.label for st in reachable.states if st.label in scc)
+        index = {label: i for i, label in enumerate(labels)}
+        inside = tuple((index[tr.source], index[tr.target], tr)
+                       for tr in reachable.transitions if tr.source in scc)
+        n = len(labels) - 1
+        letters = len(t.input_alphabet)
+        # letters * I - C less its last column; the last row is popped below
+        B = [[letters * (i == j) for j in range(n)] for i in range(n + 1)]
+        for i, j, _ in inside:
+            if j < n:
+                B[i][j] -= 1
+        last = [-x for x in B.pop()]
+        # pi (P - I) = 0 with pi's last entry fixed to 1, less its last
+        # equation, which the others imply (each row of P - I sums to 0);
+        # times |input alphabet| it reads B^T h = (C's last row less its
+        # last entry) for pi's head h.  P is stochastic and irreducible, so
+        # pi is positive (Kemeny and Snell, Finite Markov Chains, 1960), and
+        # B^T is a nonsingular M-matrix (Berman and Plemmons, Nonnegative
+        # Matrices in the Mathematical Sciences, 1979), so Bareiss never
+        # swaps rows and every pivot, the denominator d included, is positive.
+        (head,), d = solve_integers(list(zip(*B)), [last])
+        g = gcd(*head, d)
+        return (labels, inside, tuple(map(tuple, B)),
                 tuple(x // g for x in head + [d]))
-    return t._chain
+
+    return t._kept("chain", chain)
 
 
 def stationary_distribution(t: Machine):

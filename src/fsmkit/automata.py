@@ -124,40 +124,39 @@ def determinize(a: Machine) -> Machine:
     targets are computed once; a subset's successor on a letter is the
     union of its members' entries, since closure distributes over union.
 
-    The result is kept on `a`, and later calls return that same machine,
-    so a chain of constructions on one argument determinizes it once.  A
-    kept result answers to the state cap as a new construction would: it
-    raises StateCapError when it has more states than the cap allows.  A
-    call that raises keeps nothing."""
+    The result is kept on `a` (see `Machine._kept`), so later calls return
+    that same machine, and each call answers to the state cap."""
     _require_automaton(a)
-    if a._dfa is not None:
-        _refuse_past_cap(len(a._dfa.states), _state_cap())
-        return a._dfa
-    finals = {st.label for st in a.final_states()}
-    epsilons = {st.label: [] for st in a.states}
-    for t in a.transitions:
-        if not t.input:
-            epsilons[t.source].append(t.target)
-    closure = {label: frozenset(bfs_levels([label], epsilons.__getitem__))
-               for label in epsilons}
-    by_letter = {letter: {label: set() for label in epsilons}
-                 for letter in a.input_alphabet}
-    for t in a.transitions:
-        if t.input:
-            by_letter[t.input[0]][t.source] |= closure[t.target]
 
-    def successors(subset):
-        for letter, row in by_letter.items():
-            move = frozenset().union(*map(row.__getitem__, subset))
-            if move:
-                yield (letter,), move, ()
+    def subsets():
+        finals = {st.label for st in a.final_states()}
+        epsilons = {st.label: [] for st in a.states}
+        for t in a.transitions:
+            if not t.input:
+                epsilons[t.source].append(t.target)
+        closure = {label: frozenset(bfs_levels([label], epsilons.__getitem__))
+                   for label in epsilons}
+        by_letter = {letter: {label: set() for label in epsilons}
+                     for letter in a.input_alphabet}
+        for t in a.transitions:
+            if t.input:
+                by_letter[t.input[0]][t.source] |= closure[t.target]
 
-    start = frozenset().union(
-        *(closure[st.label] for st in a.initial_states()))
-    a._dfa = explore(AUTOMATON, a.input_alphabet, [start], successors,
-                     lambda subset: "{" + ",".join(sorted(subset)) + "}",
-                     lambda subset: () if subset & finals else None)
-    return a._dfa
+        def successors(subset):
+            for letter, row in by_letter.items():
+                move = frozenset().union(*map(row.__getitem__, subset))
+                if move:
+                    yield (letter,), move, ()
+
+        start = frozenset().union(
+            *(closure[st.label] for st in a.initial_states()))
+        return explore(AUTOMATON, a.input_alphabet, [start], successors,
+                       lambda subset: "{" + ",".join(sorted(subset)) + "}",
+                       lambda subset: () if subset & finals else None)
+
+    d = a._kept("dfa", subsets)
+    _refuse_past_cap(len(d.states), _state_cap())
+    return d
 
 
 def complete(a: Machine) -> Machine:
@@ -331,10 +330,8 @@ def count_words(a: Machine, n: int) -> int:
     the recurrence overtakes stepping at about size**2 on R and on random
     2-letter DFAs of 16 to 32 states, and at 1.5 to 2 * size**2 on those
     of 6 to 8 states, where either side takes under 0.3 ms.  The
-    recurrence is the one `word_count_recurrence` keeps on `a`, so its
-    characteristic polynomial is computed at most once per machine; `a`
-    is determinized as `determinize` does it, state cap included, on
-    every call."""
+    recurrence and the determinization are those kept on `a` (see
+    `Machine._kept`), and each call answers to the state cap."""
     _require_automaton(a)
     _require_index(n, "length")
     if n > sys.maxsize:
@@ -402,30 +399,26 @@ class Recurrence:
 
 
 def _recurrence(a, size, steps, counts) -> Recurrence:
-    """The word count recurrence of `a` from `_word_counts`' results,
-    built on first use and kept on `a`: the characteristic polynomial of
-    the count matrix gives the coefficients, the first counts give the
-    initial terms."""
-    if a._recurrence is not None:
-        return a._recurrence
-    if not size:
-        a._recurrence = Recurrence((0,), (0,))
-        return a._recurrence
-    matrix = [[0] * size for _ in range(size)]
-    for i, j in steps:
-        matrix[i][j] += 1
-    # det(xI - M) = x^d + c1 x^(d-1) + ... + cd  =>  a(n) = -c1 a(n-1) - ...
-    coefficients = tuple(-c for c in charpoly(matrix)[1:])
-    a._recurrence = Recurrence(coefficients, tuple(islice(counts, size)))
-    return a._recurrence
+    """`word_count_recurrence(a)` from `_word_counts(a)`'s results."""
+
+    def build():
+        if not size:
+            return Recurrence((0,), (0,))
+        matrix = [[0] * size for _ in range(size)]
+        for i, j in steps:
+            matrix[i][j] += 1
+        # det(xI - M) = x^d + c1 x^(d-1) + ... + cd  =>  a(n) = -c1 a(n-1) ...
+        coefficients = tuple(-c for c in charpoly(matrix)[1:])
+        return Recurrence(coefficients, tuple(islice(counts, size)))
+
+    return a._kept("recurrence", build)
 
 
 def word_count_recurrence(a: Machine) -> Recurrence:
     """Recurrence satisfied by n -> count_words(a, n): the characteristic
     polynomial of the trimmed deterministic transition-count matrix gives
     the coefficients, the first counts give the initial terms.  The
-    result is kept on `a`, so later calls return it without computing the
-    polynomial again; `a` is still determinized as `determinize` does it,
-    so a kept result answers to the state cap as a new one would."""
+    result is kept on `a` (see `Machine._kept`), and each call answers to
+    the state cap."""
     _require_automaton(a)
     return _recurrence(a, *_word_counts(a))

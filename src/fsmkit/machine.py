@@ -13,11 +13,11 @@ construction layers use and deterministic execution refuses.
 The one constructor validates every machine, construction results
 included, and indexes its states by label (`_by_label`).  The index graph
 (`_edges`: source and target index per transition) is what reachability,
-trimming, relabeling, the SCCs and the word counts walk.  Since a machine
-never changes, it keeps four derived forms, each built on first use: the
-step table of a deterministic machine (`_steps`: per state index, a dict
-from letter to (target index, output word)); the terminal chain of the
-analyses; the subset construction; and the word count recurrence.
+trimming, relabeling, the SCCs and the word counts walk.  A machine never
+changes, so `_kept` keeps each derived form, built on first use: the step
+table (`_steps`: per state index, a dict from letter to (target index,
+output word)), the subset construction, the word count recurrence and the
+terminal chain.  Nothing else changes a machine after its constructor.
 """
 
 from __future__ import annotations
@@ -177,10 +177,7 @@ class Machine:
                 if automaton:
                     raise ConstructionError(f"automaton transition with output: {t}")
 
-        self._table = None  # lazy step table, see _steps
-        self._chain = None  # lazy analysis._terminal_chain result
-        self._dfa = None  # lazy automata.determinize result
-        self._recurrence = None  # lazy automata.word_count_recurrence result
+        self._forms = {}  # derived forms by name, see _kept
 
     # ------------------------------------------------------------------
     # basic views
@@ -235,13 +232,21 @@ class Machine:
         return self.is_deterministic() and all(
             len(row) == len(self.input_alphabet) for row in self._steps()[1])
 
+    def _kept(self, form, build):
+        """`form`'s value, kept from the first `build()` call that returns."""
+        if form not in self._forms:
+            self._forms[form] = build()
+        return self._forms[form]
+
     def _steps(self):
         """The step table of a deterministic machine, built once: the index
         of the initial state and, for each state index i, a dict mapping
         every letter that has a move from states[i] to (target index,
-        output word).  Any other machine raises MachineError."""
-        if self._table is not None:
-            return self._table
+        output word).  Any other machine raises MachineError.  Every run
+        reads the kept table, a nonempty tuple, with one dict lookup."""
+        return self._forms.get("steps") or self._kept("steps", self._step_table)
+
+    def _step_table(self):
         initials = [i for i, st in enumerate(self.states) if st.is_initial]
         if len(initials) != 1:
             raise MachineError(
@@ -257,8 +262,7 @@ class Machine:
                 raise MachineError(
                     f"nondeterministic on state {t.source!r}, letter {t.input[0]}")
             row[t.input[0]] = (index[t.target], t.output)
-        self._table = initials[0], rows
-        return self._table
+        return initials[0], rows
 
     # ------------------------------------------------------------------
     # running
@@ -484,8 +488,8 @@ def explore(kind, alphabet, starts, successors, name, final,
     `name(key)` labels a state once, when it is discovered, and a name
     already taken gets the first free suffix "#k" (`_free_label`);
     `final(key)` is None for a non-final state and its final output word
-    otherwise.  States are listed in discovery order; discovering more than
-    the state cap (see `_state_cap`) raises StateCapError."""
+    otherwise.  States are listed in discovery order; more states than the
+    state cap (`_state_cap`), starts included, raise StateCapError."""
     cap = _state_cap()
     taken = set()
 
@@ -494,9 +498,10 @@ def explore(kind, alphabet, starts, successors, name, final,
         taken.add(label)
         return label
 
-    labels = {key: fresh(key) for key in dict.fromkeys(starts)}
-    order = list(labels)
+    order = list(dict.fromkeys(starts))
     initial_count = len(order)
+    _refuse_past_cap(initial_count, cap)
+    labels = {key: fresh(key) for key in order}
     transitions = []
     for here in order:  # order grows while it is walked
         source = labels[here]

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fsmkit import export, serialize
+from fsmkit import analysis, export, serialize
 from fsmkit.analysis import (asymptotic_moments, expected_density,
                              is_aperiodic, stationary_distribution,
                              strongly_connected_components, terminal_scc,
@@ -370,6 +370,8 @@ def test_stationary_vector_is_fixed_by_the_full_chain(seed):
     assert sum(pi) == 1
     assert all((x > 0) == (label in component)
                for label, x in zip(labels, pi))
+    # pi = w / sum(w) cancels a sign, so the kept weights are read directly
+    assert all(x > 0 for x in analysis._terminal_chain(t, "")[3])
 
 
 @st.composite

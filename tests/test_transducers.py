@@ -96,11 +96,24 @@ def test_transition_function_refuses_an_unhashable_final_label(labels):
 
 
 def test_state_cap_env_override(monkeypatch):
-    monkeypatch.setenv("FSMKIT_STATE_CAP", "7")
-    with pytest.raises(StateCapError, match="7"):
-        from_transition_function(
-            lambda state, read: (state + 1, read),
-            input_alphabet=[0], initial_labels=[0], final_labels=[0])
+    # a chain that outgrows the cap, and more initial states than it admits
+    for cap, fn, starts, finals in (
+            ("7", lambda state, read: (state + 1, read), [0], [0]),
+            ("2", lambda state, read: (state, []), [0, 1, 2, 3], [])):
+        monkeypatch.setenv("FSMKIT_STATE_CAP", cap)
+        with pytest.raises(StateCapError, match=cap):
+            from_transition_function(
+                fn, input_alphabet=[0], initial_labels=starts,
+                final_labels=finals)
+
+
+def test_state_cap_admits_as_many_initial_states_as_it_allows(monkeypatch):
+    monkeypatch.setenv("FSMKIT_STATE_CAP", "4")
+    m = from_transition_function(lambda state, read: (state, []),
+                                 input_alphabet=[0],
+                                 initial_labels=[0, 1, 2, 3, 3, 0],
+                                 final_labels=[])
+    assert len(m.initial_states()) == 4
 
 
 @pytest.mark.parametrize("value", ["x", "0", "-3", "2.5"])
@@ -498,6 +511,24 @@ def test_simplify_merges_equivalent_states():
     assert len(merged.states) == 2
     for letters in all_words([0, 1], 7):
         assert merged.transduce(letters) == duplicated.transduce(letters)
+
+
+def test_simplify_keeps_apart_states_that_differ_only_in_final_output():
+    # b and c have the same moves, outputs and finality; only their final
+    # outputs, (1) and (0, 1), tell them apart
+    states = [State("a", is_initial=True),
+              State("b", is_final=True, final_output=word(1)),
+              State("c", is_final=True, final_output=word([0, 1]))]
+    transitions = [Transition(source, target, word(letter), word(0))
+                   for source in "abc"
+                   for target, letter in (("b", 0), ("c", 1))]
+    m = Machine(TRANSDUCER, states, transitions, [0, 1])
+    simplified = simplify(m)
+    assert len(simplified.states) == 3
+    for letters in all_words([0, 1], 4):
+        run, expected = simplified.process(letters), m.process(letters)
+        assert (run.accepted, run.output) == (expected.accepted,
+                                              expected.output)
 
 
 def test_simplify_preserves_function(machine_T, machine_W):
