@@ -227,18 +227,18 @@ def _digit_sum(w, role: str) -> int:
 
 def _terminal_chain(t: Machine, needs: str):
     """The Markov chain of uniformly random inputs on the unique terminal
-    SCC of the accessible part of a complete deterministic machine;
-    `needs` begins the message that refuses any other machine.  The chain
-    is the SCC's labels in state order, (i, j, tr) per transition tr from
-    them, i and j its ends' indices in the labels, the integer matrix
-    B = |input alphabet| * I - C less its last row and column (C the count
-    matrix, so P = C / |input alphabet| is the transition matrix) and the
-    stationary row vector as coprime positive integer weights w
-    (pi = w / sum(w), pi P = pi), all tuples, kept by `t._kept`."""
-    if not t.is_complete():
-        raise MachineError(f"{needs} a complete deterministic machine")
+    SCC of the accessible part of a complete deterministic machine, kept by
+    `t._kept`; `needs` begins the message that refuses any other machine,
+    which keeps nothing.  The chain is the SCC's labels in state order,
+    (i, j, tr) per transition tr from them (i and j its ends' indices in
+    the labels), the integer matrix B = |input alphabet| * I - C less its
+    last row and column (C the count matrix, P = C / |input alphabet| the
+    transition matrix) and the stationary row vector as coprime positive
+    integer weights w (pi = w / sum(w), pi P = pi), all tuples."""
 
     def chain():
+        if not t.is_complete():
+            raise MachineError(f"{needs} a complete deterministic machine")
         reachable = t.accessible()
         scc = terminal_scc(reachable)
         labels = tuple(st.label for st in reachable.states if st.label in scc)
@@ -309,7 +309,7 @@ class MomentsResult:
 
 def asymptotic_moments(t: Machine) -> MomentsResult:
     labels, inside, B, w = _terminal_chain(t, "asymptotic moments need")
-    if not is_aperiodic(t, labels):
+    if not t._kept("aperiodic", lambda: is_aperiodic(t, labels)):
         raise AnalysisError("the terminal component is periodic")
     n = len(labels)
     letters = len(t.input_alphabet)

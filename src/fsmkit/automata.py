@@ -265,10 +265,11 @@ def language(a: Machine, max_length: int):
     shortlex order under the canonical symbol order."""
     _require_automaton(a)
     _require_index(max_length, "length")
-    d = a if a.is_deterministic() else determinize(a)
-    start, rows = d._steps()
-
-    dist = d._levels(backward=True)  # to the nearest final state, to prune
+    t = _trimmed(a)
+    if not t.states:
+        return
+    start, rows = t._steps()
+    dist = t._levels(backward=True)  # to the nearest final state, to prune
 
     # depth-first with an explicit stack, so long words cannot exhaust
     # the recursion limit; letters are pushed in reverse to pop in order
@@ -277,38 +278,39 @@ def language(a: Machine, max_length: int):
         while stack:
             here, prefix = stack.pop()
             remaining = length - len(prefix)
-            if dist.get(here, remaining + 1) > remaining:
+            if dist[here] > remaining:
                 continue
             if remaining == 0:
-                if d.states[here].is_final:
+                if t.states[here].is_final:
                     yield prefix
                 continue
             row = rows[here]
-            for letter in reversed(d.input_alphabet):
+            for letter in reversed(t.input_alphabet):
                 step = row.get(letter)
                 if step is not None:
                     stack.append((step[0], prefix + (letter,)))
 
 
-def _word_counts(a: Machine):
-    """Size and (source index, target index) per transition of the
-    trimmed deterministic form of `a`, and a generator of its numbers of
-    accepted words of lengths 0, 1, 2, ... (each step walks the
-    transition list once, over big integers)."""
-    d = (a if a.is_deterministic() else determinize(a)).trim()
-    size, steps = len(d.states), d._edges()
-    finals = [i for i, st in enumerate(d.states) if st.is_final]
+def _trimmed(a: Machine) -> Machine:
+    """The trimmed deterministic form of automaton `a`, which counting and
+    enumeration read: kept on `a` (see `Machine._kept`), and each call
+    answers to the state cap through `determinize`."""
+    d = a if a.is_deterministic() else determinize(a)
+    return a._kept("trimmed", d.trim)
 
-    def counts():
-        row = [int(st.is_initial) for st in d.states]
-        while True:
-            yield sum(row[i] for i in finals)
-            step = [0] * size
-            for i, j in steps:
-                step[j] += row[i]
-            row = step
 
-    return size, steps, counts()
+def _counts(t: Machine):
+    """The numbers of words of lengths 0, 1, 2, ... that the trimmed
+    deterministic machine `t` accepts, stepped over big integers."""
+    edges = t._edges()
+    finals = [i for i, st in enumerate(t.states) if st.is_final]
+    row = [int(st.is_initial) for st in t.states]
+    while True:
+        yield sum(row[i] for i in finals)
+        step = [0] * len(row)
+        for i, j in edges:
+            step[j] += row[i]
+        row = step
 
 
 def _require_index(n, name: str):
@@ -330,17 +332,17 @@ def count_words(a: Machine, n: int) -> int:
     the recurrence overtakes stepping at about size**2 on R and on random
     2-letter DFAs of 16 to 32 states, and at 1.5 to 2 * size**2 on those
     of 6 to 8 states, where either side takes under 0.3 ms.  The
-    recurrence and the determinization are those kept on `a` (see
+    trimmed form and the recurrence are those kept on `a` (see
     `Machine._kept`), and each call answers to the state cap."""
     _require_automaton(a)
     _require_index(n, "length")
     if n > sys.maxsize:
         raise ConstructionError(
             f"the length must be at most sys.maxsize = {sys.maxsize}")
-    size, steps, counts = _word_counts(a)
-    if n >= size * size:
-        return _recurrence(a, size, steps, counts).term(n)
-    return next(islice(counts, n, None))
+    t = _trimmed(a)
+    if n >= len(t.states) ** 2:
+        return word_count_recurrence(a).term(n)
+    return next(islice(_counts(t), n, None))
 
 
 @dataclass(frozen=True)
@@ -398,22 +400,6 @@ class Recurrence:
         return sum(x * y for x, y in zip(r, terms[first:]))
 
 
-def _recurrence(a, size, steps, counts) -> Recurrence:
-    """`word_count_recurrence(a)` from `_word_counts(a)`'s results."""
-
-    def build():
-        if not size:
-            return Recurrence((0,), (0,))
-        matrix = [[0] * size for _ in range(size)]
-        for i, j in steps:
-            matrix[i][j] += 1
-        # det(xI - M) = x^d + c1 x^(d-1) + ... + cd  =>  a(n) = -c1 a(n-1) ...
-        coefficients = tuple(-c for c in charpoly(matrix)[1:])
-        return Recurrence(coefficients, tuple(islice(counts, size)))
-
-    return a._kept("recurrence", build)
-
-
 def word_count_recurrence(a: Machine) -> Recurrence:
     """Recurrence satisfied by n -> count_words(a, n): the characteristic
     polynomial of the trimmed deterministic transition-count matrix gives
@@ -421,4 +407,17 @@ def word_count_recurrence(a: Machine) -> Recurrence:
     result is kept on `a` (see `Machine._kept`), and each call answers to
     the state cap."""
     _require_automaton(a)
-    return _recurrence(a, *_word_counts(a))
+    t = _trimmed(a)
+
+    def build():
+        size = len(t.states)
+        if not size:
+            return Recurrence((0,), (0,))
+        matrix = [[0] * size for _ in range(size)]
+        for i, j in t._edges():
+            matrix[i][j] += 1
+        # det(xI - M) = x^d + c1 x^(d-1) + ... + cd  =>  a(n) = -c1 a(n-1) ...
+        coefficients = tuple(-c for c in charpoly(matrix)[1:])
+        return Recurrence(coefficients, tuple(islice(_counts(t), size)))
+
+    return a._kept("recurrence", build)

@@ -14,10 +14,14 @@ The one constructor validates every machine, construction results
 included, and indexes its states by label (`_by_label`).  The index graph
 (`_edges`: source and target index per transition) is what reachability,
 trimming, relabeling, the SCCs and the word counts walk.  A machine never
-changes, so `_kept` keeps each derived form, built on first use: the step
-table (`_steps`: per state index, a dict from letter to (target index,
-output word)), the subset construction, the word count recurrence and the
-terminal chain.  Nothing else changes a machine after its constructor.
+changes, so `_kept` keeps each derived form, built on first use, and a
+later call reads it instead of deriving it again: the step table
+(`_steps`: per state index, a dict from letter to (target index, output
+word)), the subset construction, the trimmed deterministic form that
+counting and enumeration read, the word count recurrence, the terminal
+chain and its period test.  Nothing else changes a machine after its
+constructor.  `_run` is the one run loop: it follows a word through the
+rows of a step table, for `Machine.process` and for composition.
 """
 
 from __future__ import annotations
@@ -276,27 +280,13 @@ class Machine:
         final; if some letter has no transition the run stops there and
         rejects.  Rejection is a value, not an error.
         """
-        here, out, consumed = self._run_from(self._steps()[0],
-                                             word(input_word))
+        start, rows = self._steps()
+        here, out, consumed = _run(rows, start, word(input_word))
         st = self.states[here]
         accepted = consumed and st.is_final
         if accepted:
             out.extend(st.final_output)
         return RunResult(accepted, st.label, tuple(out))
-
-    def _run_from(self, here, w):
-        """Follow letters of w from state index `here`; returns (stop index,
-        output as a list, consumed everything?).  The one run loop, shared
-        by `process` and composition."""
-        _, rows = self._steps()
-        out = []
-        for sym in w:
-            step = rows[here].get(sym)
-            if step is None:
-                return here, out, False
-            here, written = step
-            out.extend(written)
-        return here, out, True
 
     def transduce(self, input_word) -> Word:
         """Output word of an accepting run; rejection raises."""
@@ -383,10 +373,15 @@ class Machine:
 
     def digraph(self, edge_weight) -> WeightedDigraph:
         """One edge per transition t, weighted by edge_weight(t) as an exact
-        rational; a weight `Fraction()` cannot take raises ConstructionError."""
+        rational; a failing edge_weight call, or a weight `Fraction()`
+        cannot take, raises ConstructionError naming the transition."""
         edges = []
         for t in self.transitions:
-            weight = edge_weight(t)
+            try:
+                weight = edge_weight(t)
+            except Exception as exc:
+                raise ConstructionError(
+                    f"the weight function failed on {t}: {exc}") from exc
             try:
                 edges.append((t.source, t.target, Fraction(weight)))
             except (TypeError, ValueError, OverflowError):
@@ -399,6 +394,20 @@ class Machine:
         from . import export as _export
         return _export.render(self, fmt, coordinates=coordinates,
                               format_letter=format_letter)
+
+
+def _run(rows, here, w):
+    """Follow w through the step rows (`Machine._steps`) from state index
+    `here`; returns (stop index, output as a list, consumed everything?).
+    The one run loop, shared by `Machine.process` and composition."""
+    out = []
+    for sym in w:
+        step = rows[here].get(sym)
+        if step is None:
+            return here, out, False
+        here, written = step
+        out.extend(written)
+    return here, out, True
 
 
 def _state_cap() -> int:

@@ -2,12 +2,14 @@
 matrix and linear solves of integer systems over the rationals.
 
 Both take ints only (a float, Fraction or bool entry raises AnalysisError)
-and compute over the integers: `charpoly` reduces to Hessenberg form
-modulo one Mersenne prime chosen above twice a bound on the coefficients,
-and `solve_integers` eliminates fraction-free, returning numerators over
-one common denominator, which its callers divide out only where a result
-must be a Fraction.  The stationary vector, the moment constants and the
-word-count recurrences are all built from these two functions.
+and a square matrix only, with right-hand sides of its order (any other
+shape raises AnalysisError too).  Both compute over the integers:
+`charpoly` reduces to Hessenberg form modulo one Mersenne prime chosen
+above twice a bound on the coefficients, and `solve_integers` eliminates
+fraction-free, returning numerators over one common denominator, which
+its callers divide out only where a result must be a Fraction.  The
+stationary vector, the moment constants and the word-count recurrences
+are all built from these two functions.
 """
 
 from __future__ import annotations
@@ -21,16 +23,27 @@ _MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
                        44497, 86243, 110503, 132049)
 
 
-def _require_ints(*matrices):
-    """Refuse the first entry of the matrices (each a sequence of rows)
-    that is not an int; floats, Fractions and bools included."""
-    for matrix in matrices:
-        for row in matrix:
-            for x in row:
-                if type(x) is not int:
-                    raise AnalysisError(
-                        f"exact linear algebra takes int entries only, "
-                        f"found {type(x).__name__} {x!r}")
+def _require_ints(matrix, columns=()):
+    """Refuse a matrix (a sequence of rows) that is not square, a column
+    (a right-hand side) whose length is not the matrix's order, and the
+    first entry of either that is not an int; floats, Fractions and bools
+    included."""
+    n = len(matrix)
+    for row in matrix:
+        if len(row) != n:
+            raise AnalysisError(
+                f"exact linear algebra takes a square matrix, found a row "
+                f"of length {len(row)} in a matrix of {n} rows")
+    for b in columns:
+        if len(b) != n:
+            raise AnalysisError(
+                f"a right-hand side of length {len(b)} does not fit a "
+                f"matrix of {n} rows")
+    for x in (x for part in (matrix, columns) for row in part for x in row):
+        if type(x) is not int:
+            raise AnalysisError(
+                f"exact linear algebra takes int entries only, "
+                f"found {type(x).__name__} {x!r}")
 
 
 def _modulus(matrix) -> int:

@@ -8,7 +8,7 @@ from itertools import zip_longest
 
 from .errors import ConstructionError, MachineError
 from .machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
-                      _free_label, _lockstep, _pair_label, as_label,
+                      _free_label, _lockstep, _pair_label, _run, as_label,
                       bfs_levels, explore)
 from .symbols import (ABSENT, AbsentType, Digit, Pair, Symbol,
                       _sorted_symbols, digit_value, symbol, word)
@@ -154,7 +154,7 @@ def compose(outer: Machine, inner: Machine) -> Machine:
     the outer machine writes while consuming it, followed by the outer
     final output."""
     inner_start, inner_rows = _steps_of(inner, "inner")
-    start = (inner_start, _steps_of(outer, "outer")[0])
+    outer_start, outer_rows = _steps_of(outer, "outer")
 
     def successors(pair):
         row = inner_rows[pair[0]]
@@ -162,7 +162,7 @@ def compose(outer: Machine, inner: Machine) -> Machine:
             if letter not in row:
                 continue
             target, read = row[letter]
-            stop, written, complete_run = outer._run_from(pair[1], read)
+            stop, written, complete_run = _run(outer_rows, pair[1], read)
             if not complete_run:
                 t = Transition(inner.states[pair[0]].label,
                                inner.states[target].label, (letter,), read)
@@ -173,13 +173,14 @@ def compose(outer: Machine, inner: Machine) -> Machine:
     def final(pair):
         inner_state = inner.states[pair[0]]
         if inner_state.is_final:
-            stop, written, complete_run = outer._run_from(
-                pair[1], inner_state.final_output)
+            stop, written, complete_run = _run(
+                outer_rows, pair[1], inner_state.final_output)
             if complete_run and outer.states[stop].is_final:
                 return tuple(written) + outer.states[stop].final_output
         return None
 
-    return explore(TRANSDUCER, inner.input_alphabet, [start], successors,
+    return explore(TRANSDUCER, inner.input_alphabet,
+                   [(inner_start, outer_start)], successors,
                    _pair_label(inner, outer), final, outer.output_alphabet)
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from fsmkit.analysis import (asymptotic_moments, bellman_ford,
                              terminal_sccs)
 from fsmkit.digits import hamming_weight
 from fsmkit.errors import AnalysisError, MachineError, NegativeCycleError
-from fsmkit.machine import WeightedDigraph, build_machine
+from fsmkit.machine import (TRANSDUCER, Machine, State, WeightedDigraph,
+                            build_machine)
 from fsmkit.symbols import word
 
 from oracles import dp_stats, exponent_adjacency_matrix, visit_frequencies
@@ -113,6 +115,22 @@ def test_duplicating_rewriter_is_not_minimal():
     flag, paths = check_minimality(doubler, in_minus_out)
     assert flag is False
     assert min(paths.distance.values()) < 0
+
+
+@pytest.mark.parametrize("t", [
+    Machine(TRANSDUCER, [State("a", False, True)], [], [0]),
+    build_machine([("a", "b", 0, 0)], ["a", "b"], ["a"], input_alphabet=[0]),
+], ids=["none", "two"])
+def test_minimality_needs_exactly_one_initial_state(t):
+    with pytest.raises(MachineError, match="shortest paths need exactly one "
+                                           "initial state"):
+        check_minimality(t, in_minus_out)
+
+
+def test_density_needs_digit_outputs(combined_3n_n):
+    with pytest.raises(AnalysisError, match=re.escape(
+            "output sums need digit outputs, found 0|0")):
+        expected_density(combined_3n_n)
 
 
 # ----------------------------------------------------------------------

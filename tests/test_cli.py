@@ -232,6 +232,28 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-verb"])
     assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["run", "T.json", "--digits-of", "1.5"])
+    assert info.value.code == 2
+    assert "invalid integer value: '1.5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", "T.json"), "error: provide --input or --digits-of\n"),
+    (("export", "T.json", "--format", "tikz", "--coords", "text.json"),
+     "error: not a coordinates file: Expecting value"),
+    (("export", "T.json", "--format", "tikz", "--coords", "list.json"),
+     "error: coordinates must be a JSON object mapping labels to [x, y]\n"),
+], ids=["run-without-input", "coordinates-not-json", "coordinates-list"])
+def test_refusals_exit_one_in_process(tmp_path, capsys, monkeypatch, argv,
+                                      message):
+    build(tmp_path, capsys, "T")
+    (tmp_path / "text.json").write_text("not json")
+    (tmp_path / "list.json").write_text("[[0, 0]]")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
 
 
 def test_every_preset_round_trips(tmp_path, capsys):

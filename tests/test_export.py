@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fsmkit.errors import MachineError
-from fsmkit.export import format_letter_negative
+from fsmkit.export import format_letter_negative, format_letter_plain
 from fsmkit.machine import AUTOMATON, build_machine
 from fsmkit.symbols import Digit, Pair
 
@@ -69,6 +69,12 @@ def test_export_identical_for_equal_machines():
 def test_unknown_format_raises(identity01):
     with pytest.raises(MachineError, match="unknown export format"):
         identity01.export("svg")
+
+
+def test_plain_letters_are_symbols_only():
+    assert format_letter_plain(Pair(Digit(-1), Digit(0))) == "(-1, 0)"
+    with pytest.raises(MachineError, match="cannot format 7"):
+        format_letter_plain(7)
 
 
 @pytest.mark.parametrize("label, xy", [

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from fsmkit import analysis, digits
 from fsmkit.errors import ConstructionError, InvalidInputError, MachineError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
-                            build_machine)
+                            _run, build_machine)
 from fsmkit.symbols import Digit, word
 
 from oracles import nfa_accepts
@@ -109,6 +109,33 @@ def test_constructor_names_each_single_fault(kind, states, transitions,
     with pytest.raises(ConstructionError) as raised:
         Machine(kind, states, transitions, [0, 1], outputs)
     assert str(raised.value) == message
+
+
+def test_the_input_alphabet_must_not_be_empty():
+    with pytest.raises(ConstructionError,
+                       match="the input alphabet must not be empty"):
+        Machine(TRANSDUCER, [ACCEPTING], [], [])
+
+
+def test_state_lookup_equality_and_repr(naf1):
+    assert naf1.state(0).label == "0"
+    with pytest.raises(MachineError, match="no state labeled 'zz'"):
+        naf1.state("zz")
+    assert naf1 != 5
+    assert naf1.__eq__(5) is NotImplemented
+    assert repr(naf1) == (f"<transducer: {len(naf1.states)} states, "
+                          f"{len(naf1.transitions)} transitions>")
+
+
+@pytest.mark.parametrize("rows, initial, message", [
+    ([("a", "b")], ["a"],
+     "transition row must have 3 or 4 entries: ('a', 'b')"),
+    ([("a", "b", 0)], [], "at least one initial state is required"),
+], ids=["two-entries", "no-initial"])
+def test_build_machine_refuses_a_bad_row_or_no_initial_state(rows, initial,
+                                                             message):
+    with pytest.raises(ConstructionError, match=re.escape(message)):
+        build_machine(rows, initial, ["b"], input_alphabet=[0])
 
 
 def test_process_binary_fourteen_rejects_midway(naf1):
@@ -254,6 +281,16 @@ def test_digraph_refuses_a_weight_that_is_not_rational(identity01, weight):
         analysis.check_minimality(identity01, lambda t: weight)
 
 
+def test_digraph_names_the_transition_a_weight_function_fails_on(identity01):
+    message = re.escape("the weight function failed on 0 --0|0--> 0: "
+                        "integer division or modulo by zero")
+    with pytest.raises(ConstructionError, match=message) as raised:
+        identity01.digraph(lambda t: 1 // 0)
+    assert isinstance(raised.value.__cause__, ZeroDivisionError)
+    with pytest.raises(ConstructionError, match=message):
+        analysis.check_minimality(identity01, lambda t: 1 // 0)
+
+
 def test_is_deterministic_and_complete(naf1, naf_acceptor):
     assert naf1.is_deterministic()
     assert naf1.is_complete()
@@ -291,11 +328,11 @@ def test_process_is_pure(naf_all, letters):
 @given(binary_words, binary_words)
 def test_output_concatenates_over_split_inputs(naf_all, u, v):
     # transition outputs only; final words are excluded from this law
-    start, _ = naf_all._steps()
-    mid, out_u, ok_u = naf_all._run_from(start, word(u))
+    start, rows = naf_all._steps()
+    mid, out_u, ok_u = _run(rows, start, word(u))
     assert ok_u  # complete machine never blocks
-    end, out_v, ok_v = naf_all._run_from(mid, word(v))
+    end, out_v, ok_v = _run(rows, mid, word(v))
     assert ok_v
-    whole, out_uv, _ = naf_all._run_from(start, word(list(u) + list(v)))
+    whole, out_uv, _ = _run(rows, start, word(list(u) + list(v)))
     assert whole == end
     assert out_uv == out_u + out_v

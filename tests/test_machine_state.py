@@ -6,7 +6,11 @@ what they derive from a machine is kept through `Machine._kept`."""
 import ast
 from pathlib import Path
 
+import pytest
+
 import fsmkit
+from fsmkit import analysis, automata, digits
+from fsmkit.machine import Machine
 
 PACKAGE = Path(fsmkit.__file__).parent
 
@@ -36,3 +40,51 @@ def test_only_the_machine_module_writes_attributes_of_other_objects():
     writes = [where for path in modules if path.name != "machine.py"
               for where in _foreign_writes(path)]
     assert writes == []
+
+
+def _spy(monkeypatch):
+    """The names of the spied calls made from here on: constructing a
+    Machine, `trim`, `accessible`, `is_complete` and `is_aperiodic`."""
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def spied(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spied)
+
+    for name in ("__init__", "trim", "accessible", "is_complete"):
+        spy(Machine, name)
+    spy(analysis, "is_aperiodic")
+    return calls
+
+
+def _star():
+    """A nondeterministic automaton whose trimmed deterministic form has
+    4 states, so the count rule switches at length 16."""
+    return automata.kleene_star(automata.word_automaton([0, 1, 1], [0, 1]))
+
+
+@pytest.mark.parametrize("build, call", [
+    (_star, automata.word_count_recurrence),
+    (_star, lambda a: automata.count_words(a, 15)),
+    (_star, lambda a: automata.count_words(a, 16)),
+    (_star, lambda a: list(automata.language(a, 7))),
+    (digits.build_naf_acceptor, lambda a: automata.count_words(a, 8)),
+    (digits.build_naf_acceptor, lambda a: list(automata.language(a, 4))),
+    (digits.build_W, analysis.stationary_distribution),
+    (digits.build_W, analysis.asymptotic_moments),
+], ids=["recurrence", "count below size**2", "count at size**2", "language",
+        "deterministic count", "deterministic language", "stationary",
+        "moments"])
+def test_a_second_call_reads_the_kept_forms(build, call, monkeypatch):
+    """Once a machine keeps its forms, a call on it builds no machine and
+    runs none of trim, accessible, is_complete or is_aperiodic again."""
+    m = build()
+    first = call(m)
+    calls = _spy(monkeypatch)
+    assert call(m) == first
+    assert calls == []

@@ -1,7 +1,7 @@
 """The modular characteristic polynomial against the integer
 Faddeev-LeVerrier reference: its prime, its refusal past the prime list,
 and its coefficients on the shapes that stress a Hessenberg reduction;
-and the int-only contract of both exact routines."""
+and the int-only, square-only contract of both exact routines."""
 
 import random
 import re
@@ -123,4 +123,27 @@ def test_a_bound_past_the_prime_list_is_refused(monkeypatch):
 def test_exact_routines_refuse_an_entry_that_is_not_an_int(call, found):
     with pytest.raises(AnalysisError, match=re.escape(
             f"exact linear algebra takes int entries only, found {found}")):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: charpoly([[1, 2, 3], [3, 4, 5]]),
+     "takes a square matrix, found a row of length 3 in a matrix of 2 rows"),
+    (lambda: charpoly([[1, 2], [3]]),
+     "takes a square matrix, found a row of length 1 in a matrix of 2 rows"),
+    (lambda: solve_integers([[1, 0, 0], [0, 1, 0]], [[1, 1]]),
+     "takes a square matrix, found a row of length 3 in a matrix of 2 rows"),
+    (lambda: solve_integers([[1, 0], [0, 1]], [[1, 2, 3]]),
+     "a right-hand side of length 3 does not fit a matrix of 2 rows"),
+    (lambda: solve_integers([[1, 0], [0, 1]], [[1]]),
+     "a right-hand side of length 1 does not fit a matrix of 2 rows"),
+    (lambda: solve_integers([[1, 0], [0, 1]], [[1, 1], []]),
+     "a right-hand side of length 0 does not fit a matrix of 2 rows"),
+], ids=["charpoly-wide", "charpoly-ragged", "solve-wide", "solve-long-rhs",
+        "solve-short-rhs", "solve-second-rhs"])
+def test_exact_routines_refuse_a_shape_that_does_not_fit(call, message):
+    """Before, these returned wrong values ([1, -5, -2] for the wide
+    charpoly, ([[0, 0]], 1) for the wide solve, x = (1, 2) for the long
+    right-hand side) or raised a raw IndexError."""
+    with pytest.raises(AnalysisError, match=re.escape(message)):
         call()

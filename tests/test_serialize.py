@@ -84,6 +84,11 @@ def test_malformed_documents_raise():
         serialize.loads(json.dumps({"kind": "automaton"}))
     with pytest.raises(ConstructionError):
         serialize.decode_symbol("x")
+    with pytest.raises(ConstructionError, match="booleans are not symbols"):
+        serialize.decode_symbol(True)
+    with pytest.raises(ConstructionError,
+                       match="a word must be an array, got 'x'"):
+        serialize.decode_word("x")
 
 
 @pytest.mark.parametrize("section, field, value", [

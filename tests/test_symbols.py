@@ -56,6 +56,9 @@ def test_word_coercion():
     assert word(7) == (Digit(7),)
     assert word([0, -1]) == (Digit(0), Digit(-1))
     assert word([(0, 1), None]) == (Pair(Digit(0), Digit(1)), ABSENT)
+    with pytest.raises(ConstructionError,
+                       match="cannot interpret 1.5 as a word"):
+        word(1.5)
 
 
 def test_word_of_a_symbol_tuple_is_the_tuple_itself():
@@ -81,6 +84,11 @@ def test_token_round_trip_examples():
     assert parse_word_text("") == ()
     assert parse_word_text("0,1,1,1") == word([0, 1, 1, 1])
     assert format_word(word([(0, None), 2])) == "0|~,2"
+    with pytest.raises(ConstructionError, match="empty symbol token"):
+        parse_symbol_token("")
+    with pytest.raises(ConstructionError,
+                       match="cannot parse symbol token 'x'"):
+        parse_symbol_token("x")
 
 
 simple_symbols = st.one_of(

@@ -376,6 +376,20 @@ def test_projection_of_identity_accepts_everything(identity01):
                       input_alphabet=[0, 1], kind="automaton"))
 
 
+def test_projection_refuses_an_automaton(naf_acceptor):
+    with pytest.raises(MachineError,
+                       match="output projection is defined on transducers"):
+        output_projection(naf_acceptor)
+
+
+def test_projection_refuses_a_silent_machine_without_output_alphabet():
+    silent = build_machine([("a", "a", 0, None)], ["a"], ["a"],
+                           input_alphabet=[0])
+    with pytest.raises(MachineError, match="cannot infer an output alphabet "
+                                           "from a machine that never writes"):
+        output_projection(silent)
+
+
 def test_projection_language_matches_brute_force(naf_all):
     projected = automata.minimize(output_projection(naf_all))
     enumerated = {w for w in automata.language(projected, 6)}
