@@ -17,11 +17,13 @@ trimming, relabeling, the SCCs and the word counts walk.  A machine never
 changes, so `_kept` keeps each derived form, built on first use, and a
 later call reads it instead of deriving it again: the step table
 (`_steps`: per state index, a dict from letter to (target index, output
-word)), the subset construction, the trimmed deterministic form that
-counting and enumeration read, the word count recurrence, the terminal
-chain and its period test.  Nothing else changes a machine after its
-constructor.  `_run` is the one run loop: it follows a word through the
-rows of a step table, for `Machine.process` and for composition.
+word), or the message refusing a machine that is not deterministic), the
+subset construction, the trimmed deterministic form that counting and
+enumeration read, the word count recurrence, the terminal chain and its
+period test.  Nothing else changes a machine after its constructor.
+`_run` is the one run loop: it follows a word through the rows of a step
+table, for `Machine.process` and for composition, with one subscript per
+letter; a letter without a move ends the run.
 """
 
 from __future__ import annotations
@@ -225,11 +227,7 @@ class Machine:
     def is_deterministic(self) -> bool:
         """Single initial state, no epsilon inputs, at most one transition
         per (state, letter)."""
-        try:
-            self._steps()
-        except MachineError:
-            return False
-        return True
+        return type(self._kept("steps", self._step_table)) is not str
 
     def is_complete(self) -> bool:
         """Deterministic with exactly one transition per (state, letter)."""
@@ -246,25 +244,30 @@ class Machine:
         """The step table of a deterministic machine, built once: the index
         of the initial state and, for each state index i, a dict mapping
         every letter that has a move from states[i] to (target index,
-        output word).  Any other machine raises MachineError.  Every run
-        reads the kept table, a nonempty tuple, with one dict lookup."""
-        return self._forms.get("steps") or self._kept("steps", self._step_table)
+        output word).  Any other machine raises MachineError; its refusal
+        is kept too, so each call raises a fresh error with the same
+        message without walking the transitions again.  Every run reads
+        the kept table, a nonempty tuple, with one dict lookup."""
+        steps = self._forms.get("steps") or self._kept("steps", self._step_table)
+        if type(steps) is str:
+            raise MachineError(steps)
+        return steps
 
     def _step_table(self):
+        """The step table `_steps` keeps, or the message that refuses it."""
         initials = [i for i, st in enumerate(self.states) if st.is_initial]
         if len(initials) != 1:
-            raise MachineError(
-                f"a deterministic run needs exactly one initial state, "
-                f"found {len(initials)}")
+            return (f"a deterministic run needs exactly one initial state, "
+                    f"found {len(initials)}")
         index = self._by_label
         rows = [{} for _ in self.states]
         for t in self.transitions:
             if not t.input:
-                raise MachineError(f"epsilon transition blocks execution: {t}")
+                return f"epsilon transition blocks execution: {t}"
             row = rows[index[t.source]]
             if t.input[0] in row:
-                raise MachineError(
-                    f"nondeterministic on state {t.source!r}, letter {t.input[0]}")
+                return (f"nondeterministic on state {t.source!r}, "
+                        f"letter {t.input[0]}")
             row[t.input[0]] = (index[t.target], t.output)
         return initials[0], rows
 
@@ -399,14 +402,18 @@ class Machine:
 def _run(rows, here, w):
     """Follow w through the step rows (`Machine._steps`) from state index
     `here`; returns (stop index, output as a list, consumed everything?).
-    The one run loop, shared by `Machine.process` and composition."""
+    The one run loop, shared by `Machine.process` and composition.  Each
+    letter costs one subscript: a letter without a move raises KeyError
+    before `here` is assigned, so the run stops at the state that could
+    not read it, with the output written up to there."""
     out = []
-    for sym in w:
-        step = rows[here].get(sym)
-        if step is None:
-            return here, out, False
-        here, written = step
-        out.extend(written)
+    extend = out.extend
+    try:
+        for sym in w:
+            here, written = rows[here][sym]
+            extend(written)
+    except KeyError:
+        return here, out, False
     return here, out, True
 
 

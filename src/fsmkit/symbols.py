@@ -180,10 +180,17 @@ def word(x) -> Word:
     None is the empty word, a single int or Symbol is a one-letter word,
     and any other iterable is coerced elementwise (so a 2-tuple inside a
     list becomes a Pair letter, while a top-level list is a sequence).  A
-    tuple of symbols is already a word and is returned as is.
+    tuple of symbols is already a word and is returned as is: it is
+    recognised by checking each distinct letter once, over a `set` of its
+    letters.  A tuple with a letter that cannot be hashed is coerced
+    elementwise like any other iterable.
     """
-    if type(x) is tuple and all(map(isinstance, x, repeat(Symbol))):
-        return x
+    if type(x) is tuple:
+        try:
+            if all(map(isinstance, set(x), repeat(Symbol))):
+                return x
+        except Exception:  # a letter whose hash fails, however it fails
+            pass
     if x is None:
         return ()
     if isinstance(x, (Symbol, int)):  # `symbol` refuses a bool

@@ -1,3 +1,4 @@
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -9,9 +10,9 @@ from fsmkit import analysis, digits
 from fsmkit.errors import ConstructionError, InvalidInputError, MachineError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
                             _run, build_machine)
-from fsmkit.symbols import Digit, word
+from fsmkit.symbols import ABSENT, Digit, Pair, word
 
-from oracles import nfa_accepts
+from oracles import nfa_accepts, run_deterministic
 
 
 def test_build_naf1_structure(naf1):
@@ -165,6 +166,34 @@ def test_process_blocks_on_missing_transition(naf_acceptor):
     two_ones = naf_acceptor.coaccessible().process([1, 1])
     assert not two_ones.accepted
     assert two_ones.output == ()
+
+
+@pytest.mark.parametrize("foreign", [Digit(7), ABSENT, Pair(Digit(1), Digit(0))],
+                         ids=["digit", "absent", "pair"])
+def test_process_rejects_at_a_letter_outside_the_alphabet(machine_T, foreign):
+    """The run stops where it reads the foreign letter: its stop state is
+    the one the prefix before it reaches, and its output is what that
+    prefix wrote, as the walk over the transition list finds."""
+    prefix = word([1, 0, 1, 1])
+    w = prefix + (foreign,) + word([0, 1])
+    run = machine_T.process(w)
+    assert (run.accepted, run.stop_state, run.output) == \
+        run_deterministic(machine_T, w)
+    assert not run.accepted
+    assert run.stop_state == machine_T.process(prefix).stop_state
+    with pytest.raises(InvalidInputError, match="invalid input sequence"):
+        machine_T.transduce(w)
+
+
+def test_a_long_binary_expansion_through_T_agrees_with_the_walk(machine_T):
+    bits = 2**14
+    n = random.Random(14).getrandbits(bits) | 1 << (bits - 1)
+    w = digits.binary_digits(n)
+    assert len(w) == bits
+    run = machine_T.process(w)
+    assert run.accepted
+    assert (run.accepted, run.stop_state, run.output) == \
+        run_deterministic(machine_T, w)
 
 
 def test_transduce_requires_acceptance(naf1, naf_completed):

@@ -10,6 +10,7 @@ import pytest
 
 import fsmkit
 from fsmkit import analysis, automata, digits
+from fsmkit.errors import MachineError
 from fsmkit.machine import Machine
 
 PACKAGE = Path(fsmkit.__file__).parent
@@ -88,3 +89,29 @@ def test_a_second_call_reads_the_kept_forms(build, call, monkeypatch):
     calls = _spy(monkeypatch)
     assert call(m) == first
     assert calls == []
+
+
+def test_a_refused_step_table_is_built_once(monkeypatch):
+    """A nondeterministic machine walks its transitions for the refusal
+    once; later determinism checks and counts read the kept refusal, and
+    each `_steps()` call raises a fresh MachineError with its message."""
+    nfa = _star()
+    builds = []
+    original = Machine._step_table
+
+    def spied(self):
+        builds.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Machine, "_step_table", spied)
+    for _ in range(5):
+        assert not nfa.is_deterministic()
+    assert automata.count_words(nfa, 3) == automata.count_words(nfa, 3)
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(MachineError) as raised:
+            nfa._steps()
+        refusals.append(raised.value)
+    assert refusals[0] is not refusals[1]
+    assert str(refusals[0]) == str(refusals[1]) != ""
+    assert sum(m is nfa for m in builds) == 1

@@ -102,6 +102,28 @@ def test_process_agrees_with_a_walk_over_the_transition_list(t):
             run_deterministic(t, w)
 
 
+NATIVE = word(LETTERS)
+FOREIGN = (Digit(7), ABSENT, Pair(Digit(1), Digit(0)))
+
+
+@st.composite
+def words_with_foreign_letters(draw):
+    """A word over LETTERS, then a letter outside them, then a tail that
+    may hold more of both."""
+    head = draw(st.lists(st.sampled_from(NATIVE), max_size=5))
+    tail = draw(st.lists(st.sampled_from(NATIVE + FOREIGN), max_size=3))
+    return tuple(head) + (draw(st.sampled_from(FOREIGN)),) + tuple(tail)
+
+
+@PROPERTY
+@given(random_transducers(), words_with_foreign_letters())
+def test_process_stops_at_a_foreign_letter_as_the_walk_does(t, w):
+    run = t.process(w)
+    assert not run.accepted
+    assert (run.accepted, run.stop_state, run.output) == \
+        run_deterministic(t, w)
+
+
 @PROPERTY
 @given(random_automata(), random_automata())
 def test_boolean_constructions_agree_with_nfa_acceptance(a, b):

@@ -72,6 +72,27 @@ def test_word_of_a_symbol_tuple_is_the_tuple_itself():
         word((Digit(0), True))
 
 
+def test_word_of_a_long_symbol_tuple_is_the_tuple_itself():
+    w = tuple(Digit(i % 3) for i in range(16_383)) + (ABSENT,)
+    assert word(w) is w
+
+
+class _HashRefused:
+    def __hash__(self):
+        raise ValueError("no hash")
+
+    def __repr__(self):
+        return "<hash refused>"
+
+
+def test_word_coerces_a_tuple_with_a_letter_that_is_not_a_symbol():
+    assert word((Digit(0), [1, 0])) == (Digit(0), Pair(Digit(1), Digit(0)))
+    assert word((Digit(0), 1)) == (Digit(0), Digit(1))
+    with pytest.raises(ConstructionError,
+                       match="cannot interpret <hash refused> as a symbol"):
+        word((Digit(0), _HashRefused()))
+
+
 def test_empty_word_differs_from_absent_letter():
     assert word(None) != word([None])
     assert word([None]) == (ABSENT,)
