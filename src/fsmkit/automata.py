@@ -119,28 +119,34 @@ def kleene_star(a: Machine) -> Machine:
 
 def determinize(a: Machine) -> Machine:
     """Subset construction with epsilon closure; subset states are named
-    by their sorted member labels, so the result is canonical.  Each
-    state's closure and, per letter, the union of the closures of its
-    targets are computed once; a subset's successor on a letter is the
-    union of its members' entries, since closure distributes over union.
+    by their sorted member labels, so the result is canonical.  It works
+    on label ranks: states are numbered in sorted label order, a subset
+    is a frozenset of ranks, and its name joins the labels of its sorted
+    ranks.  Each state's closure and, per letter, the union of the
+    closures of its targets are computed once; a subset's successor on a
+    letter is the union of its members' entries, since closure
+    distributes over union.
 
     The result is kept on `a` (see `Machine._kept`), so later calls return
     that same machine, and each call answers to the state cap."""
     _require_automaton(a)
 
     def subsets():
-        finals = {st.label for st in a.final_states()}
-        epsilons = {st.label: [] for st in a.states}
+        labels = sorted(st.label for st in a.states)
+        rank = {label: r for r, label in enumerate(labels)}
+        finals = {rank[st.label] for st in a.final_states()}
+        epsilons = [[] for _ in labels]
         for t in a.transitions:
             if not t.input:
-                epsilons[t.source].append(t.target)
-        closure = {label: frozenset(bfs_levels([label], epsilons.__getitem__))
-                   for label in epsilons}
-        by_letter = {letter: {label: set() for label in epsilons}
+                epsilons[rank[t.source]].append(rank[t.target])
+        closure = [frozenset(bfs_levels([r], epsilons.__getitem__))
+                   for r in range(len(labels))]
+        by_letter = {letter: [set() for _ in labels]
                      for letter in a.input_alphabet}
         for t in a.transitions:
             if t.input:
-                by_letter[t.input[0]][t.source] |= closure[t.target]
+                row = by_letter[t.input[0]]
+                row[rank[t.source]] |= closure[rank[t.target]]
 
         def successors(subset):
             for letter, row in by_letter.items():
@@ -149,9 +155,10 @@ def determinize(a: Machine) -> Machine:
                     yield (letter,), move, ()
 
         start = frozenset().union(
-            *(closure[st.label] for st in a.initial_states()))
+            *(closure[rank[st.label]] for st in a.initial_states()))
         return explore(AUTOMATON, a.input_alphabet, [start], successors,
-                       lambda subset: "{" + ",".join(sorted(subset)) + "}",
+                       lambda subset: "{" + ",".join(
+                           map(labels.__getitem__, sorted(subset))) + "}",
                        lambda subset: () if subset & finals else None)
 
     d = a._kept("dfa", subsets)

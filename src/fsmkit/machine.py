@@ -8,7 +8,10 @@ operations return new machines, so values can be shared freely.
 States are identified by their label, a display string that is unique
 within a machine.  Transition inputs are words of length at most one; a
 length-zero input is an epsilon transition, which the nondeterministic
-construction layers use and deterministic execution refuses.
+construction layers use and deterministic execution refuses.  The rows,
+`State` and `Transition`, are slotted frozen dataclasses whose
+constructors fill the slots through the slots' own descriptors, since a
+frozen row refuses assignment; a construction builds thousands of them.
 
 The one constructor validates every machine, construction results
 included, and indexes its states by label (`_by_label`).  The index graph
@@ -45,25 +48,47 @@ DEFAULT_STATE_CAP = 10_000
 STATE_CAP_ENV = "FSMKIT_STATE_CAP"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class State:
     label: str
     is_initial: bool = False
     is_final: bool = False
     final_output: Word = ()
 
+    def __init__(self, label, is_initial=False, is_final=False,
+                 final_output=()):
+        _set_label(self, label)
+        _set_is_initial(self, is_initial)
+        _set_is_final(self, is_final)
+        _set_final_output(self, final_output)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Transition:
     source: str
     target: str
     input: Word
     output: Word = ()
 
+    def __init__(self, source, target, input, output=()):
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_input(self, input)
+        _set_output(self, output)
+
     def __str__(self):
         inp = format_word(self.input) or "ε"
         out = format_word(self.output) or "ε"
         return f"{self.source} --{inp}|{out}--> {self.target}"
+
+
+# the slots' own setters: a frozen row's __setattr__ refuses every field
+_set_label, _set_is_initial, _set_is_final, _set_final_output = (
+    State.label.__set__, State.is_initial.__set__, State.is_final.__set__,
+    State.final_output.__set__)
+_set_source, _set_target, _set_input, _set_output = (
+    Transition.source.__set__, Transition.target.__set__,
+    Transition.input.__set__, Transition.output.__set__)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ machine file through `json.dumps(..., indent=2)` of its document
 (`machine_to_doc`), the reference for the row writer `serialize.dumps`.
 The `label_*` functions walk the transition graph through adjacency maps
 keyed by state label, each built from the transition list: the reference
-for the library's SCCs, period test, reachability, trimming, relabeling
-and the language enumeration's pruning, which all walk state indices."""
+for the library's SCCs, period test, reachability, trimming, relabeling,
+the language enumeration's pruning and the subset construction, which
+walk state indices or, for the subsets, state ranks in label order."""
 
 import json
 from collections import deque
@@ -33,7 +34,8 @@ from math import gcd, lcm
 from fsmkit.analysis import terminal_scc
 from fsmkit.automata import determinize, minimize
 from fsmkit.errors import AnalysisError, ConstructionError
-from fsmkit.machine import AUTOMATON, Machine, State, Transition, _listing
+from fsmkit.machine import (AUTOMATON, Machine, State, Transition, _listing,
+                            explore)
 from fsmkit.polynomial import solve_integers
 from fsmkit.symbols import (ABSENT, Digit, Pair, digit_value, symbol, word,
                             word_key)
@@ -688,6 +690,37 @@ def label_relabeled(m):
         for t in m.transitions)
     return Machine(m.kind, states, transitions,
                    m.input_alphabet, m.output_alphabet)
+
+
+def label_determinize(a):
+    """The subset construction on subsets of state labels: each state's
+    epsilon closure and, per letter, the union of the closures of its
+    targets, keyed by label; a subset is named by its sorted member
+    labels."""
+    finals = {st.label for st in a.final_states()}
+    epsilons = {st.label: [] for st in a.states}
+    for t in a.transitions:
+        if not t.input:
+            epsilons[t.source].append(t.target)
+    closure = {label: frozenset(_bfs_levels([label], epsilons.__getitem__))
+               for label in epsilons}
+    by_letter = {letter: {label: set() for label in epsilons}
+                 for letter in a.input_alphabet}
+    for t in a.transitions:
+        if t.input:
+            by_letter[t.input[0]][t.source] |= closure[t.target]
+
+    def successors(subset):
+        for letter, row in by_letter.items():
+            move = frozenset().union(*map(row.__getitem__, subset))
+            if move:
+                yield (letter,), move, ()
+
+    start = frozenset().union(
+        *(closure[st.label] for st in a.initial_states()))
+    return explore(AUTOMATON, a.input_alphabet, [start], successors,
+                   lambda subset: "{" + ",".join(sorted(subset)) + "}",
+                   lambda subset: () if subset & finals else None)
 
 
 def label_language(a, max_length):

@@ -42,7 +42,8 @@ from fsmkit.transducers import cartesian_product, compose, simplify
 
 from oracles import (all_words, equivalent_by_minimization,
                      gauss_jordan_solve, label_accessible,
-                     label_coaccessible, label_is_aperiodic, label_language,
+                     label_coaccessible, label_determinize,
+                     label_is_aperiodic, label_language,
                      label_relabeled, label_sccs, label_terminal_scc,
                      label_terminal_sccs, label_trim, markov_constants,
                      nfa_accepts, per_digit_string, per_digit_value, rank,
@@ -317,6 +318,35 @@ def test_graph_walks_agree_with_the_label_keyed_walks(m):
     if m.kind == AUTOMATON:
         assert list(language(m, 4)) == list(label_language(m, 4))
         assert [count_words(m, n) for n in range(5)] == word_counts(m, 4)
+
+
+@st.composite
+def shuffled_nfas(draw):
+    """Automata of one to twelve states listed out of label order ("10"
+    before "9"), with labels holding "," and "#", epsilon moves and up to
+    three initial states.  Past eight states, a set of ranks need not
+    iterate in sorted order."""
+    labels = draw(st.lists(
+        st.one_of(st.integers(0, 12).map(str),
+                  st.text(alphabet="19,#", min_size=1, max_size=3)),
+        min_size=1, max_size=12, unique=True))
+    if len(labels) > 1 and labels == sorted(labels):
+        labels.reverse()
+    label = st.sampled_from(labels)
+    rows = draw(st.lists(
+        st.tuples(label, label, st.sampled_from((None,) + LETTERS)),
+        max_size=24))
+    initial = draw(st.sets(label, min_size=1, max_size=3))
+    final = draw(st.sets(label))
+    states = [State(x, x in initial, x in final) for x in labels]
+    transitions = [Transition(s, t, word(a)) for s, t, a in rows]
+    return Machine(AUTOMATON, states, transitions, LETTERS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_nfas())
+def test_determinize_agrees_with_the_label_keyed_subsets(a):
+    assert _rows(determinize(a)) == _rows(label_determinize(a))
 
 
 # digit values of one to three decimal digits, negative (overlined) ones
