@@ -63,9 +63,22 @@ class ShortestPaths:
 def bellman_ford(g: WeightedDigraph, source) -> ShortestPaths:
     """Exact shortest-path distances from `source`, negative weights
     allowed; a negative cycle reachable from the source raises
-    NegativeCycleError carrying a witness cycle."""
+    NegativeCycleError carrying a witness cycle.  An edge must join two
+    vertices and weigh an int or a Fraction (not a bool), or AnalysisError
+    names it; unhashable vertices and malformed edges raise it too."""
     if source not in g.vertices:
         raise AnalysisError(f"source {source!r} is not a vertex")
+    try:
+        vertices = set(g.vertices)
+        for u, v, w in g.edges:
+            if u not in vertices or v not in vertices:
+                raise AnalysisError(
+                    f"an end of the edge {(u, v, w)!r} is not a vertex")
+            if type(w) not in (int, Fraction):
+                raise AnalysisError(f"the weight of the edge {(u, v, w)!r} "
+                                    f"is not an int or a Fraction")
+    except (TypeError, ValueError) as exc:
+        raise AnalysisError(f"not a weighted digraph: {exc}") from None
     distance = {source: Fraction(0)}
     predecessor = {}
     for _ in range(max(len(g.vertices) - 1, 0)):
@@ -88,12 +101,9 @@ def bellman_ford(g: WeightedDigraph, source) -> ShortestPaths:
                 x = v
                 for _ in range(len(g.vertices)):
                     x = predecessor[x]
-                cycle = [x]
-                y = predecessor[x]
-                while y != x:
-                    cycle.append(y)
-                    y = predecessor[y]
-                cycle.append(x)
+                cycle = [x, predecessor[x]]
+                while cycle[-1] != x:
+                    cycle.append(predecessor[cycle[-1]])
                 cycle.reverse()
                 raise NegativeCycleError(cycle)
     return ShortestPaths(source, distance, predecessor)

@@ -19,9 +19,10 @@ from itertools import islice
 
 from .errors import ConstructionError, MachineError
 from .machine import (AUTOMATON, Machine, State, Transition, _lockstep,
-                      _refuse_past_cap, _state_cap, bfs_levels, explore)
+                      _refuse_past_cap, _state_cap, bfs_levels, build_machine,
+                      explore)
 from .polynomial import charpoly
-from .symbols import symbol, word
+from .symbols import word
 from .transducers import simplify
 
 
@@ -45,18 +46,12 @@ def _require_automata(a: Machine, b: Machine):
 # ----------------------------------------------------------------------
 
 def word_automaton(w, alphabet) -> Machine:
-    """Automaton accepting exactly the word w: a chain of len(w)+1 states."""
+    """Automaton accepting exactly the word w: a chain of len(w)+1 states.
+    The `Machine` constructor refuses a letter of w outside the alphabet,
+    naming its transition."""
     w = word(w)
-    letters = {symbol(a) for a in alphabet}
-    for s in w:
-        if s not in letters:
-            raise ConstructionError(f"word symbol {s} outside the alphabet")
-    states = tuple(
-        State(str(i), is_initial=(i == 0), is_final=(i == len(w)))
-        for i in range(len(w) + 1))
-    transitions = tuple(
-        Transition(str(i), str(i + 1), (s,)) for i, s in enumerate(w))
-    return Machine(AUTOMATON, states, transitions, alphabet)
+    return build_machine([(i, i + 1, s) for i, s in enumerate(w)], [0],
+                         [len(w)], alphabet, kind=AUTOMATON)
 
 
 def empty_word_automaton(alphabet) -> Machine:
@@ -178,20 +173,16 @@ def complete(a: Machine) -> Machine:
         return a
     if a.has_state(sink_label):
         raise ConstructionError(f"sink label {sink_label!r} already in use")
-    states = a.states + (State(sink_label),)
-    transitions = list(a.transitions)
-    for source, letter in missing:
-        transitions.append(Transition(source, sink_label, (letter,)))
-    for letter in a.input_alphabet:
-        transitions.append(Transition(sink_label, sink_label, (letter,)))
-    return Machine(a.kind, states, tuple(transitions),
+    missing += [(sink_label, letter) for letter in a.input_alphabet]
+    transitions = a.transitions + tuple(
+        Transition(source, sink_label, (letter,)) for source, letter in missing)
+    return Machine(a.kind, a.states + (State(sink_label),), transitions,
                    a.input_alphabet, a.output_alphabet)
 
 
 def complement(a: Machine) -> Machine:
     """Accept exactly the words the argument rejects (over the same
     alphabet); determinizes and completes internally."""
-    _require_automaton(a)
     d = complete(determinize(a))
     states = tuple(
         State(st.label, st.is_initial, not st.is_final) for st in d.states)
@@ -209,7 +200,6 @@ def minimize(a: Machine) -> Machine:
     """The unique minimal complete deterministic automaton for the same
     language, canonically relabeled: the determinized, completed machine
     with its equivalent states merged."""
-    _require_automaton(a)
     return simplify(complete(determinize(a)))
 
 

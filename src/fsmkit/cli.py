@@ -22,7 +22,7 @@ from . import analysis, automata, digits, serialize, transducers
 from .digits import Expansion, hamming_weight
 from .errors import FsmError
 from .machine import Machine
-from .symbols import parse_symbol_token, parse_word_text
+from .symbols import format_word, parse_symbol_token, parse_word_text
 
 PRESETS = {
     "naf-acceptor": digits.build_naf_acceptor,
@@ -208,7 +208,7 @@ def _cmd_run(args) -> int:
     result = m.process(_parse_input(args))
     print(f"accepted: {'true' if result.accepted else 'false'}")
     print(f"stop: {result.stop_state}")
-    print("output: " + ",".join(str(s) for s in result.output))
+    print("output: " + format_word(result.output))
     if args.eval_offset is not None:
         value = Expansion(result.output, args.eval_offset).value()
         print(f"value: {_exact(value)}")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import MachineError
 from .machine import Machine, _listing
-from .symbols import AbsentType, Digit, Pair, Symbol
+from .symbols import AbsentType, Digit, Pair, Symbol, format_word
 
 FORMATS = ("dot", "tikz")
 
@@ -57,7 +57,7 @@ def _quote(s: str) -> str:
 
 
 def _word_text(w) -> str:
-    return ",".join(str(s) for s in w) if w else "ε"
+    return format_word(w) or "ε"
 
 
 def _dot(machine: Machine) -> str:
@@ -108,9 +108,10 @@ def format_letter_negative(s: Symbol) -> str:
 
 
 def _tex_escape(text: str) -> str:
-    replacements = {"{": r"\{", "}": r"\}", "_": r"\_", "#": r"\#",
-                    "%": r"\%", "&": r"\&", "$": r"\$"}
-    return "".join(replacements.get(c, c) for c in text)
+    # a group keeps a letter that follows it from joining its command
+    return text.translate(str.maketrans({
+        "{": r"\{", "}": r"\}", "_": r"\_", "#": r"\#", "%": r"\%", "&": r"\&",
+        "$": r"\$", "\\": r"{\backslash}", "^": r"{\hat{}}", "~": r"{\sim}"}))
 
 
 def _tikz_word(w, fmt) -> str:

@@ -164,14 +164,7 @@ class Machine:
                 if automaton:
                     raise ConstructionError(
                         f"automaton state {st.label!r} with final output")
-                for s in st.final_output:
-                    if not isinstance(s, Symbol):
-                        raise ConstructionError(
-                            f"final output letter {s!r} is not a symbol: {st!r}")
-                    if writable is not None and s not in writable:
-                        raise ConstructionError(
-                            f"final output symbol {s} outside the output "
-                            f"alphabet in state {st.label!r}")
+                _check_output(st.final_output, writable, st)
             by_label[st.label] = i
 
         letters = set(alphabet)
@@ -198,13 +191,7 @@ class Machine:
                     raise ConstructionError(
                         f"input symbol {inp[0]} outside the alphabet in transition {t}")
             if out:
-                for s in out:
-                    if not isinstance(s, Symbol):
-                        raise ConstructionError(
-                            f"output letter {s!r} is not a symbol: {t!r}")
-                    if writable is not None and s not in writable:
-                        raise ConstructionError(
-                            f"output symbol {s} outside the output alphabet in {t}")
+                _check_output(out, writable, t)
                 if automaton:
                     raise ConstructionError(f"automaton transition with output: {t}")
 
@@ -373,8 +360,8 @@ class Machine:
     # ------------------------------------------------------------------
 
     def relabeled(self) -> "Machine":
-        """Rename states 0..n-1 in breadth-first order from the initial
-        states, following transitions in canonical (input, output) order;
+        """Rename states 0..n-1 by `_bfs_names` from the initial states,
+        following transitions in canonical (input, output) order;
         unreachable states keep their relative order at the end."""
         edges = list(zip(self.transitions, self._edges()))
         outgoing = [[] for _ in self.states]
@@ -384,12 +371,9 @@ class Machine:
             outgoing[i].append(j)
 
         starts = (i for i, st in enumerate(self.states) if st.is_initial)
-        reached = bfs_levels(starts, outgoing.__getitem__)
-        order = list(reached)
-        order += [i for i in range(len(self.states)) if i not in reached]
-        names, old = {i: str(k) for k, i in enumerate(order)}, self.states
-        states = tuple(State(names[i], old[i].is_initial, old[i].is_final,
-                             old[i].final_output) for i in order)
+        names, old = _bfs_names(starts, outgoing), self.states
+        states = tuple(State(name, old[i].is_initial, old[i].is_final,
+                             old[i].final_output) for i, name in names.items())
         transitions = tuple(Transition(names[i], names[j], t.input, t.output)
                             for t, (i, j) in edges)
         return Machine(self.kind, states, transitions,
@@ -422,6 +406,20 @@ class Machine:
         from . import export as _export
         return _export.render(self, fmt, coordinates=coordinates,
                               format_letter=format_letter)
+
+
+def _check_output(w, writable, row):
+    """Refuse a letter of `row`'s output word w (a transition's output or a
+    state's final output) that is no symbol or, given `writable`, not in it."""
+    for s in w:
+        if not isinstance(s, Symbol) or writable is not None and s not in writable:
+            final = "final " if type(row) is State else ""
+            if not isinstance(s, Symbol):
+                raise ConstructionError(
+                    f"{final}output letter {s!r} is not a symbol: {row!r}")
+            place = f"state {row.label!r}" if final else row
+            raise ConstructionError(
+                f"{final}output symbol {s} outside the output alphabet in {place}")
 
 
 def _run(rows, here, w):
@@ -575,6 +573,15 @@ def bfs_levels(starts, neighbours) -> dict:
     return level
 
 
+def _bfs_names(starts, moves) -> dict:
+    """The canonical names "0", "1", ... of the indices of `moves`, as a
+    dict in name order: breadth-first from `starts` along each `moves[i]`
+    in order, then the unreached indices in index order."""
+    reached = bfs_levels(starts, moves.__getitem__)
+    order = list(reached) + [i for i in range(len(moves)) if i not in reached]
+    return {i: str(k) for k, i in enumerate(order)}
+
+
 def build_machine(transitions, initial_labels, final_labels, input_alphabet,
                   kind=TRANSDUCER, output_alphabet=None) -> Machine:
     """Assemble a machine from a list of (source, target, input, output)
@@ -588,13 +595,9 @@ def build_machine(transitions, initial_labels, final_labels, input_alphabet,
     final = [as_label(x) for x in final_labels]
     rows = []
     for row in transitions:
-        if len(row) == 3:
-            source, target, inp = row
-            outp = None
-        elif len(row) == 4:
-            source, target, inp, outp = row
-        else:
+        if len(row) not in (3, 4):
             raise ConstructionError(f"transition row must have 3 or 4 entries: {row!r}")
+        source, target, inp, outp = (*row, None)[:4]  # no output: None
         source, target = as_label(source), as_label(target)
         rows.append(Transition(source, target, word(inp), word(outp)))
     # the labels, in order of first appearance

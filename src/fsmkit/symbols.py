@@ -215,6 +215,7 @@ def digit_value(s: Symbol) -> int:
 
 
 def format_word(w: Word) -> str:
+    """The one text of a word: its letters joined by commas."""
     return ",".join(str(s) for s in w)
 
 

@@ -4,12 +4,12 @@ final-word completion and state-merging simplification."""
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import count, zip_longest
 
 from .errors import ConstructionError, MachineError
 from .machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
-                      _free_label, _lockstep, _pair_label, _run, as_label,
-                      bfs_levels, explore)
+                      _bfs_names, _free_label, _lockstep, _pair_label, _run,
+                      as_label, explore)
 from .symbols import (ABSENT, AbsentType, Digit, Pair, Symbol,
                       _sorted_symbols, digit_value, symbol, word)
 
@@ -204,7 +204,7 @@ def output_projection(t: Machine) -> Machine:
     states = {st.label: State(st.label, st.is_initial, st.is_final and
                               not st.final_output) for st in t.states}
     transitions = []
-    fresh = 0
+    fresh = count()
 
     def add(base, is_final=False):
         """A new state named `base`, or its first free "#k" suffix."""
@@ -214,17 +214,12 @@ def output_projection(t: Machine) -> Machine:
 
     def chain(source, target, output_word):
         """Spell output_word from source to target through fresh states."""
-        nonlocal fresh
-        if len(output_word) <= 1:
-            transitions.append(Transition(source, target, tuple(output_word)))
-            return
         here = source
         for s in output_word[:-1]:
-            label = add(f"{source}.out{fresh}")
-            fresh += 1
+            label = add(f"{source}.out{next(fresh)}")
             transitions.append(Transition(here, label, (s,)))
             here = label
-        transitions.append(Transition(here, target, (output_word[-1],)))
+        transitions.append(Transition(here, target, output_word[-1:]))
 
     for tr in t.transitions:
         chain(tr.source, tr.target, tr.output)
@@ -241,7 +236,8 @@ def with_final_word_out(t: Machine, letter) -> Machine:
     """Complete a deterministic transducer into a subsequential one: every
     state whose `letter`-path reaches a final state becomes final, with the
     outputs written along that path as its final output.  States whose
-    path cycles without meeting a final state stay non-final."""
+    path cycles without meeting a final state stay non-final.  The result
+    keeps t's kind, an automaton included."""
     letter = symbol(letter)
     if letter not in t.input_alphabet:
         raise MachineError(f"letter {letter} is not in the input alphabet")
@@ -266,7 +262,7 @@ def with_final_word_out(t: Machine, letter) -> Machine:
     if not any(st.is_final for st in new_states):
         raise MachineError(
             f"no state reaches a final state by reading {letter}")
-    return Machine(TRANSDUCER, tuple(new_states), t.transitions,
+    return Machine(t.kind, tuple(new_states), t.transitions,
                    t.input_alphabet, t.output_alphabet)
 
 
@@ -282,8 +278,8 @@ def simplify(t: Machine) -> Machine:
     word into the same block (Moore refinement).  The result keeps the
     machine's kind and computes the same input-output function; on a
     complete automaton it is the minimal automaton, on a transducer it is
-    not guaranteed to be globally minimal.  Blocks are numbered in the
-    breadth-first order of `Machine.relabeled`."""
+    not guaranteed to be globally minimal.  Blocks are named by
+    `_bfs_names`, as `Machine.relabeled` names states."""
     start, rows = t._steps()
     n = len(t.states)
     moves = [[row.get(letter) for row in rows] for letter in t.input_alphabet]
@@ -307,21 +303,18 @@ def simplify(t: Machine) -> Machine:
             break
         block = refined
 
-    representative = {}
+    representative = {}  # the first state of each block, in block order
     for i in range(n):
         representative.setdefault(block[i], i)
-    successors = [[block[column[i]] for column in columns]
-                  for i in representative.values()]
     initial_block = block[start]
     # deterministic, so the canonical order follows letters in order
-    reached = bfs_levels([initial_block], lambda b: (
-        c for c in successors[b] if c >= 0))
-    order = list(reached) + [b for b in representative if b not in reached]
-    name = {b: str(i) for i, b in enumerate(order)}
+    name = _bfs_names([initial_block], [
+        [block[column[i]] for column in columns if column[i] < n]
+        for i in representative.values()])
     states = []
-    for b in order:
+    for b, label in name.items():
         st = t.states[representative[b]]
-        states.append(State(name[b], b == initial_block, st.is_final,
+        states.append(State(label, b == initial_block, st.is_final,
                             st.final_output))
     transitions = tuple(
         Transition(name[b], name[block[targets[i]]], (letter,),

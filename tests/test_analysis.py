@@ -90,6 +90,29 @@ def test_unknown_source_raises():
         bellman_ford(g, "zz")
 
 
+@pytest.mark.parametrize("vertices, edge, message", [
+    (("a",), ("a", "b", Fraction(1)),
+     "an end of the edge ('a', 'b', Fraction(1, 1)) is not a vertex"),
+    (("a", "c"), ("a", "b", Fraction(1)),
+     "an end of the edge ('a', 'b', Fraction(1, 1)) is not a vertex"),
+    (("a",), ("a", "a", 1.5),
+     "the weight of the edge ('a', 'a', 1.5) is not an int or a Fraction"),
+    (("a",), ("a", "a", "x"),
+     "the weight of the edge ('a', 'a', 'x') is not an int or a Fraction"),
+    (("a",), ("a", "a", True),
+     "the weight of the edge ('a', 'a', True) is not an int or a Fraction"),
+    (("a", ["b"]), ("a", "a", 1), "not a weighted digraph: unhashable"),
+    (("a",), ("a", "a"), "not a weighted digraph: not enough values"),
+], ids=["no-vertex-b", "b-among-other-vertices", "float-weight",
+        "str-weight", "bool-weight", "unhashable-vertex", "short-edge"])
+def test_bellman_ford_refuses_a_hand_built_graph_by_its_edge(vertices, edge,
+                                                             message):
+    # a foreign endpoint, and a weight that is not an exact int or
+    # Fraction, each named before any distance is computed
+    with pytest.raises(AnalysisError, match=re.escape(message)):
+        bellman_ford(WeightedDigraph(vertices, (edge,)), "a")
+
+
 # ----------------------------------------------------------------------
 # minimality certificates
 # ----------------------------------------------------------------------

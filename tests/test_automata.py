@@ -47,6 +47,13 @@ def test_word_automaton_rejects_foreign_symbols():
         word_automaton([5], ALPHA)
 
 
+def test_word_automaton_names_the_transition_of_a_foreign_letter():
+    # the constructor's check, which names the transition
+    with pytest.raises(ConstructionError, match=re.escape(
+            "input symbol 5 outside the alphabet in transition 1 --5|ε--> 2")):
+        word_automaton([0, 5], ALPHA)
+
+
 def test_empty_word_automaton(naf_acceptor):
     eps = empty_word_automaton(ALPHA)
     assert eps.accepts([])
@@ -314,6 +321,15 @@ def test_equivalence_preconditions_keep_their_messages(naf_acceptor,
                            match="^this operation is defined on automata "
                                  "only$"):
             is_equivalent(a, b)
+
+
+@pytest.mark.parametrize("construction", [determinize, complement, minimize])
+def test_determinizing_constructions_refuse_a_transducer(construction,
+                                                         machine_T):
+    # complement and minimize leave this check to determinize
+    with pytest.raises(MachineError,
+                       match="^this operation is defined on automata only$"):
+        construction(machine_T)
 
 
 def test_equivalence_respects_the_state_cap(monkeypatch, naf_acceptor):

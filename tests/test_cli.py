@@ -80,6 +80,22 @@ def test_run_rejects_then_accepts(tmp_path, capsys):
     assert "value: 14" in out
 
 
+def test_final_word_out_writes_an_automaton_file_for_an_automaton(
+        tmp_path, capsys):
+    acceptor = build(tmp_path, capsys, "naf-acceptor")
+    completed, result = tmp_path / "completed.json", tmp_path / "result.json"
+    code, _, _ = run_cli(capsys, "final-word-out", str(acceptor), "--letter",
+                         "0", "-o", str(completed))
+    assert code == 0
+    assert json.loads(completed.read_text())["kind"] == "automaton"
+    for verb in ("minimize", "complement"):
+        code, _, err = run_cli(capsys, verb, str(completed), "-o", str(result))
+        assert (code, err) == (0, "")
+    code, out, _ = run_cli(capsys, "analyze", "equivalent", str(acceptor),
+                           str(completed))
+    assert (code, out) == (0, "equivalent: true\n")
+
+
 def test_run_T_evaluates_at_quarter_offset(tmp_path, capsys):
     t_path = build(tmp_path, capsys, "T")
     code, out, _ = run_cli(capsys, "run", str(t_path), "--digits-of", "14",

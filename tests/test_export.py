@@ -112,3 +112,14 @@ def test_tikz_places_ints_floats_and_fractions_alike(machine_T):
     assert machine_T.export("tikz", coordinates=T_COORDINATES) == expected
     assert machine_T.export("tikz", coordinates=as_fractions) == expected
     assert "(-2.000, 0.750)" in expected
+
+
+def test_tikz_escapes_backslash_caret_and_tilde_in_labels():
+    m = build_machine([("a\\b", "x^2", 0, 1), ("x^2", "x~y", 1, 0)],
+                      ["a\\b"], ["x~y"], [0, 1])
+    nodes = [line for line in m.export("tikz").splitlines()
+             if line.lstrip().startswith("\\node")]
+    # each character prints as itself, in a group that keeps the next
+    # letter from joining the command
+    assert [line[line.index("{$"):] for line in nodes] == [
+        r"{$a{\backslash}b$};", r"{$x{\hat{}}2$};", r"{$x{\sim}y$};"]

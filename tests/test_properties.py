@@ -349,6 +349,15 @@ def test_determinize_agrees_with_the_label_keyed_subsets(a):
     assert _rows(determinize(a)) == _rows(label_determinize(a))
 
 
+@PROPERTY
+@given(random_transducers(), random_automata())
+def test_simplify_and_minimize_are_their_own_relabeling(t, a):
+    # relabeled and simplify name states by one breadth-first numbering,
+    # on partial machines and on machines with unreachable states alike
+    for m in (simplify(t), minimize(a)):
+        assert _rows(m.relabeled()) == _rows(m)
+
+
 # digit values of one to three decimal digits, negative (overlined) ones
 # included, and the absent marker, which reads 0
 DIGIT_LETTERS = [Digit(v) for v in range(-300, 301)] + [ABSENT]

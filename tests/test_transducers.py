@@ -4,7 +4,7 @@ import pytest
 
 from fsmkit import automata, digits, transducers
 from fsmkit.errors import ConstructionError, MachineError, StateCapError
-from fsmkit.machine import (TRANSDUCER, Machine, State, Transition,
+from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
                             build_machine)
 from fsmkit.symbols import ABSENT, Digit, Pair, word
 from fsmkit.transducers import (abs_transducer, cartesian_product, compose,
@@ -445,6 +445,14 @@ def test_final_word_out_values(naf1, naf_completed):
     assert naf_completed.state("1").final_output == word([1])
     assert naf_completed.state("0").final_output == ()
     assert naf_completed.transduce(BIN14) == word([0, -1, 0, 0, 1])
+
+
+def test_final_word_out_keeps_an_automaton_an_automaton():
+    # states 1 and 2 of the chain for 1,0,0 reach the final state 3 on 0s
+    completed = with_final_word_out(automata.word_automaton([1, 0, 0], [0, 1]), 0)
+    assert completed.kind == AUTOMATON
+    assert list(automata.language(automata.minimize(completed), 3)) == [
+        word([1]), word([1, 0]), word([1, 0, 0])]
 
 
 def test_final_word_out_keeps_existing_final_outputs(naf1):
