@@ -3,11 +3,12 @@
 The graph guards (Tarjan's SCCs, the terminal ones, the period test) walk
 state indices over `Machine._edges` and report states by label.
 Bellman-Ford shortest paths certify that a transducer never increases a
-weight (expansion minimality); the marked adjacency matrix of a complete
-transducer yields the stationary distribution, the expected output density
-and the linear-growth constants of expectation, variance and covariance of
-the output sum under uniformly random inputs of a fixed length.  Every
-value is an exact rational.
+weight (expansion minimality); they relax over the weights scaled to ints
+by their common denominator, so only the distances become Fractions.  The
+marked adjacency matrix of a complete transducer yields the stationary
+distribution, the expected output density and the linear-growth constants
+of expectation, variance and covariance of the output sum under uniformly
+random inputs of a fixed length.  Every value is an exact rational.
 
 The moment constants come from the dominant eigenvalue lam(y, z) = 1 at
 y = z = 1 of the adjacency matrix A(y, z) of the terminal strongly
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd
+from math import gcd, lcm
 
 from .errors import AnalysisError, MachineError, NegativeCycleError
 from .machine import Machine, WeightedDigraph, bfs_levels
@@ -65,7 +66,13 @@ def bellman_ford(g: WeightedDigraph, source) -> ShortestPaths:
     allowed; a negative cycle reachable from the source raises
     NegativeCycleError carrying a witness cycle.  An edge must join two
     vertices and weigh an int or a Fraction (not a bool), or AnalysisError
-    names it; unhashable vertices and malformed edges raise it too."""
+    names it; unhashable vertices and malformed edges raise it too.
+
+    The relaxation (Bellman, "On a routing problem", 1958) runs over ints:
+    every weight is scaled by L, the lcm of the weight denominators, and
+    since L > 0 each comparison, so each predecessor and the witness
+    cycle, is that of the Fraction sums.  Only the returned distances
+    are formed as Fractions, x / L."""
     if source not in g.vertices:
         raise AnalysisError(f"source {source!r} is not a vertex")
     try:
@@ -79,11 +86,14 @@ def bellman_ford(g: WeightedDigraph, source) -> ShortestPaths:
                                     f"is not an int or a Fraction")
     except (TypeError, ValueError) as exc:
         raise AnalysisError(f"not a weighted digraph: {exc}") from None
-    distance = {source: Fraction(0)}
+    scale = lcm(*(w.denominator for _, _, w in g.edges))
+    edges = [(u, v, w.numerator * (scale // w.denominator))
+             for u, v, w in g.edges]
+    distance = {source: 0}
     predecessor = {}
     for _ in range(max(len(g.vertices) - 1, 0)):
         changed = False
-        for u, v, w in g.edges:
+        for u, v, w in edges:
             if u not in distance:
                 continue
             candidate = distance[u] + w
@@ -94,7 +104,7 @@ def bellman_ford(g: WeightedDigraph, source) -> ShortestPaths:
         if not changed:
             break
     else:
-        for u, v, w in g.edges:
+        for u, v, w in edges:
             if u in distance and distance[u] + w < distance[v]:
                 # walk back far enough to land on the cycle, then read it off
                 predecessor[v] = u
@@ -106,7 +116,9 @@ def bellman_ford(g: WeightedDigraph, source) -> ShortestPaths:
                     cycle.append(predecessor[cycle[-1]])
                 cycle.reverse()
                 raise NegativeCycleError(cycle)
-    return ShortestPaths(source, distance, predecessor)
+    return ShortestPaths(
+        source, {x: Fraction(d, scale) for x, d in distance.items()},
+        predecessor)
 
 
 def check_minimality(t: Machine, weight_fn) -> tuple:

@@ -32,6 +32,7 @@ letter; a letter without a move ends the run.
 from __future__ import annotations
 
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,7 +113,16 @@ class WeightedDigraph:
 
 
 def as_label(x) -> str:
-    return x if isinstance(x, str) else str(x)
+    """`x` if it is a str, else its text; an int too long to write as
+    text (past sys.get_int_max_str_digits()) is refused by name."""
+    if isinstance(x, str):
+        return x
+    try:
+        return str(x)
+    except ValueError:
+        raise ConstructionError(
+            f"cannot write the label: it has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits") from None
 
 
 class Machine:

@@ -15,9 +15,11 @@ modular `polynomial.charpoly`; `markov_constants` evaluates the
 stationary vector and the moment formulas over Fractions, the reference
 for the integer weights of `analysis`; `word_counts` and
 `recurrence_terms` step one letter or one term at a time, the references
-for `count_words` and `Recurrence.term`.  `reference_dumps` writes a
-machine file through `json.dumps(..., indent=2)` of its document
-(`machine_to_doc`), the reference for the row writer `serialize.dumps`.
+for `count_words` and `Recurrence.term`; `fraction_bellman_ford` relaxes
+over Fraction sums, the reference for the integer relaxation of
+`analysis.bellman_ford`.  `reference_dumps` writes a machine file through
+`json.dumps(..., indent=2)` of its document (`machine_to_doc`), the
+reference for the row writer `serialize.dumps`.
 The `label_*` functions walk the transition graph through adjacency maps
 keyed by state label, each built from the transition list: the reference
 for the library's SCCs, period test, reachability, trimming, relabeling,
@@ -33,7 +35,8 @@ from math import gcd, lcm
 
 from fsmkit.analysis import terminal_scc
 from fsmkit.automata import determinize, minimize
-from fsmkit.errors import AnalysisError, ConstructionError
+from fsmkit.errors import (AnalysisError, ConstructionError,
+                           NegativeCycleError)
 from fsmkit.machine import (AUTOMATON, Machine, State, Transition, _listing,
                             explore)
 from fsmkit.polynomial import solve_integers
@@ -467,6 +470,42 @@ def recurrence_terms(coefficients, initial_terms, n):
         terms.append(sum(c * terms[-i]
                          for i, c in enumerate(coefficients, 1)))
     return terms[:n + 1]
+
+
+def fraction_bellman_ford(g, source):
+    """Shortest-path distances and predecessors from `source` over the
+    weighted digraph `g`, relaxing every edge in its listed order with
+    Fraction sums and a strict `<`, |V| - 1 rounds at most; a negative
+    cycle reachable from the source raises NegativeCycleError with the
+    cycle read back through the predecessors.  The edges are assumed
+    valid (`analysis.bellman_ford` checks them first)."""
+    distance = {source: Fraction(0)}
+    predecessor = {}
+    for _ in range(max(len(g.vertices) - 1, 0)):
+        changed = False
+        for u, v, w in g.edges:
+            if u not in distance:
+                continue
+            candidate = distance[u] + w
+            if v not in distance or candidate < distance[v]:
+                distance[v] = candidate
+                predecessor[v] = u
+                changed = True
+        if not changed:
+            break
+    else:
+        for u, v, w in g.edges:
+            if u in distance and distance[u] + w < distance[v]:
+                predecessor[v] = u
+                x = v
+                for _ in range(len(g.vertices)):
+                    x = predecessor[x]
+                cycle = [x, predecessor[x]]
+                while cycle[-1] != x:
+                    cycle.append(predecessor[cycle[-1]])
+                cycle.reverse()
+                raise NegativeCycleError(cycle)
+    return distance, predecessor
 
 
 def encode_symbol(s):

@@ -367,6 +367,31 @@ def test_language_yields_words_longer_than_the_recursion_limit():
     assert list(language(a, 1500)) == []
 
 
+def test_language_of_a_finite_language_stops_after_its_longest_word():
+    # a trimmed automaton without a cycle has no word as long as its
+    # state count, so lengths past that cost nothing: counted in lines
+    # run inside `language`, not in time
+    a = word_automaton([0, 1], [0, 1])
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if frame.f_code is not automata.language.__code__:
+            return None
+        lines += event == "line"
+        return tracer
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        words = list(language(a, 10**4))
+    finally:
+        sys.settrace(outer)
+    assert words == [word([0, 1])]
+    assert lines < 1000
+    assert list(language(a, 2**70)) == words
+
+
 def test_language_counts_match_count_words(naf_acceptor, machine_R):
     for m in (naf_acceptor, machine_R):
         words = list(language(m, 8))

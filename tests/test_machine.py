@@ -118,6 +118,18 @@ def test_the_input_alphabet_must_not_be_empty():
         Machine(TRANSDUCER, [ACCEPTING], [], [])
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: build_machine([(10**5000, 1, 0)], [10**5000], [1], [0, 1]),
+    lambda m: m.state(10**5000),
+    lambda m: m.has_state(10**5000),
+], ids=["build_machine", "state", "has_state"])
+def test_a_label_too_long_to_write_is_refused_by_name(naf1, call):
+    # CPython writes no int of more than 4,300 decimal digits as text
+    with pytest.raises(ConstructionError,
+                       match="cannot write the label: it has more than"):
+        call(naf1)
+
+
 def test_state_lookup_equality_and_repr(naf1):
     assert naf1.state(0).label == "0"
     with pytest.raises(MachineError, match="no state labeled 'zz'"):

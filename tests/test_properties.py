@@ -24,8 +24,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fsmkit import analysis, export, serialize
-from fsmkit.analysis import (asymptotic_moments, expected_density,
-                             is_aperiodic, stationary_distribution,
+from fsmkit.analysis import (asymptotic_moments, bellman_ford,
+                             expected_density, is_aperiodic,
+                             stationary_distribution,
                              strongly_connected_components, terminal_scc,
                              terminal_sccs)
 from fsmkit.automata import (Recurrence, complement, count_words,
@@ -33,16 +34,17 @@ from fsmkit.automata import (Recurrence, complement, count_words,
                              kleene_star, language, minimize, union,
                              word_automaton, word_count_recurrence)
 from fsmkit.digits import Expansion
-from fsmkit.errors import AnalysisError, FsmError, StateCapError
+from fsmkit.errors import (AnalysisError, FsmError, NegativeCycleError,
+                           StateCapError)
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
-                            Transition, build_machine)
+                            Transition, WeightedDigraph, build_machine)
 from fsmkit.polynomial import charpoly
 from fsmkit.symbols import ABSENT, Digit, Pair, word
 from fsmkit.transducers import cartesian_product, compose, simplify
 
 from oracles import (all_words, equivalent_by_minimization,
-                     gauss_jordan_solve, label_accessible,
-                     label_coaccessible, label_determinize,
+                     fraction_bellman_ford, gauss_jordan_solve,
+                     label_accessible, label_coaccessible, label_determinize,
                      label_is_aperiodic, label_language,
                      label_relabeled, label_sccs, label_terminal_scc,
                      label_terminal_sccs, label_trim, markov_constants,
@@ -648,6 +650,75 @@ def test_recurrence_term_agrees_with_stepping(recurrence):
     # n < order, n = order, and on well past it
     for n in list(range(d + 2)) + [2 * d + 7, 3 * d + 40]:
         assert rec.term(n) == expected[n]
+
+
+@st.composite
+def sparse_recurrences(draw):
+    """Orders 0 to 16 with at least half of the coefficients zero (R's
+    order-16 recurrence has 9 zeros), negative coefficients and initial
+    terms, and indices at order - 1, order, order + 1 and up to 300."""
+    d = draw(st.integers(0, 16))
+    coefficients = [0] * d
+    for i in draw(st.sets(st.integers(0, max(d - 1, 0)), max_size=d // 2)):
+        coefficients[i] = draw(st.integers(-3, 3).filter(bool))
+    initial = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+    ns = [n for n in (d - 1, d, d + 1) if n >= 0]
+    ns += draw(st.lists(st.integers(0, 300), min_size=1, max_size=3))
+    return coefficients, initial, ns
+
+
+@PROPERTY
+@given(sparse_recurrences())
+@example(([2, 0, 0, 1], [1, -2, 3, 0], [3, 4, 5, 300]))
+@example(([0] * 8 + [-1, 0, 2, 0, 0, 3, 0, 1], list(range(-8, 8)),
+          [15, 16, 17, 299]))
+def test_recurrence_term_agrees_with_stepping_at_high_order(case):
+    coefficients, initial, ns = case
+    expected = recurrence_terms(coefficients, initial, max(ns))
+    rec = Recurrence(tuple(coefficients), tuple(initial))
+    for n in ns:
+        assert rec.term(n) == expected[n]
+
+
+@st.composite
+def weighted_digraphs(draw):
+    """1-8 vertices, edges with parallel copies and self-loops, vertices
+    the source cannot reach, int and Fraction weights of denominators 1
+    to 6, negative ones included."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1).map(str)
+    weight = st.one_of(
+        st.integers(-3, 9),
+        st.builds(Fraction, st.integers(-12, 40), st.integers(1, 6)))
+    edges = draw(st.lists(st.tuples(vertex, vertex, weight), max_size=20))
+    if edges and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))  # a parallel copy
+    return WeightedDigraph(tuple(map(str, range(n))), tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_digraphs())
+@example(WeightedDigraph(("0", "1", "2"), (
+    ("0", "1", 1), ("0", "2", 0), ("2", "1", 1))))  # a tie at "1"
+@example(WeightedDigraph(("0", "1", "2"), (
+    ("0", "1", Fraction(1, 2)), ("1", "2", Fraction(-1, 3)),
+    ("2", "1", Fraction(-1, 6)), ("1", "1", 0))))  # a zero-weight cycle
+@example(WeightedDigraph(("0", "1", "2"), (
+    ("0", "1", Fraction(1, 2)), ("1", "2", Fraction(-1, 3)),
+    ("2", "1", Fraction(-1, 5)))))  # a negative cycle
+def test_bellman_ford_agrees_with_the_fraction_relaxation(g):
+    """The same distances, each a Fraction, the same predecessors, and on
+    a negative cycle the same witness."""
+    try:
+        expected = fraction_bellman_ford(g, "0")
+    except NegativeCycleError as reference:
+        with pytest.raises(NegativeCycleError) as mine:
+            bellman_ford(g, "0")
+        assert mine.value.cycle == reference.cycle
+        return
+    paths = bellman_ford(g, "0")
+    assert (paths.distance, paths.predecessor) == expected
+    assert all(type(d) is Fraction for d in paths.distance.values())
 
 
 @pytest.mark.parametrize("seed", range(20))
