@@ -44,7 +44,7 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
 
-from .errors import AnalysisError, MachineError, NegativeCycleError
+from .errors import AnalysisError, MachineError, NegativeCycleError, shown
 from .machine import Machine, WeightedDigraph, bfs_levels
 from .polynomial import solve_integers
 from .symbols import Digit
@@ -74,7 +74,7 @@ def bellman_ford(g: WeightedDigraph, source) -> ShortestPaths:
     cycle, is that of the Fraction sums.  Only the returned distances
     are formed as Fractions, x / L."""
     if source not in g.vertices:
-        raise AnalysisError(f"source {source!r} is not a vertex")
+        raise AnalysisError(f"source {shown(source)} is not a vertex")
     try:
         vertices = set(g.vertices)
         for u, v, w in g.edges:
@@ -213,7 +213,8 @@ def is_aperiodic(m: Machine, scc) -> bool:
         raise AnalysisError("the component must not be empty")
     for label in labels:
         if type(label) is not str or not m.has_state(label):
-            raise AnalysisError(f"the component names no state: {label!r}")
+            raise AnalysisError(
+                f"the component names no state: {shown(label)}")
     members = {m._by_label[label] for label in labels}
     root = m._by_label[min(labels)]
     edges = [(i, j) for i, j in m._edges() if i in members and j in members]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .analysis import strongly_connected_components
-from .errors import ConstructionError, MachineError
+from .errors import ConstructionError, MachineError, shown
 from .machine import (AUTOMATON, Machine, State, Transition, _lockstep,
                       _refuse_past_cap, _state_cap, bfs_levels, build_machine,
                       explore)
@@ -321,7 +321,7 @@ def _require_index(n, name: str):
     """Refuse anything but a nonnegative int (a bool included) as the
     length or index called `name`."""
     if isinstance(n, bool) or not isinstance(n, int):
-        raise ConstructionError(f"the {name} must be an int, not {n!r}")
+        raise ConstructionError(f"the {name} must be an int, not {shown(n)}")
     if n < 0:
         raise ConstructionError(f"the {name} must be nonnegative")
 

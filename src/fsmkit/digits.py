@@ -15,14 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 
 from . import automata, transducers
-from .errors import ConstructionError
+from .errors import ConstructionError, shown
 from .machine import Machine, build_machine
 from .symbols import ABSENT, AbsentType, Digit, Pair, Word, digit_value, word
 
 
-_BITS = {"0": Digit(0), "1": Digit(1)}
+# The eight digits of each byte value, least significant first; a list
+# subscript by the byte itself, so no lookup hashes.
+_BITS = (Digit(0), Digit(1))
+_OCTETS = [tuple(_BITS[b >> i & 1] for i in range(8)) for b in range(256)]
 
 # Bound on |exponent_offset|: it keeps a value within about 2**20 bits
 # (128 KiB) beyond its digits.  The CLI prints such a value in about 2 s,
@@ -33,13 +37,16 @@ MAX_EXPONENT_OFFSET = 2**20
 
 def binary_digits(n: int) -> Word:
     """Standard binary digits of an int n >= 0, least significant first;
-    0 has no digits.  Read off bin(n) in one pass, so the cost is linear
-    in the length."""
+    0 has no digits.  Read off n's little-endian bytes, eight digits per
+    byte through `_OCTETS`, so the cost is linear in the length."""
     if isinstance(n, bool) or not isinstance(n, int):
-        raise ConstructionError(f"binary digits are defined for ints, not {n!r}")
+        raise ConstructionError(
+            f"binary digits are defined for ints, not {shown(n)}")
     if n < 0:
         raise ConstructionError("binary digits are defined for n >= 0")
-    return tuple(map(_BITS.__getitem__, bin(n)[:1:-1])) if n else ()
+    size = n.bit_length()
+    octets = n.to_bytes((size + 7) // 8, "little")
+    return tuple(chain.from_iterable(map(_OCTETS.__getitem__, octets)))[:size]
 
 
 @dataclass(frozen=True)
@@ -52,14 +59,21 @@ class Expansion:
 
     def value(self) -> Fraction:
         """The exact value, a Fraction (also for the empty word), in
-        O(n log n) bit operations for n digits: neighbouring digit values
-        are folded pairwise into integers of twice the width, pass after
-        pass, and the offset is applied once to the total.  An offset
-        beyond MAX_EXPONENT_OFFSET in absolute value raises
-        ConstructionError."""
+        O(n log n) bit operations for n digits: neighbouring values are
+        folded pairwise into integers of twice the width, pass after pass,
+        and the offset is applied once to the total.  The first pass reads
+        the two digit values of each step from `_VALUES` itself; a letter
+        missing there sends the digits through `_read` once, which enters
+        them or raises.  An offset beyond MAX_EXPONENT_OFFSET in absolute
+        value raises ConstructionError."""
         e = self._bounded_offset()
-        values = _read(_VALUES, int, self.digits)
-        width = 1
+        letters = tuple(self.digits)
+        try:
+            values = _paired_values(letters)
+        except (KeyError, TypeError):  # a new symbol, or no symbol at all
+            _read(_VALUES, int, letters)
+            values = _paired_values(letters)
+        width = 2
         while len(values) > 1:
             if len(values) % 2:
                 values.append(0)
@@ -92,7 +106,7 @@ class Expansion:
         e = self.exponent_offset
         if isinstance(e, bool) or not isinstance(e, int):
             raise ConstructionError(
-                f"the exponent offset must be an int, not {e!r}")
+                f"the exponent offset must be an int, not {shown(e)}")
         if abs(e) > MAX_EXPONENT_OFFSET:
             raise ConstructionError(
                 f"the exponent offset must be at most MAX_EXPONENT_OFFSET = "
@@ -118,6 +132,17 @@ def _read(table, render, letters) -> list:
     except (KeyError, TypeError):  # a new symbol, or no symbol at all
         table.update((d, render(digit_value(d))) for d in letters)
     return list(map(table.__getitem__, letters))
+
+
+def _paired_values(letters) -> list:
+    """v(low) + 2 v(high) for each pair of neighbouring letters, and v of
+    a last letter left without a pair, where v reads `_VALUES`."""
+    v = _VALUES
+    values = [v[low] + (v[high] << 1)
+              for low, high in zip(letters[::2], letters[1::2])]
+    if len(letters) % 2:
+        values.append(v[letters[-1]])
+    return values
 
 
 def hamming_weight(w) -> int:

@@ -1,4 +1,19 @@
-"""Exception hierarchy shared by the whole toolkit."""
+"""Exception hierarchy shared by the whole toolkit, and `shown`, the text
+of a value in an error message."""
+
+import sys
+
+
+def shown(x) -> str:
+    """repr(x) for an error message.  An int too long to write as text
+    (past sys.get_int_max_str_digits()), alone or inside x, is described
+    instead, so writing the message cannot fail."""
+    try:
+        return repr(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        held = "" if isinstance(x, int) else f"a {type(x).__name__} holding "
+        return f"{held}an int of more than {limit} decimal digits"
 
 
 class FsmError(Exception):

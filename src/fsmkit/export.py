@@ -14,7 +14,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .errors import MachineError
+from .errors import MachineError, shown
 from .machine import Machine, _listing
 from .symbols import AbsentType, Digit, Pair, Symbol, format_word
 
@@ -32,7 +32,8 @@ def render(machine: Machine, fmt: str, coordinates=None, format_letter=None) -> 
         points = {label: _point(label, xy)
                   for label, xy in (coordinates or {}).items()}
         return _tikz(machine, points, format_letter or format_letter_plain)
-    raise MachineError(f"unknown export format {fmt!r}; expected one of {FORMATS}")
+    raise MachineError(
+        f"unknown export format {shown(fmt)}; expected one of {FORMATS}")
 
 
 def _point(label, xy) -> tuple:
@@ -45,7 +46,7 @@ def _point(label, xy) -> tuple:
                 return x, y
     except (ValueError, OverflowError):
         pass
-    raise MachineError(f"coordinates of {label!r} must be two finite numbers")
+    raise MachineError(f"coordinates of {shown(label)} must be two finite numbers")
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +95,7 @@ def format_letter_plain(s: Symbol) -> str:
         return r"\sim"
     if isinstance(s, Pair):
         return f"({format_letter_plain(s.left)}, {format_letter_plain(s.right)})"
-    raise MachineError(f"cannot format {s!r}")
+    raise MachineError(f"cannot format {shown(s)}")
 
 
 def format_letter_negative(s: Symbol) -> str:

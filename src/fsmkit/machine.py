@@ -26,7 +26,11 @@ enumeration read, the word count recurrence, the terminal chain and its
 period test.  Nothing else changes a machine after its constructor.
 `_run` is the one run loop: it follows a word through the rows of a step
 table, for `Machine.process` and for composition, with one subscript per
-letter; a letter without a move ends the run.
+letter; a letter without a move, or one the row cannot look up, ends the
+run.  The rows hold symbols only, so `process` checks a tuple's letters
+(`symbols.word`) only when its run stops early, and a foreign letter that
+hashes like an alphabet symbol and compares equal to it is read as that
+symbol.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (ConstructionError, InvalidInputError, MachineError,
-                     StateCapError)
+                     StateCapError, shown)
 from .symbols import (Symbol, Word, _sorted_symbols, format_word, word,
                       word_key)
 
@@ -139,7 +143,7 @@ class Machine:
     def __init__(self, kind, states, transitions, input_alphabet,
                  output_alphabet=None):
         if kind not in (AUTOMATON, TRANSDUCER):
-            raise ConstructionError(f"unknown machine kind {kind!r}")
+            raise ConstructionError(f"unknown machine kind {shown(kind)}")
         alphabet = _sorted_symbols(input_alphabet)
         if not alphabet:
             raise ConstructionError("the input alphabet must not be empty")
@@ -158,13 +162,14 @@ class Machine:
         self._by_label = by_label = {}  # label -> state index
         for i, st in enumerate(self.states):
             if not isinstance(st, State):
-                raise ConstructionError(f"not a state: {st!r}")
+                raise ConstructionError(f"not a state: {shown(st)}")
             if type(st.label) is not str:
-                raise ConstructionError(f"state label is not a string: {st!r}")
+                raise ConstructionError(f"state label is not a string: {shown(st)}")
             if type(st.is_initial) is not bool or type(st.is_final) is not bool:
-                raise ConstructionError(f"state flags are not booleans: {st!r}")
+                raise ConstructionError(
+                    f"state flags are not booleans: {shown(st)}")
             if type(st.final_output) is not tuple:
-                raise ConstructionError(f"final output is not a tuple: {st!r}")
+                raise ConstructionError(f"final output is not a tuple: {shown(st)}")
             if st.label in by_label:
                 raise ConstructionError(f"duplicate state label {st.label!r}")
             if st.final_output:
@@ -180,15 +185,17 @@ class Machine:
         letters = set(alphabet)
         for t in self.transitions:
             if type(t) is not Transition:
-                raise ConstructionError(f"not a transition: {t!r}")
+                raise ConstructionError(f"not a transition: {shown(t)}")
             inp, out = t.input, t.output
             if type(inp) is not tuple:
-                raise ConstructionError(f"transition input is not a tuple: {t!r}")
+                raise ConstructionError(
+                    f"transition input is not a tuple: {shown(t)}")
             if type(out) is not tuple:
-                raise ConstructionError(f"transition output is not a tuple: {t!r}")
+                raise ConstructionError(
+                    f"transition output is not a tuple: {shown(t)}")
             if type(t.source) is not str or type(t.target) is not str:
                 raise ConstructionError(
-                    f"transition endpoint is not a string: {t!r}")
+                    f"transition endpoint is not a string: {shown(t)}")
             if t.source not in by_label or t.target not in by_label:
                 raise ConstructionError(f"transition endpoints unknown: {t}")
             if len(inp) > 1:
@@ -196,7 +203,7 @@ class Machine:
             if inp:
                 if not isinstance(inp[0], Symbol):
                     raise ConstructionError(
-                        f"input letter {inp[0]!r} is not a symbol: {t!r}")
+                        f"input letter {shown(inp[0])} is not a symbol: {shown(t)}")
                 if inp[0] not in letters:
                     raise ConstructionError(
                         f"input symbol {inp[0]} outside the alphabet in transition {t}")
@@ -304,9 +311,21 @@ class Machine:
         The run accepts when every letter was consumed and the stop state is
         final; if some letter has no transition the run stops there and
         rejects.  Rejection is a value, not an error.
+
+        A tuple is run as given, and its letters are checked only when the
+        run stops early: `word` then refuses a letter that is no symbol as
+        it refuses any other input, and a tuple it coerces (ints, None or
+        pairs written as tuples or lists) is run again as coerced.  A
+        foreign letter that hashes like an alphabet symbol and compares
+        equal to it is read as that symbol.
         """
         start, rows = self._steps()
-        here, out, consumed = _run(rows, start, word(input_word))
+        w = input_word if type(input_word) is tuple else word(input_word)
+        here, out, consumed = _run(rows, start, w)
+        if not consumed and w is input_word:  # letters not checked yet
+            coerced = word(w)
+            if coerced is not w:
+                here, out, consumed = _run(rows, start, coerced)
         st = self.states[here]
         accepted = consumed and st.is_final
         if accepted:
@@ -408,7 +427,7 @@ class Machine:
                 edges.append((t.source, t.target, Fraction(weight)))
             except (TypeError, ValueError, OverflowError):
                 raise ConstructionError(
-                    f"the weight {weight!r} of {t} is not a rational") from None
+                    f"the weight {shown(weight)} of {t} is not a rational") from None
         return WeightedDigraph(tuple(st.label for st in self.states),
                                tuple(edges))
 
@@ -426,7 +445,7 @@ def _check_output(w, writable, row):
             final = "final " if type(row) is State else ""
             if not isinstance(s, Symbol):
                 raise ConstructionError(
-                    f"{final}output letter {s!r} is not a symbol: {row!r}")
+                    f"{final}output letter {shown(s)} is not a symbol: {shown(row)}")
             place = f"state {row.label!r}" if final else row
             raise ConstructionError(
                 f"{final}output symbol {s} outside the output alphabet in {place}")
@@ -436,16 +455,19 @@ def _run(rows, here, w):
     """Follow w through the step rows (`Machine._steps`) from state index
     `here`; returns (stop index, output as a list, consumed everything?).
     The one run loop, shared by `Machine.process` and composition.  Each
-    letter costs one subscript: a letter without a move raises KeyError
-    before `here` is assigned, so the run stops at the state that could
-    not read it, with the output written up to there."""
+    letter costs one subscript: a letter without a move raises KeyError,
+    and one that cannot be hashed TypeError (or whatever its hash or
+    comparison raises), before `here` is assigned, so the run stops at the
+    state that could not read it, with the output written up to there."""
     out = []
     extend = out.extend
     try:
         for sym in w:
             here, written = rows[here][sym]
             extend(written)
-    except KeyError:
+    except MemoryError:  # the output could not grow: no letter's doing
+        raise
+    except Exception:  # KeyError, TypeError or a foreign letter's own error
         return here, out, False
     return here, out, True
 
@@ -606,7 +628,8 @@ def build_machine(transitions, initial_labels, final_labels, input_alphabet,
     rows = []
     for row in transitions:
         if len(row) not in (3, 4):
-            raise ConstructionError(f"transition row must have 3 or 4 entries: {row!r}")
+            raise ConstructionError(
+                f"transition row must have 3 or 4 entries: {shown(row)}")
         source, target, inp, outp = (*row, None)[:4]  # no output: None
         source, target = as_label(source), as_label(target)
         rows.append(Transition(source, target, word(inp), word(outp)))

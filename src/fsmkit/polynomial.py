@@ -14,7 +14,7 @@ are all built from these two functions.
 
 from __future__ import annotations
 
-from .errors import AnalysisError
+from .errors import AnalysisError, shown
 
 # Exponents e of Mersenne primes 2^e - 1 (OEIS A000043) from 61 on, so
 # that `charpoly` needs no primality test
@@ -43,7 +43,7 @@ def _require_ints(matrix, columns=()):
         if type(x) is not int:
             raise AnalysisError(
                 f"exact linear algebra takes int entries only, "
-                f"found {type(x).__name__} {x!r}")
+                f"found {type(x).__name__} {shown(x)}")
 
 
 def _modulus(matrix) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import json
 
-from .errors import ConstructionError
+from .errors import ConstructionError, shown
 from .machine import Machine, State, Transition, _listing
 from .symbols import ABSENT, Digit, Pair, Symbol
 
@@ -30,12 +30,12 @@ def decode_symbol(x) -> Symbol:
         return ABSENT
     if isinstance(x, list) and len(x) == 2:
         return Pair(decode_symbol(x[0]), decode_symbol(x[1]))
-    raise ConstructionError(f"cannot decode symbol {x!r}")
+    raise ConstructionError(f"cannot decode symbol {shown(x)}")
 
 
 def decode_word(x):
     if not isinstance(x, list):
-        raise ConstructionError(f"a word must be an array, got {x!r}")
+        raise ConstructionError(f"a word must be an array, got {shown(x)}")
     return tuple(decode_symbol(s) for s in x)
 
 
@@ -44,7 +44,7 @@ def _typed(row: dict, field: str, kind: type):
     if not isinstance(value, kind):
         expected = "boolean" if kind is bool else "string"
         raise ConstructionError(
-            f"field {field!r} must be a JSON {expected}, got {value!r}")
+            f"field {field!r} must be a JSON {expected}, got {shown(value)}")
     return value
 
 

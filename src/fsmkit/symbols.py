@@ -14,10 +14,18 @@ identity ones, which run in C.  A machine run does one step-table lookup
 per letter, and value-based dataclass methods would cost each lookup a
 Python-level `__hash__` and `__eq__` call.  The caches keep one object per
 distinct value ever built, for the life of the process: a machine uses a
-handful of letters, and pairs nest at most MAX_PAIR_DEPTH deep.  Identity
-hashes depend on memory addresses, so a set of symbols is sorted before
-its order can reach an output; `_sorted_symbols` and `word_key` are the
-only places outside the symbol classes that read `sort_key`.
+handful of letters, and pairs nest at most MAX_PAIR_DEPTH deep.
+
+Identity hashes depend on memory addresses, so a set of symbols is sorted
+before its order can reach an output; `_sorted_symbols` and `word_key` are
+the only places outside the symbol classes that read `sort_key`.  Where a
+symbol lives is chosen, though (`_placed`): a new digit or pair is the
+first fresh object whose hash differs in its low bits from the hash of
+every digit (or pair) interned before it, three bits while the class has
+at most eight members, more as it grows.  A dict probes the slot of a
+key's low hash bits first, so the step rows, the digit tables of `digits`
+and the alphabet sets, which hold a few letters, find each letter in its
+first slot whatever the allocator's layout.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from itertools import repeat
 
-from .errors import ConstructionError
+from .errors import ConstructionError, shown
 
 MAX_PAIR_DEPTH = 4
 
@@ -61,6 +69,41 @@ class Symbol:
 _DIGITS: dict = {}
 _PAIRS: dict = {}
 
+# Bound on the fresh objects `_placed` tries for one new symbol; a class
+# of n members leaves at least one free residue among 2**k >= n + 1, and
+# consecutive small objects step through the residues.
+_PLACEMENT_TRIES = 64
+_TAKEN: dict = {}  # class -> (mask, the residues `hash & mask` of its members)
+
+
+def _placed(cls, table, key, values):
+    """The object interned for `key` in `table` (setdefault: a concurrent
+    caller's may win), made as a fresh object of cls with its slots filled
+    by `values`.  It is the first of at most _PLACEMENT_TRIES fresh objects
+    whose `hash & mask` no member of the class has, where mask + 1 is the
+    smallest power of two of at least 8 that exceeds the class's size.
+    The objects passed over stay alive until one is chosen, so each try
+    gets a new address."""
+    size = 8
+    while size <= len(table):
+        size *= 2
+    mask = size - 1
+    kept_mask, taken = _TAKEN.get(cls, (0, None))
+    if kept_mask != mask:
+        taken = {hash(m) & mask for m in table.values()}
+        _TAKEN[cls] = (mask, taken)
+    passed_over = []
+    for _ in range(_PLACEMENT_TRIES):
+        fresh = object.__new__(cls)
+        if hash(fresh) & mask not in taken:
+            break
+        passed_over.append(fresh)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(fresh, name, value)
+    found = table.setdefault(key, fresh)
+    taken.add(hash(found) & mask)
+    return found
+
 
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class Digit(Symbol):
@@ -68,12 +111,11 @@ class Digit(Symbol):
 
     def __new__(cls, value):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConstructionError(f"digit value must be an int, got {value!r}")
+            raise ConstructionError(
+                f"digit value must be an int, got {shown(value)}")
         found = _DIGITS.get(value)
         if found is None:
-            found = object.__new__(cls)
-            object.__setattr__(found, "value", int(value))
-            found = _DIGITS.setdefault(value, found)
+            found = _placed(cls, _DIGITS, value, (int(value),))
         return found
 
     def sort_key(self):
@@ -124,10 +166,7 @@ class Pair(Symbol):
             if 1 + max(pair_depth(left), pair_depth(right)) > MAX_PAIR_DEPTH:
                 raise ConstructionError(
                     f"pair nesting deeper than {MAX_PAIR_DEPTH} is not supported")
-            found = object.__new__(cls)
-            object.__setattr__(found, "left", left)
-            object.__setattr__(found, "right", right)
-            found = _PAIRS.setdefault((left, right), found)
+            found = _placed(cls, _PAIRS, (left, right), (left, right))
         return found
 
     def sort_key(self):
@@ -162,9 +201,10 @@ def symbol(x) -> Symbol:
         return Digit(x)
     if isinstance(x, (tuple, list)):
         if len(x) != 2:
-            raise ConstructionError(f"a pair needs exactly two components, got {x!r}")
+            raise ConstructionError(
+                f"a pair needs exactly two components, got {shown(x)}")
         return Pair(symbol(x[0]), symbol(x[1]))
-    raise ConstructionError(f"cannot interpret {x!r} as a symbol")
+    raise ConstructionError(f"cannot interpret {shown(x)} as a symbol")
 
 
 def _sorted_symbols(xs) -> tuple:
@@ -197,7 +237,7 @@ def word(x) -> Word:
         return (symbol(x),)
     if isinstance(x, Iterable):
         return tuple(symbol(e) for e in x)
-    raise ConstructionError(f"cannot interpret {x!r} as a word")
+    raise ConstructionError(f"cannot interpret {shown(x)} as a word")
 
 
 def word_key(w: Word):
@@ -211,7 +251,7 @@ def digit_value(s: Symbol) -> int:
         return s.value
     if isinstance(s, AbsentType):
         return 0
-    raise ConstructionError(f"{s!r} has no digit value")
+    raise ConstructionError(f"{shown(s)} has no digit value")
 
 
 def format_word(w: Word) -> str:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from itertools import count, zip_longest
 
-from .errors import ConstructionError, MachineError
+from .errors import ConstructionError, MachineError, shown
 from .machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
                       _bfs_names, _free_label, _lockstep, _pair_label, _run,
                       as_label, explore)
@@ -41,7 +41,7 @@ def from_transition_function(fn, input_alphabet, initial_labels,
                 hash(label)
             except TypeError:
                 raise ConstructionError(
-                    f"the {role} label {label!r} is unhashable") from None
+                    f"the {role} label {shown(label)} is unhashable") from None
     final = set(finals)
 
     def successors(state):

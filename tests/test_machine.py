@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fsmkit import analysis, digits
-from fsmkit.errors import ConstructionError, InvalidInputError, MachineError
+from fsmkit import (analysis, automata, digits, export, serialize,
+                    transducers)
+from fsmkit.errors import (AnalysisError, ConstructionError,
+                           InvalidInputError, MachineError)
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
                             _run, build_machine)
-from fsmkit.symbols import ABSENT, Digit, Pair, word
+from fsmkit.polynomial import charpoly
+from fsmkit.symbols import ABSENT, Digit, Pair, symbol, word
 
 from oracles import nfa_accepts, run_deterministic
 
@@ -128,6 +131,91 @@ def test_a_label_too_long_to_write_is_refused_by_name(naf1, call):
     with pytest.raises(ConstructionError,
                        match="cannot write the label: it has more than"):
         call(naf1)
+
+
+BIG = 10**5000  # past CPython's 4,300-digit limit on int-to-text conversion
+TOO_LONG = "int of more than 4300 decimal digits"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda m: Machine(BIG, [], [], [0]), ConstructionError,
+     f"unknown machine kind an {TOO_LONG}"),
+    (lambda m: serialize.decode_word(BIG), ConstructionError,
+     f"a word must be an array, got an {TOO_LONG}"),
+    (lambda m: serialize.decode_word([[BIG, 0, 1]]), ConstructionError,
+     f"cannot decode symbol a list holding an {TOO_LONG}"),
+    (lambda m: serialize.machine_from_doc({
+        "kind": AUTOMATON, "alphabet": [0], "transitions": [],
+        "states": [{"label": BIG, "initial": True, "final": True}]}),
+     ConstructionError,
+     f"field 'label' must be a JSON string, got an {TOO_LONG}"),
+    (lambda m: symbol([BIG, 0, 1]), ConstructionError,
+     f"a pair needs exactly two components, got a list holding an {TOO_LONG}"),
+    (lambda m: symbol({BIG}), ConstructionError,
+     f"cannot interpret a set holding an {TOO_LONG} as a symbol"),
+    (lambda m: m.process([[BIG, 0, 1]]), ConstructionError,
+     f"a pair needs exactly two components, got a list holding an {TOO_LONG}"),
+    (lambda m: digits.Expansion(([BIG],), 0).value(), ConstructionError,
+     f"a list holding an {TOO_LONG} has no digit value"),
+    (lambda m: m.export(BIG), MachineError,
+     f"unknown export format an {TOO_LONG}; expected one of ('dot', 'tikz')"),
+    (lambda m: m.export("tikz", coordinates={BIG: None}), MachineError,
+     f"coordinates of an {TOO_LONG} must be two finite numbers"),
+    (lambda m: export.format_letter_plain(BIG), MachineError,
+     f"cannot format an {TOO_LONG}"),
+    (lambda m: analysis.bellman_ford(m.digraph(lambda t: 1), BIG),
+     AnalysisError, f"source an {TOO_LONG} is not a vertex"),
+    (lambda m: analysis.is_aperiodic(m, [BIG]), AnalysisError,
+     f"the component names no state: an {TOO_LONG}"),
+    (lambda m: automata.count_words(digits.build_naf_acceptor(), [BIG]),
+     ConstructionError,
+     f"the length must be an int, not a list holding an {TOO_LONG}"),
+    (lambda m: transducers.from_transition_function(
+        lambda state, letter: (state, None), [0], [[BIG]], []),
+     ConstructionError,
+     f"the initial label a list holding an {TOO_LONG} is unhashable"),
+    (lambda m: charpoly([[Fraction(BIG, 3)]]), AnalysisError,
+     "exact linear algebra takes int entries only, found Fraction "
+     f"a Fraction holding an {TOO_LONG}"),
+    (lambda m: Machine(TRANSDUCER, [BIG], [], [0]), ConstructionError,
+     f"not a state: an {TOO_LONG}"),
+    (lambda m: Machine(TRANSDUCER, [State("a", BIG)], [], [0]),
+     ConstructionError,
+     f"state flags are not booleans: a State holding an {TOO_LONG}"),
+    (lambda m: Machine(TRANSDUCER, [State("a", True)],
+                       [Transition("a", "a", BIG)], [0]),
+     ConstructionError,
+     f"transition input is not a tuple: a Transition holding an {TOO_LONG}"),
+    (lambda m: Machine(TRANSDUCER, [State("a", True)],
+                       [Transition("a", "a", (BIG,))], [0]),
+     ConstructionError,
+     f"input letter an {TOO_LONG} is not a symbol: a Transition holding "
+     f"an {TOO_LONG}"),
+    (lambda m: Machine(TRANSDUCER, [State("a", True)],
+                       [Transition("a", "a", (Digit(0),), (BIG,))], [0]),
+     ConstructionError,
+     f"output letter an {TOO_LONG} is not a symbol: a Transition holding "
+     f"an {TOO_LONG}"),
+    (lambda m: build_machine([(BIG,)], ["a"], [], [0]), ConstructionError,
+     f"transition row must have 3 or 4 entries: a tuple holding an {TOO_LONG}"),
+    (lambda m: m.digraph(lambda t: [BIG]), ConstructionError,
+     f"the weight a list holding an {TOO_LONG} of I --0|ε--> 0 is not "
+     "a rational"),
+    (lambda m: digits.binary_digits([BIG]), ConstructionError,
+     f"binary digits are defined for ints, not a list holding an {TOO_LONG}"),
+    (lambda m: digits.Expansion((), [BIG]).value(), ConstructionError,
+     f"the exponent offset must be an int, not a list holding an {TOO_LONG}"),
+    (lambda m: Digit([BIG]), ConstructionError,
+     f"digit value must be an int, got a list holding an {TOO_LONG}"),
+], ids=["kind", "decode_word", "decode_symbol", "field", "pair", "symbol",
+        "word", "digit_value", "format", "coordinates", "format_letter",
+        "source", "component", "length", "initial_label", "entry", "state",
+        "flags", "input", "input_letter", "output_letter", "row", "weight",
+        "binary_digits", "offset", "digit"])
+def test_a_message_names_an_int_too_long_to_write(naf1, call, error, message):
+    with pytest.raises(error) as raised:
+        call(naf1)
+    assert str(raised.value) == message
 
 
 def test_state_lookup_equality_and_repr(naf1):

@@ -1,7 +1,8 @@
 """Property tests on random machines: runs agree with a walk over the
-transition list, the constructions agree with direct nondeterministic
-acceptance and with running the argument machines one after the other,
-complement is an involution, the walks over state indices (SCCs, the
+transition list, also over what `word` makes of a mixed input, the
+constructions agree with direct nondeterministic acceptance and with
+running the argument machines one after the other, complement is an
+involution, the walks over state indices (SCCs, the
 period test, reachability, trimming, relabeling and the language
 enumeration's pruning) agree with label-keyed copies, language equivalence agrees with comparing
 minimal automata, machine files round-trip byte-identically, word counts
@@ -24,6 +25,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fsmkit import analysis, export, serialize
+from fsmkit import machine as machine_module
 from fsmkit.analysis import (asymptotic_moments, bellman_ford,
                              expected_density, is_aperiodic,
                              stationary_distribution,
@@ -34,8 +36,8 @@ from fsmkit.automata import (Recurrence, complement, count_words,
                              kleene_star, language, minimize, union,
                              word_automaton, word_count_recurrence)
 from fsmkit.digits import Expansion
-from fsmkit.errors import (AnalysisError, FsmError, NegativeCycleError,
-                           StateCapError)
+from fsmkit.errors import (AnalysisError, ConstructionError, FsmError,
+                           NegativeCycleError, StateCapError)
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
                             Transition, WeightedDigraph, build_machine)
 from fsmkit.polynomial import charpoly
@@ -125,6 +127,85 @@ def test_process_stops_at_a_foreign_letter_as_the_walk_does(t, w):
     assert not run.accepted
     assert (run.accepted, run.stop_state, run.output) == \
         run_deterministic(t, w)
+
+
+# letters `word` reads as symbols or coerces, and letters it refuses;
+# lists are unhashable
+TAKEN_LETTERS = NATIVE + FOREIGN + (0, 1, 0, 1, 2, -1, None, (0, 1), [1, 0],
+                                    [0, None])
+REFUSED_LETTERS = ("0", "x", True, False, [1])
+
+
+@st.composite
+def mixed_words(draw):
+    """A list of letters `word` takes, with one it refuses inserted half
+    the time."""
+    letters = draw(st.lists(st.sampled_from(TAKEN_LETTERS), max_size=6))
+    if draw(st.booleans()):
+        letters.insert(draw(st.integers(0, len(letters))),
+                       draw(st.sampled_from(REFUSED_LETTERS)))
+    return letters
+
+
+# one state, complete over LETTERS, writing the other letter
+FLIP = build_machine([(0, 0, 0, 1), (0, 0, 1, 0)], [0], [0], LETTERS)
+
+
+@PROPERTY
+@given(st.one_of(random_transducers(), random_transducers(complete=True)),
+       mixed_words(), st.booleans())
+@example(FLIP, [Digit(1), 0, 1, Digit(0)], True)
+@example(FLIP, [Digit(1), (0, 1)], True)
+def test_process_runs_what_word_makes_of_its_input(t, letters, as_tuple):
+    w = tuple(letters) if as_tuple else letters
+    try:
+        coerced = word(w)
+    except ConstructionError as refusal:
+        with pytest.raises(ConstructionError) as raised:
+            t.process(w)
+        assert str(raised.value) == str(refusal)
+        return
+    run = t.process(w)
+    assert (run.accepted, run.stop_state, run.output) == \
+        run_deterministic(t, coerced)
+
+
+def test_an_accepted_symbol_tuple_is_run_without_checking_its_letters(
+        monkeypatch, naf_completed):
+    calls = []
+
+    def counted_word(x):
+        calls.append(x)
+        return word(x)
+
+    monkeypatch.setattr(machine_module, "word", counted_word)
+    letters = word([1, 0, 1, 1, 0, 1])
+    assert naf_completed.process(letters).accepted
+    assert calls == []
+    assert not naf_completed.process(letters + (Digit(7),)).accepted
+    assert len(calls) == 1  # the run stopped early, so its letters are checked
+
+
+class _Alias:
+    """A foreign letter that hashes like a symbol and compares equal to it."""
+
+    def __init__(self, sym):
+        self.sym = sym
+
+    def __hash__(self):
+        return hash(self.sym)
+
+    def __eq__(self, other):
+        return other is self.sym
+
+
+def test_a_foreign_letter_equal_to_an_alphabet_symbol_is_read_as_it(
+        naf_completed):
+    letters = word([1, 0, 1])
+    aliased = (letters[0], _Alias(letters[1]), letters[2])
+    assert naf_completed.process(aliased) == naf_completed.process(letters)
+    with pytest.raises(ConstructionError, match="cannot interpret"):
+        word(aliased)
 
 
 @PROPERTY

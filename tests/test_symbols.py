@@ -1,7 +1,13 @@
 import copy
 import dataclasses
+import json
 import operator
+import os
 import pickle
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -234,3 +240,39 @@ symbol_likes = st.recursive(
 def test_equality_identity_and_sort_key_agree(x, y):
     a, b = symbol(x), symbol(y)
     assert (a == b) is (a is b) is (a.sort_key() == b.sort_key())
+
+
+PLACEMENT = """
+import json, sys
+ballast = [object() for _ in range(int(sys.argv[1]))]
+from fsmkit.symbols import Digit, Pair
+first, second = json.loads(sys.argv[2])
+digits = [Digit(v) for v in range(*first)] + [Digit(v) for v in range(*second)]
+pairs = [Pair(Digit(a), Digit(b)) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+print(json.dumps([[hash(s) for s in digits], [hash(s) for s in pairs]]))
+"""
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="identity hashes are addresses on CPython only")
+@pytest.mark.parametrize("allocations", [0, 1001])
+@pytest.mark.parametrize("first, second", [((-2, 3), (3, 11)),
+                                           ((0, 8), (-5, 0))],
+                         ids=["-2..2 first", "0..7 first"])
+def test_the_first_symbols_of_a_class_hash_to_distinct_slots(
+        allocations, first, second):
+    # a fresh interpreter, so these are the first digits and pairs built;
+    # the ballast moves the allocator's layout
+    env = dict(os.environ, PYTHONPATH=str(Path(symbols.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", PLACEMENT, str(allocations),
+         json.dumps([first, second])],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    digit_hashes, pair_hashes = json.loads(done.stdout)
+    built_first = len(range(*first))
+    for hashes in (digit_hashes[:built_first], digit_hashes[:8],
+                   pair_hashes[:8]):
+        assert len({h & 7 for h in hashes}) == len(hashes)
+    for hashes in (digit_hashes, pair_hashes):  # 9 to 16 members
+        assert len({h & 15 for h in hashes}) == len(hashes)
