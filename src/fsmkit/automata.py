@@ -123,11 +123,34 @@ def determinize(a: Machine) -> Machine:
     letter is the union of its members' entries, since closure
     distributes over union.
 
+    A deterministic automaton's subsets are its singletons, so for one
+    the same exploration walks its step table instead: state i moves to
+    each row's targets in alphabet order, is named "{label}" and is final
+    when states[i] is.  That is the subset construction's machine, names
+    and order included, without a closure or a union.
+
     The result is kept on `a` (see `Machine._kept`), so later calls return
     that same machine, and each call answers to the state cap."""
     _require_automaton(a)
 
     def subsets():
+        if a.is_deterministic():
+            letters = a.input_alphabet
+            start, rows = a._steps()
+            names = ["{" + st.label + "}" for st in a.states]
+            accepting = [st.is_final for st in a.states]
+
+            def moves(i):
+                row = rows[i]
+                for letter in letters:
+                    move = row.get(letter)
+                    if move is not None:
+                        yield (letter,), move[0], ()
+
+            return explore(AUTOMATON, letters, [start], moves,
+                           names.__getitem__,
+                           lambda i: () if accepting[i] else None)
+
         labels = sorted(st.label for st in a.states)
         rank = {label: r for r, label in enumerate(labels)}
         finals = {rank[st.label] for st in a.final_states()}

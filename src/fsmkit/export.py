@@ -4,8 +4,11 @@ Output is deterministic: states and transitions are visited in the one
 canonical order of `machine._listing` (states by label, transitions by
 `machine._transition_key`), so equal machines export to identical bytes.
 TikZ coordinates are a user-supplied mapping from state labels to points,
-each two finite ints, floats or Fractions; states without coordinates are
-placed on a circle.
+each two finite ints, floats or Fractions; a key is read as a label as
+`Machine.state` reads one (`machine.as_label`), so 0 and "0" place the
+same state; two keys that name one label, or an int too long to write
+as a label, are refused.  States without coordinates are placed on a
+circle.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .errors import MachineError, shown
-from .machine import Machine, _listing
+from .errors import ConstructionError, MachineError, shown
+from .machine import Machine, _listing, as_label
 from .symbols import AbsentType, Digit, Pair, Symbol, format_word
 
 FORMATS = ("dot", "tikz")
@@ -29,8 +32,17 @@ def render(machine: Machine, fmt: str, coordinates=None, format_letter=None) -> 
             raise MachineError(
                 f"coordinates must map state labels to points, not a "
                 f"{type(coordinates).__name__}")
-        points = {label: _point(label, xy)
-                  for label, xy in (coordinates or {}).items()}
+        points = {}
+        for key, xy in (coordinates or {}).items():
+            point = _point(key, xy)
+            try:
+                label = as_label(key)
+            except ConstructionError:
+                raise MachineError(f"coordinate {shown(key)} cannot be read "
+                                   f"as a state label") from None
+            if label in points:
+                raise MachineError(f"two coordinates name state {label!r}")
+            points[label] = point
         return _tikz(machine, points, format_letter or format_letter_plain)
     raise MachineError(
         f"unknown export format {shown(fmt)}; expected one of {FORMATS}")

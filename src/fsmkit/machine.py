@@ -2,8 +2,9 @@
 
 A Machine is an immutable value covering both automata (transitions carry
 no output) and transducers (transitions write output words; states may
-carry a final output word that is appended when a run stops there).  All
-operations return new machines, so values can be shared freely.
+carry a final output word that is appended when a run stops there).  No
+operation changes a machine it is given, so values can be shared freely,
+and an operation with nothing to change may return its argument.
 
 States are identified by their label, a display string that is unique
 within a machine.  Transition inputs are words of length at most one; a
@@ -23,7 +24,10 @@ later call reads it instead of deriving it again: the step table
 word), or the message refusing a machine that is not deterministic), the
 subset construction, the trimmed deterministic form that counting and
 enumeration read, the word count recurrence, the terminal chain and its
-period test.  Nothing else changes a machine after its constructor.
+period test.  A form that is the machine itself, such as the trimmed
+form of a machine that `trim` leaves whole (a restriction that drops no
+state returns the machine), is kept as None, so no machine refers to
+itself.  Nothing else changes a machine after its constructor.
 `_run` is the one run loop: it follows a word through the rows of a step
 table, for `Machine.process` and for composition, with one subscript per
 letter; a letter without a move, or one the row cannot look up, ends the
@@ -264,10 +268,18 @@ class Machine:
             len(row) == len(self.input_alphabet) for row in self._steps()[1])
 
     def _kept(self, form, build):
-        """`form`'s value, kept from the first `build()` call that returns."""
-        if form not in self._forms:
-            self._forms[form] = build()
-        return self._forms[form]
+        """`form`'s value, kept from the first `build()` call that returns.
+        A value that is the machine itself (a trimmed form that drops no
+        state) is kept as None, which no form is, never as a reference to
+        the machine: so no machine refers to itself, reference counting
+        alone frees it, and copies and pickles read their own selves."""
+        forms = self._forms
+        if form not in forms:
+            value = build()
+            forms[form] = None if value is self else value
+            return value
+        value = forms[form]
+        return self if value is None else value
 
     def _steps(self):
         """The step table of a deterministic machine, built once: the index
@@ -362,21 +374,28 @@ class Machine:
                           adjacent.__getitem__)
 
     def accessible(self) -> "Machine":
-        """Restrict to states reachable from the initial states."""
+        """Restrict to states reachable from the initial states; the
+        machine itself when every state is."""
         return self._restrict(self._levels())
 
     def coaccessible(self) -> "Machine":
-        """Restrict to states from which some final state is reachable."""
+        """Restrict to states from which some final state is reachable;
+        the machine itself when every state is."""
         return self._restrict(self._levels(backward=True))
 
     def trim(self) -> "Machine":
         """Restrict to states both accessible and coaccessible at once (a
-        path from an accessible state never leaves the accessible part)."""
+        path from an accessible state never leaves the accessible part);
+        the machine itself when that drops no state."""
         return self._restrict(self._levels().keys()
                               & self._levels(backward=True).keys())
 
     def _restrict(self, keep) -> "Machine":
-        """The machine on the state indices in `keep`, in state order."""
+        """The machine on the state indices in `keep`, in state order:
+        `self` when `keep` holds every state, since a machine never
+        changes, else a new machine."""
+        if len(keep) == len(self.states):
+            return self
         index = self._by_label
         states = tuple(st for i, st in enumerate(self.states) if i in keep)
         transitions = tuple(t for t in self.transitions if index[t.source]

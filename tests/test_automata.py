@@ -165,6 +165,21 @@ def test_determinize_respects_the_state_cap(monkeypatch):
         determinize(starred)
 
 
+def test_determinize_of_a_deterministic_automaton_respects_the_state_cap(
+        monkeypatch):
+    chain = word_automaton([0, 1, 0, 1], [0, 1])  # 5 states, deterministic
+    monkeypatch.setenv("FSMKIT_STATE_CAP", "4")
+    with pytest.raises(StateCapError,
+                       match="exploration exceeded the state cap of 4"):
+        determinize(chain)
+    monkeypatch.setenv("FSMKIT_STATE_CAP", "5")
+    d = determinize(chain)
+    assert [st.label for st in d.states] == ["{0}", "{1}", "{2}", "{3}", "{4}"]
+    monkeypatch.setenv("FSMKIT_STATE_CAP", "4")
+    with pytest.raises(StateCapError, match="4"):
+        determinize(chain)  # the kept form answers to the cap too
+
+
 # ----------------------------------------------------------------------
 # complete / complement / intersection
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,20 @@ def test_tikz_refuses_coordinates_that_are_not_a_mapping(machine_T,
             f"coordinates must map state labels to points, not a "
             f"{type(coordinates).__name__}")):
         machine_T.export("tikz", coordinates=coordinates)
+
+
+def test_tikz_reads_each_coordinate_key_as_a_label(naf1):
+    by_text = naf1.export("tikz", coordinates={"0": (5, 7)})
+    assert "(5.000, 7.000)" in by_text
+    assert naf1.export("tikz", coordinates={0: (5, 7)}) == by_text
+    with pytest.raises(MachineError,
+                       match=re.escape("two coordinates name state '0'")):
+        naf1.export("tikz", coordinates={0: (5, 7), "0": (5, 7)})
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(MachineError, match=re.escape(
+            f"coordinate an int of more than {limit} decimal digits cannot "
+            f"be read as a state label")):
+        naf1.export("tikz", coordinates={10**(limit + 1): (5, 7)})
 
 
 def test_tikz_places_ints_floats_and_fractions_alike(machine_T):

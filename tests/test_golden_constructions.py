@@ -1,7 +1,9 @@
 """Golden construction order: SHA-256 digests of repr((states,
 transitions)) of determinize, minimize, complement and intersection on
-seeded random nondeterministic automata, and of simplify on seeded random
-deterministic transducers.  `serialize.dumps` sorts, so the preset
+seeded random nondeterministic automata, of determinize, complement,
+minimize and intersection(d, complement(d)) on seeded random
+deterministic automata, and of simplify on seeded random deterministic
+transducers.  `serialize.dumps` sorts, so the preset
 goldens do not see the order of states and transitions; DOT/TikZ exports
 and `Machine.transitions` do, and these digests pin it."""
 
@@ -12,7 +14,7 @@ import pytest
 
 from fsmkit.automata import complement, determinize, intersection, minimize
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
-                            build_machine)
+                            Transition, build_machine)
 from fsmkit.symbols import word
 from fsmkit.transducers import simplify
 
@@ -219,6 +221,159 @@ GOLDEN_AUTOMATA = {
         "4240f381517ea3f321f64cc9b8c55e780590f2976cf818dbfa6d891c9141fd26"),
 }
 
+GOLDEN_DETERMINISTIC = {
+    0: (
+        "b821275126ba6efbdf0dacb3142ddb34fed2bcd1daabe14f52bae5709fbc7792",
+        "2b2361645fc6838f27b7085d907e195c602f1316589379a3016961f6045cb614",
+        "34c27e0de4eca784541178f73d3db9630867e427f8ec35532ab02a24ab0280cc",
+        "7542a04a0115812e09acaff3b480a86815e9d8b242394070feda3c360c2588ad"),
+    1: (
+        "8343862bcea5b9da9964712cf6d9b9b607969c15a3ec884ff58a646e3800c60d",
+        "44ddece69b87f6ab9d3caea4005f96d6671358446ff41598a0b459b1c4c707a2",
+        "f8495a3b4562d838ef7511cf38d6c4fe4a0cc4184a13f9caea786960604f3932",
+        "a1ffa9356e880603034419565e951785ffa4904cee29494fd74d0430ffee3c41"),
+    2: (
+        "e37bc10664974875ea77cbf8356eb14c7c5b7a62db289b925b9781c000b7575f",
+        "4c180837c7ef04b24fa40bd10cdce1a47fea8967e65d8c9c4561cf0c0796a844",
+        "b24956f2d5db2033dce5bd58f4220ef1f3df4d44da86fdb0005d06489e937a42",
+        "3e5e7e6c545fef6d36779e0550eb76c47a855aba46d30742b432a7f25e043110"),
+    3: (
+        "3eba95132565c7e9169811b39809cb6238da40b1a2852d54d065d51a603fc940",
+        "510644e1d0c31675efcfa8846d635c18c872c376c00555627d4490ec66a631a5",
+        "f8495a3b4562d838ef7511cf38d6c4fe4a0cc4184a13f9caea786960604f3932",
+        "ca7468d29c303a0e2f1ba184d649d7a50e6b5edda210c37a1918d978f4dc50f3"),
+    4: (
+        "23ecb5988bd73b6838c062f0534a2551ec7f766c30a40afb90ce5c21bdcb6e5b",
+        "af6613c36aad8e4690c1a6963204225a1c434cff247a9a53c77939d8a89e7b27",
+        "854392eb9f16acae373cf499c5b7d6621be8a3ea5706b2c17815ab872d23e251",
+        "e1af5f2db40cc7abcca357cfa4a62ced0b727a1a2b1816a8376ebf4e0e4073f6"),
+    5: (
+        "15cbaa31c828f4bc1b8c0c1a3db1d282bbd1a6f248e8805c7f74620fe5357c4c",
+        "cbf98baf3a172f16cf3c889c159120cf333ce0c66a247d50e041c17b44ba8a51",
+        "226dc5e7f29d3aab5829dc3bb1f203e51e3af0b2ba493f77d8b2cdec648f3710",
+        "0f4f00f355bb3a54702ee3f2a24ad28f717da8aebacba49f25d4495241aaf325"),
+    6: (
+        "8b03bb4eea89e7008a3ef0ac8626b45fa68d63c239bc096d0a9bd21480c6b335",
+        "14a553a600592d5304ecc0c0401b092f50eefdec43905f14f580293e4820dc3b",
+        "2b953f4a4708163f4a247626f3c42913247d585e6b5edd76259d2019a11695ce",
+        "cacafe26c5cb394017b79cc4bbb0fd03fc81a83f34cafcfd1388fdf6e97c7f38"),
+    7: (
+        "77c744058f87adf7cecd66971874a181f6ccd565debc79baf941dae427ee9ed0",
+        "6d104ee22002964f5ccc33bfab72778c5d79d54089cab1010b69476e5c495d50",
+        "abae83471c5cd501afd4925d1e982c9d4379f28328a91741281fd233347ee3f3",
+        "37f0b731e5c7ceca266e7307d1022decf8c95d1b844beb4d42ae662ee14e8c64"),
+    8: (
+        "bec07d195df6e49e3928b1f814f0d458b6e868bfa7f9fb23dba8a7292e9eafe2",
+        "fd30adda069d151e1a5bc3cce4b179a3066a02ee50f122e9ba577cc5864c744a",
+        "974e4df59ab07108ba093eb26f69c8221fe093f3739b861a31db971bb79c1592",
+        "14d4d8192b22dc106445f3e465b21522c8d33af6d87d1a4770770ac5304ed695"),
+    9: (
+        "56390662652fe88a34f70d12dbcbcc6a070b831d698bb6a920f0b1999927b389",
+        "0a136f22aab422feb366f314bc89582975de8bcaef9560161062ef0f75808fef",
+        "3b85c10b368371d355b23084e85a021c93a37cd2a3095907c2fbf17592465aca",
+        "b47752925afad8e804e36174cfc11d301aa72d625364859599133dcf7a3cfe34"),
+    10: (
+        "b93b61bf645497bcc31c56a48483de1c62ecc15bcf928458e809fab3ef88f745",
+        "86380eb4d4cc9ca478639924e26dc5bbb89058de3b170173b1d9798caa474cf2",
+        "f9692ce44ab301260cafd34d5cdc8203dcc565b0a307c0333df8139b6a4243e8",
+        "baf719b52a9be50b5c0b51815a2583873d3de2fb909507bbc39ee09ce596d0fa"),
+    11: (
+        "fe92911e7c65b0f0d1f79559fb64c3b234914edb0bb2473dace7aa9ce2a3072f",
+        "fe5667463b81ceef37a7d881e0970b0da12ec62362600edea7dcf30e7f20f127",
+        "9ad124960cee1204231387f83508392601748066482abb9d1c9295739fcf9734",
+        "49e180424fff182b8002ef4786150d5e17c9b94eb597b80ec1e5651402cd6583"),
+    12: (
+        "2679f818b733572089aaaf8ba410fdf8f6678ea1477680cb6a7aeb1f2bec5862",
+        "f7b5adade9b632b85c17c4b77766f6e28e17c740a4ce42f38430d7a179c9b916",
+        "134d504120e6b8636aa01fd5ea7d8c0054c9a98ab242492fbec576e593af78a9",
+        "1e19f4bb1a61f445979826e57efd3cf5606c4e45692db299404937f662749f3c"),
+    13: (
+        "169ee57f826574d0b7529f279cac097e6b52f809f7a518a856b2a3fc7f036f46",
+        "1a006d390ec5b7edd818ea3493327fd257bcf199a95e5ce022492b9f76655025",
+        "f5fb1bd8f52c2438f822229a0ecabe538672050cd7dcbf9a1d8341a826c6745f",
+        "d3fabb453f425cdd77d88580bf85463fe43d57cce046245688bc31b452330b79"),
+    14: (
+        "0b94c02a5cff9e015f11dac60006b66287492299215abe1d7bed6fa98141e7a4",
+        "3566d15bfb93a5f8c67d243f83169f6c7f91c85bcbe994b76a49238197dd4e22",
+        "7d9f1f9e4a56ebb3f70d2d325bf16961d4e068b412732ff4b15c2ced00012194",
+        "2d3306487abadedb4bedbb2a2543a9b86a9af74c563025cc676cedcd2d7f0a7d"),
+    15: (
+        "72b180945cdba3bc81bb7ddad3d8305e6d6742d63299f7fe684ada174794f83a",
+        "7cfa0f23ae08413a9c012a40d7c8c39cf76448ea00b151555767be24604c9189",
+        "f2333717cd88c08b79545615a2134f685ec1f7d1ef558dfc03ddbc609dc9a13d",
+        "3e08128fcda655087230150a2d8623736a50b1f11fa5c568bdd63d3ac41132a1"),
+    16: (
+        "02eabdba944f9cf3ae70a4bc31ddd7415fae773554218c50d8d79026e4ff92bf",
+        "fe85586cefc2dc7e37d0f1793b6cd01ed55596307cc88383e90957855450a662",
+        "ce4cb4da1a4e483a83f9386746cd129ca7e379e4abe1d704085868bb288fcbd2",
+        "b67e49738f43d510f8336a011933ff4c37bb0ca523eb5d5e585eb865e67ab222"),
+    17: (
+        "f086da8c53ab16e1c578e8cdd43256a6fe11d8cf56b1ecce2fc26f930ea443be",
+        "21330ec9e6ebe266f4191d3a375cbd3b3c52a83276f41ab479dcb101923424e4",
+        "c378e265be513f381f32a0846797be5fe212482d2f2f79ac2d60213d4b2b939c",
+        "b5e73480ad096f486cf3043a6a60357922558998479fcaec1f4cd15ff8b68289"),
+    18: (
+        "b821275126ba6efbdf0dacb3142ddb34fed2bcd1daabe14f52bae5709fbc7792",
+        "2b2361645fc6838f27b7085d907e195c602f1316589379a3016961f6045cb614",
+        "34c27e0de4eca784541178f73d3db9630867e427f8ec35532ab02a24ab0280cc",
+        "7542a04a0115812e09acaff3b480a86815e9d8b242394070feda3c360c2588ad"),
+    19: (
+        "1359a180ae3062d5e21d8c3eff41a1ac4c4ae9202e2005a2f2192e46146fd8d9",
+        "dc20b38359e150ab59369ebebbed9a56c0fbfc78137ac8f9dd9474e3bd60cb24",
+        "f8495a3b4562d838ef7511cf38d6c4fe4a0cc4184a13f9caea786960604f3932",
+        "97cfc263a948ff744b3d212fc4e177e56f685605af497b420a96f5f713d41a11"),
+    20: (
+        "259debaeec305ff4a98e45f920884eeb851bdc5bb52d407dd4a6df7fa2b45c58",
+        "315977633dd84b461398740ea915ed8a2227ab45912376dae02e34c017bcae94",
+        "7e3d91821e5d434eb3f959c64c6e2f632ef2c08f18106a4f2e6ef4f18150dc6a",
+        "86ab28c3d6d4daa9387ccbc003375171de7d9b453841237c0ab1a9e22c5b138c"),
+    21: (
+        "65b6fd3d68b04b0a8bbd4a453f8e957554928733a7e9add886b67e093914ada6",
+        "46c0a9a0258505882de85e2ec69d299f2c81ccadd246d71801c36cde712e24f8",
+        "b04c65526914ef7526d5f3a746710d49c5e063ab551c3937ef4e0abc0794764b",
+        "2f69d96ee2aa3b690fd67a88884cbbe783c480933400be14bd949351ee576f2e"),
+    22: (
+        "0a95fd5e5c66dfdf11d123b8f9b7d3c512d5326f210c2343eec8f9db6f6d8b60",
+        "916a6b4ab00d536c33f0a4d6b4bb479231996bbba7f6b4325dccd802ea1c9e04",
+        "725302cf4551e0b7ce956200e752a468c98d8877ea1a7aca507cf11fe19dbbb1",
+        "729c84e2823c3700c354f8f6b7065f63bec140d6b2dd670489d1b4163662010a"),
+    23: (
+        "cfb32a9382c256657deb3437e70759ac1db50979f5c432df8cc386640f132e30",
+        "ede36cd5512ef71f97b269ac587160ecea83c9932835d1286aa198d5c6ea7cef",
+        "34d413823224d3069f06af3328c2f735a20a72fa1d83c3450c27a000c32a3211",
+        "17b0d7f82ded8fa14f4efa5b4c5af2dd3410a427f441041d62f3eff9bfea28ab"),
+    24: (
+        "947d361ff2639ee1c57c7e582cf74ca0ab4b89773542792b9cb2304af3dfe3b2",
+        "754ce668b19f6f5c26f2f1e6369d963e4944e249b67dfef84fa6f04111e4459f",
+        "1078bf71262e87b4119be6ee2fced59f5f27cacd3ad93c365cbce83389181ada",
+        "06b79e76b18a6f8fe28e0037deb2dbb234c9f55fc7c7820f30ef9ffc3644ad18"),
+    25: (
+        "8da4f18ee796d5c293cc0e781b6ad661f879071e5bfb00cc867ff98b149432d8",
+        "fe0bc813942e8c6e2d8e3ea2cb97514d1890a8b5fca18126119a166111564300",
+        "5a4ad3215b0c31dd732a073b1bd4c41f7a303ad301b1b12dfa7bb860483c9cd8",
+        "98fe11d8ba8d9687febb617b2668a71d949d7028b21b11aa95a857802cacb878"),
+    26: (
+        "d7aa26812e780e576ad1db622ffb1df2d80eb16250ba3f1afa803c5e62dce837",
+        "47c8331bae932cc01cddcd108497fcfebf7a61946cc9a6505fa2c69ab651ced7",
+        "f69df6a001e91b3de9ea2198349d1b04ebe342e158af9a5db47ab617e197446c",
+        "b6b71a368744972aca3e092b5c3675f55782f925e17a66d271ad2e97111ab5e6"),
+    27: (
+        "2ae2bed2415848962deb17399b40aeda2ffb1f5b606553cb6cb82c1cf85216e8",
+        "7a7db9612631e9c5202f796eff6fd08a0fcd9f267fcbe4a290e2950f2a8c3e55",
+        "3b85c10b368371d355b23084e85a021c93a37cd2a3095907c2fbf17592465aca",
+        "49ae34e96b9d468499672c1cc44cb468a8630bda2330b0c0482ca5faa9093323"),
+    28: (
+        "960e0c3c51a8c200dfa500367744c5333e21632c75654b5eab218b990010be9a",
+        "a751432ec3f85965b27b7e6920af349fa0b1623cf261ca1e5a8a9680fe10923a",
+        "34c27e0de4eca784541178f73d3db9630867e427f8ec35532ab02a24ab0280cc",
+        "6dd19e06021609ecf278932a34911601dc34a6d7b1dfdad9ef4b8adb56c80b8f"),
+    29: (
+        "0619b7311ed176200f52f205f383e99b732fcfdde8a899c74beb08581d679108",
+        "daa7cb1a996f119032d16223d031a54a8db8ad2cca02c10217b6fe32efe46d6e",
+        "f8495a3b4562d838ef7511cf38d6c4fe4a0cc4184a13f9caea786960604f3932",
+        "a67840baa42a2a87420cb576e587c85dfb40eb79206e4ec58ff7078f65b3df20"),
+}
+
 GOLDEN_TRANSDUCERS = {
     0: "9a27d59da5448ea4ff440f7245709195bdf66dc9406813e74c850970d77a5542",
     1: "5b37a83471e41e0cbfe4af1c25614693120081231e81273483e295e9dddc5ffe",
@@ -260,6 +415,32 @@ def random_nfa(seed):
     final = [s for s in range(n) if rng.random() < 0.4]
     return build_machine(rows, sorted(initial), final, alphabet,
                          kind=AUTOMATON)
+
+
+def random_dfa(seed):
+    """Deterministic automaton: 1-9 states listed out of label order, with
+    labels holding ",", "{", "}" and "#", complete for seeds divisible by
+    three and partial otherwise, its initial state anywhere in the list,
+    its transitions shuffled, and for odd seeds up to two states that
+    nothing reaches."""
+    rng = random.Random(4000 + seed)
+    n = 1 + seed % 9
+    alphabet = _alphabet(seed)
+    shapes = ("{}", "q{},{}", "{{{}}}", "#{}", "}}{}{{", "{},#1", "{{{},{}}}")
+    labels = [rng.choice(shapes).format(i, i) for i in range(n)]
+    rng.shuffle(labels)
+    unreachable = set(rng.sample(range(1, n), min(n - 1, 2))
+                      if seed % 2 else ())
+    reachable = [i for i in range(n) if i not in unreachable]
+    rows = [Transition(labels[s], labels[rng.choice(
+                reachable if s not in unreachable else range(n))], (a,))
+            for s in range(n) for a in word(alphabet)
+            if seed % 3 == 0 or rng.random() < 0.7]
+    rng.shuffle(rows)
+    initial = rng.choice(reachable) if n > 1 else 0
+    states = [State(label, i == initial, rng.random() < 0.5)
+              for i, label in enumerate(labels)]
+    return Machine(AUTOMATON, states, rows, alphabet)
 
 
 def random_transducer(seed):
@@ -305,11 +486,23 @@ def automaton_digests(seed):
             _digest(complement(a)), _digest(intersection(a, b)))
 
 
+def deterministic_digests(seed):
+    d = random_dfa(seed)
+    return (_digest(determinize(d)), _digest(complement(d)),
+            _digest(minimize(d)), _digest(intersection(d, complement(d))))
+
+
 def test_random_machines_have_the_promised_shape():
     nondeterministic = [s for s in range(40)
                         if not random_nfa(s).is_deterministic()]
     assert len(nondeterministic) > 30
     assert any(len(random_nfa(s).initial_states()) > 1 for s in range(40))
+    dfas = [random_dfa(s) for s in range(30)]
+    assert all(d.is_deterministic() for d in dfas)
+    assert 5 < sum(d.is_complete() for d in dfas) < 25
+    assert sum(len(d.accessible().states) < len(d.states) for d in dfas) > 5
+    assert all(any(c in st.label for d in dfas for st in d.states)
+               for c in ",{}#")
     transducers = [random_transducer(s) for s in range(20)]
     assert all(t.is_deterministic() for t in transducers)
     assert any(not t.is_complete() for t in transducers)
@@ -323,6 +516,11 @@ def test_random_machines_have_the_promised_shape():
 @pytest.mark.parametrize("seed", range(40))
 def test_automaton_constructions_are_pinned(seed):
     assert automaton_digests(seed) == GOLDEN_AUTOMATA[seed]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_deterministic_constructions_are_pinned(seed):
+    assert deterministic_digests(seed) == GOLDEN_DETERMINISTIC[seed]
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -4,6 +4,8 @@ only, so no construction or analysis can change a machine it was given;
 what they derive from a machine is kept through `Machine._kept`."""
 
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import pytest
 import fsmkit
 from fsmkit import analysis, automata, digits
 from fsmkit.errors import MachineError
-from fsmkit.machine import Machine
+from fsmkit.machine import AUTOMATON, Machine, build_machine
 
 PACKAGE = Path(fsmkit.__file__).parent
 
@@ -115,3 +117,62 @@ def test_a_refused_step_table_is_built_once(monkeypatch):
     assert refusals[0] is not refusals[1]
     assert str(refusals[0]) == str(refusals[1]) != ""
     assert sum(m is nfa for m in builds) == 1
+
+
+def _fresh(m):
+    """An equal machine that nothing else holds (the presets are cached)."""
+    return Machine(m.kind, m.states, m.transitions, m.input_alphabet,
+                   m.output_alphabet)
+
+
+def _with_spare_states():
+    """States a and b reach each other and are final; "lost" moves into
+    them but nothing reaches it, and "dead" is reached but reaches no
+    final state."""
+    return build_machine([("a", "b", 0), ("b", "a", 1), ("lost", "a", 0),
+                          ("b", "dead", 0)], ["a"], ["a", "b"], [0, 1],
+                         kind=AUTOMATON)
+
+
+@pytest.mark.parametrize("name, dropped", [
+    ("trim", {"lost", "dead"}), ("accessible", {"lost"}),
+    ("coaccessible", {"dead"})])
+def test_a_restriction_that_drops_nothing_returns_the_machine(name, dropped):
+    m = _with_spare_states()
+    restricted = getattr(m, name)()
+    assert restricted is not m
+    assert {st.label for st in m.states} - {
+        st.label for st in restricted.states} == dropped
+    assert getattr(restricted, name)() is restricted
+    kept = build_machine([("a", "b", 0), ("b", "a", 1)], ["a"], ["a", "b"],
+                         [0, 1], kind=AUTOMATON)
+    assert getattr(kept, name)() is kept
+
+
+@pytest.mark.parametrize("build, calls", [
+    (lambda: digits.build_naf_acceptor().trim(), (
+        lambda a: automata.count_words(a, 3),
+        lambda a: automata.count_words(a, 100),
+        automata.word_count_recurrence, automata.determinize,
+        lambda a: list(automata.language(a, 4)))),
+    (lambda: _fresh(digits.build_W()), (analysis.stationary_distribution,
+                                        analysis.asymptotic_moments)),
+], ids=["trimmed automaton", "W"])
+def test_a_machine_that_keeps_itself_as_a_form_is_freed_at_del(build, calls):
+    """A kept form that is the machine itself (its trimmed form or its
+    accessible part) leaves no reference cycle: with the cyclic collector
+    off, reference counting frees the machine as soon as the last name
+    goes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = build()
+        assert m.trim() is m
+        for call in calls:
+            call(m)
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -432,6 +432,38 @@ def test_determinize_agrees_with_the_label_keyed_subsets(a):
     assert _rows(determinize(a)) == _rows(label_determinize(a))
 
 
+@st.composite
+def shuffled_dfas(draw):
+    """Deterministic automata of one to twelve states listed out of label
+    order, with labels holding ",", "{", "}" and "#", at most one move per
+    state and letter (so complete or partial, with states nothing reaches)
+    and the moves listed in a drawn order."""
+    labels = draw(st.lists(
+        st.one_of(st.integers(0, 12).map(str),
+                  st.text(alphabet="19,#{}", min_size=1, max_size=3)),
+        min_size=1, max_size=12, unique=True))
+    if len(labels) > 1 and labels == sorted(labels):
+        labels.reverse()
+    label = st.sampled_from(labels)
+    moves = [(s, draw(label), a) for s in labels for a in LETTERS
+             if draw(st.booleans())]
+    rows = draw(st.permutations(moves))
+    initial = draw(label)
+    final = draw(st.sets(label))
+    states = [State(x, x == initial, x in final) for x in labels]
+    transitions = [Transition(s, t, word(a)) for s, t, a in rows]
+    return Machine(AUTOMATON, states, transitions, LETTERS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_dfas())
+def test_determinize_of_a_deterministic_automaton_agrees_with_the_subsets(d):
+    assert d.is_deterministic()
+    assert _rows(determinize(d)) == _rows(label_determinize(d))
+    c = complement(d)
+    assert _rows(determinize(c)) == _rows(label_determinize(c))
+
+
 @PROPERTY
 @given(random_transducers(), random_automata())
 def test_simplify_and_minimize_are_their_own_relabeling(t, a):

@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from fsmkit import digits
+from fsmkit import automata, digits
 from fsmkit.machine import State, Transition
 from fsmkit.symbols import Digit, Pair
 
@@ -119,3 +119,19 @@ def test_a_machine_copies_and_pickles_to_an_equal_machine(clone):
     assert repr(other.transitions) == repr(t.transitions)
     letters = t.input_alphabet[:1] * 3
     assert other.process(letters) == t.process(letters)
+
+
+@pytest.mark.parametrize("clone", COPIES)
+def test_a_machine_that_is_its_own_kept_form_copies_and_pickles(clone):
+    m = digits.build_naf_acceptor().trim()
+    assert m.trim() is m
+    counts = [automata.count_words(m, n) for n in range(6)]
+    words = list(automata.language(m, 4))
+    terms = [automata.word_count_recurrence(m).term(n) for n in range(6)]
+    other = clone(m)
+    assert other == m
+    assert other.trim() is other
+    assert [automata.count_words(other, n) for n in range(6)] == counts
+    assert list(automata.language(other, 4)) == words
+    assert [automata.word_count_recurrence(other).term(n)
+            for n in range(6)] == terms
