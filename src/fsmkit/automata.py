@@ -19,9 +19,9 @@ from itertools import islice
 
 from .analysis import strongly_connected_components
 from .errors import ConstructionError, MachineError, shown
-from .machine import (AUTOMATON, Machine, State, Transition, _lockstep,
-                      _refuse_past_cap, _state_cap, bfs_levels, build_machine,
-                      explore)
+from .machine import (AUTOMATON, Machine, State, Transition, _labels,
+                      _lockstep, _refuse_past_cap, _state_cap, bfs_levels,
+                      build_machine, explore)
 from .polynomial import charpoly
 from .symbols import word
 from .transducers import simplify
@@ -113,6 +113,11 @@ def kleene_star(a: Machine) -> Machine:
 # determinisation and boolean operations
 # ----------------------------------------------------------------------
 
+def _singleton_names(d: Machine):
+    """The subset construction's names "{label}" of deterministic d."""
+    return ["{" + st.label + "}" for st in d.states]
+
+
 def determinize(a: Machine) -> Machine:
     """Subset construction with epsilon closure; subset states are named
     by their sorted member labels, so the result is canonical.  It works
@@ -125,9 +130,9 @@ def determinize(a: Machine) -> Machine:
 
     A deterministic automaton's subsets are its singletons, so for one
     the same exploration walks its step table instead: state i moves to
-    each row's targets in alphabet order, is named "{label}" and is final
-    when states[i] is.  That is the subset construction's machine, names
-    and order included, without a closure or a union.
+    each row's targets in alphabet order, is named "{label}"
+    (`_singleton_names`) and is final when states[i] is: the subset
+    construction's machine, names and order included, without a union.
 
     The result is kept on `a` (see `Machine._kept`), so later calls return
     that same machine, and each call answers to the state cap."""
@@ -137,7 +142,6 @@ def determinize(a: Machine) -> Machine:
         if a.is_deterministic():
             letters = a.input_alphabet
             start, rows = a._steps()
-            names = ["{" + st.label + "}" for st in a.states]
             accepting = [st.is_final for st in a.states]
 
             def moves(i):
@@ -148,7 +152,7 @@ def determinize(a: Machine) -> Machine:
                         yield (letter,), move[0], ()
 
             return explore(AUTOMATON, letters, [start], moves,
-                           names.__getitem__,
+                           _singleton_names(a).__getitem__,
                            lambda i: () if accepting[i] else None)
 
         labels = sorted(st.label for st in a.states)
@@ -214,10 +218,19 @@ def complement(a: Machine) -> Machine:
 
 
 def intersection(a: Machine, b: Machine) -> Machine:
-    """Product construction on the determinized arguments."""
+    """Product construction (Rabin and Scott, 1959) on the determinized
+    arguments; a deterministic one within the state cap enters as it
+    stands, its state i named "{label}" by `_singleton_names`."""
     _require_automata(a, b)
-    return _lockstep(AUTOMATON, determinize(a), determinize(b),
-                     lambda u, v: (), lambda s1, s2: ())
+
+    def side(m):
+        if m.is_deterministic() and len(m.states) <= _state_cap():
+            return m, _singleton_names(m)
+        d = determinize(m)
+        return d, _labels(d)
+
+    return _lockstep(AUTOMATON, *side(a), *side(b), lambda u, v: (),
+                     lambda s1, s2: ())
 
 
 def minimize(a: Machine) -> Machine:

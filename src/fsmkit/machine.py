@@ -447,8 +447,7 @@ class Machine:
             except (TypeError, ValueError, OverflowError):
                 raise ConstructionError(
                     f"the weight {shown(weight)} of {t} is not a rational") from None
-        return WeightedDigraph(tuple(st.label for st in self.states),
-                               tuple(edges))
+        return WeightedDigraph(tuple(_labels(self)), tuple(edges))
 
     def export(self, fmt: str, coordinates=None, format_letter=None) -> str:
         from . import export as _export
@@ -538,19 +537,23 @@ def _free_label(base: str, taken) -> str:
     return label
 
 
-def _pair_label(first: Machine, second: Machine):
-    """Names (state index of `first`, state index of `second`) pairs."""
-    one, two = first.states, second.states
-    return lambda pair: f"({one[pair[0]].label},{two[pair[1]].label})"
+def _labels(m: Machine):
+    """The labels of m's states, in state order."""
+    return [st.label for st in m.states]
 
 
-def _lockstep(kind, first: Machine, second: Machine, write,
-              final_word) -> Machine:
+def _pair_label(one, two):
+    """The one pair-naming rule: index pair (i, j) is "(one[i],two[j])"."""
+    return lambda pair: f"({one[pair[0]]},{two[pair[1]]})"
+
+
+def _lockstep(kind, first: Machine, first_names, second: Machine,
+              second_names, write, final_word) -> Machine:
     """The product of two deterministic machines over `first`'s alphabet,
-    explored from the pair of initial states and named by `_pair_label`.
-    A pair moves on each letter both states move on, writing
-    `write(output1, output2)`; it is final when both states are, with
-    final output `final_word(state1, state2)`."""
+    explored from the pair of initial states and named by `_pair_label`
+    from the given state names.  A pair moves on each letter both states
+    move on, writing `write(output1, output2)`; it is final when both
+    states are, with final output `final_word(state1, state2)`."""
     (start1, rows1), (start2, rows2) = first._steps(), second._steps()
     letters = first.input_alphabet
 
@@ -566,7 +569,7 @@ def _lockstep(kind, first: Machine, second: Machine, write,
         return final_word(s1, s2) if s1.is_final and s2.is_final else None
 
     return explore(kind, letters, [(start1, start2)], successors,
-                   _pair_label(first, second), final)
+                   _pair_label(first_names, second_names), final)
 
 
 def explore(kind, alphabet, starts, successors, name, final,

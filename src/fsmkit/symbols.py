@@ -261,6 +261,8 @@ def format_word(w: Word) -> str:
 
 def parse_symbol_token(token: str) -> Symbol:
     """Parse one textual symbol: an integer, "~", or "a|b" for a pair."""
+    if not isinstance(token, str):
+        raise ConstructionError(f"a symbol token is not a str: {shown(token)}")
     token = token.strip()
     if not token:
         raise ConstructionError("empty symbol token")
@@ -277,6 +279,8 @@ def parse_symbol_token(token: str) -> Symbol:
 
 def parse_word_text(text: str) -> Word:
     """Parse a comma-separated list of symbol tokens; "" is the empty word."""
+    if not isinstance(text, str):
+        raise ConstructionError(f"a word text is not a str: {shown(text)}")
     text = text.strip()
     if not text:
         return ()

@@ -8,8 +8,8 @@ from itertools import count, zip_longest
 
 from .errors import ConstructionError, MachineError, shown
 from .machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
-                      _bfs_names, _free_label, _lockstep, _pair_label, _run,
-                      as_label, explore)
+                      _bfs_names, _free_label, _labels, _lockstep,
+                      _pair_label, _run, as_label, explore)
 from .symbols import (ABSENT, AbsentType, Digit, Pair, Symbol,
                       _sorted_symbols, digit_value, symbol, word)
 
@@ -141,8 +141,8 @@ def cartesian_product(t1: Machine, t2: Machine) -> Machine:
         return tuple(Pair(u, v) for u, v in zip_longest(
             s1.final_output, s2.final_output, fillvalue=ABSENT))
 
-    return _lockstep(TRANSDUCER, t1, t2, lambda u, v: (Pair(u[0], v[0]),),
-                     final_word)
+    return _lockstep(TRANSDUCER, t1, _labels(t1), t2, _labels(t2),
+                     lambda u, v: (Pair(u[0], v[0]),), final_word)
 
 
 def compose(outer: Machine, inner: Machine) -> Machine:
@@ -181,7 +181,8 @@ def compose(outer: Machine, inner: Machine) -> Machine:
 
     return explore(TRANSDUCER, inner.input_alphabet,
                    [(inner_start, outer_start)], successors,
-                   _pair_label(inner, outer), final, outer.output_alphabet)
+                   _pair_label(_labels(inner), _labels(outer)), final,
+                   outer.output_alphabet)
 
 
 # ----------------------------------------------------------------------

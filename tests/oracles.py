@@ -23,8 +23,9 @@ reference for the row writer `serialize.dumps`.
 The `label_*` functions walk the transition graph through adjacency maps
 keyed by state label, each built from the transition list: the reference
 for the library's SCCs, period test, reachability, trimming, relabeling,
-the language enumeration's pruning and the subset construction, which
-walk state indices or, for the subsets, state ranks in label order."""
+the language enumeration's pruning, the subset construction and the
+product of deterministic automata, which walk state indices or, for the
+subsets, state ranks in label order."""
 
 import json
 from collections import deque
@@ -760,6 +761,33 @@ def label_determinize(a):
     return explore(AUTOMATON, a.input_alphabet, [start], successors,
                    lambda subset: "{" + ",".join(sorted(subset)) + "}",
                    lambda subset: () if subset & finals else None)
+
+
+def label_product(a, b):
+    """The product of two deterministic automata over moves keyed by state
+    label: from the pair of initial labels, a pair moves on each letter
+    both states move on, in alphabet order, and is final when both states
+    are; the pair (x, y) is named "(x,y)"."""
+    def moves(m):
+        table = {st.label: {} for st in m.states}
+        for t in m.transitions:
+            table[t.source][t.input[0]] = t.target
+        return table
+
+    one, two = moves(a), moves(b)
+    finals = {(x.label, y.label)
+              for x in a.final_states() for y in b.final_states()}
+
+    def successors(pair):
+        for letter in a.input_alphabet:
+            x, y = one[pair[0]].get(letter), two[pair[1]].get(letter)
+            if x is not None and y is not None:
+                yield (letter,), (x, y), ()
+
+    start = (a.initial_states()[0].label, b.initial_states()[0].label)
+    return explore(AUTOMATON, a.input_alphabet, [start], successors,
+                   lambda pair: f"({pair[0]},{pair[1]})",
+                   lambda pair: () if pair in finals else None)
 
 
 def label_language(a, max_length):

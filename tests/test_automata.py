@@ -235,6 +235,24 @@ def test_intersection_laws(naf_acceptor, all_words_acceptor):
     assert list(language(empty, 3)) == []
 
 
+def test_intersection_with_a_deterministic_operand_respects_the_state_cap(
+        monkeypatch):
+    chain = word_automaton([0, 1, 0, 1], [0, 1])  # 5 states, deterministic
+    # 5 states, deterministic, of which "x" and "y" are unreachable
+    spare = build_machine([("a", "b", 0), ("b", "c", 1), ("x", "y", 0),
+                           ("y", "a", 1)], ["a"], ["c"], [0, 1],
+                          kind=AUTOMATON)
+    monkeypatch.setenv("FSMKIT_STATE_CAP", "4")
+    for a, b in ((chain, spare), (spare, chain), (chain, chain)):
+        with pytest.raises(StateCapError,
+                           match="exploration exceeded the state cap of 4"):
+            intersection(a, b)
+    both = intersection(spare, spare)
+    assert [st.label for st in both.states] == [
+        "({a},{a})", "({b},{b})", "({c},{c})"]
+    assert list(language(both, 4)) == [word([0, 1])]
+
+
 def test_de_morgan_on_forbidden_factors():
     factors = ([1, 1], [1, -1], [-1, 1], [-1, -1])
     machines = [contains_word(f, ALPHA) for f in factors]

@@ -2,7 +2,9 @@
 transitions)) of determinize, minimize, complement and intersection on
 seeded random nondeterministic automata, of determinize, complement,
 minimize and intersection(d, complement(d)) on seeded random
-deterministic automata, and of simplify on seeded random deterministic
+deterministic automata, of intersection(d, n) and intersection(n, d) on
+seeded pairs of a random deterministic and a random nondeterministic
+automaton, and of simplify on seeded random deterministic
 transducers.  `serialize.dumps` sorts, so the preset
 goldens do not see the order of states and transitions; DOT/TikZ exports
 and `Machine.transitions` do, and these digests pin it."""
@@ -374,6 +376,99 @@ GOLDEN_DETERMINISTIC = {
         "a67840baa42a2a87420cb576e587c85dfb40eb79206e4ec58ff7078f65b3df20"),
 }
 
+GOLDEN_MIXED = {
+    0: (
+        "773db3808b45bbd8ca7fbecf4fd8a0bfc6ada64f293163234bfab755cbeee550",
+        "ecabb5cc659a834f08f2318977da54f702211f8251166773cf654056f0a78fbb"),
+    1: (
+        "c97e65a88afdb4a0eb6955c2df2d51f358b69cd301de77431ec8cd242424fb7b",
+        "a8aca4264f0c5fff71e80850ac77c9a3e122f32c9129e8ddb85c4ed502492fe4"),
+    2: (
+        "abf18740e7cdd75b7f278279d23bb1f2a42890a3d0720861e0d95fd5bb26bf35",
+        "16e24ab07ab2bbb4fa6ea515e9c048f21a5539dbe90c78694d0b438d53c1e435"),
+    3: (
+        "1d4cdc3b85729051d9f74a99ce1da874bf27c310431a9840da3b3d2db2373d6a",
+        "fe444f021307b75dbeec69d1c48547d0005cd958e52ce01be64d8d6a83c1220e"),
+    4: (
+        "ee2687d730fad057fe5114f36fa499c9856ba768163aa76bf9b8c07bd7e7d9ae",
+        "d12f37ac6b4759f3b0a73e5145da7d27d24ed16e7864b6b669d4095eaf74bb88"),
+    5: (
+        "162bf19868b8bb4cfd6216045084a865f72a424610feaf0d42cd6e7e5aee8087",
+        "507b11f1711a8aef88439def2bc2951d039f042fa0b8848e8cb2243206770695"),
+    6: (
+        "83ca8add48d2b654faf0d9bc9d272caee4e2ece8f34e0a998bb353e105860fb6",
+        "6458ddbd22e8ea7172e749b269564a3a934be5446f12d9da9371537dc29fecb4"),
+    7: (
+        "9e6f421780860d12bb80881ad002362f53654b3a08b0f1b795ba40bddfcaba07",
+        "68e186378bfa07dfca9d9b1a5cccacf7a1b75cadebd08eb648aacc761c77ab6c"),
+    8: (
+        "bd3dada74ee4ddd65cd6cb2b75c95c190c4e7179951474c500b92bca1e0587a9",
+        "86087b9b9be16a10180bb5e64c6d27be762159d18f4ecb77e52815b5508580ee"),
+    9: (
+        "12071837c977e9ffe509da01c9246c000eb83a6e1d182195f44431ccf012c2a9",
+        "60700660f973c48954650982d43e9c1daf63c20eec88c4303cd953c8cef9ddf8"),
+    10: (
+        "eb15b321a8e62d806315bf65183af8e0b02d5e75596182eb0e183e19ac131c11",
+        "024c05ab245e5e5f9767bd947c7ea893e2f70dcf209edb6262cdca436f890cda"),
+    11: (
+        "c9a265b0050ad4d7547514840708c9025a16090f92a95f162c8c62e608579bf9",
+        "d0b86197098affc4d3e71c53be4cfcc1ac0ca1c7f8ff7e416a19cc8b6f2efceb"),
+    12: (
+        "834166226c71cacc9b314ea38a213a2916bf618ccb849255500e34e649802a4f",
+        "e11f5d94ed86d947a24f0a3d47fdc91960e159b55abfc1a8a61f855bd7f84885"),
+    13: (
+        "ca50dc496d66f620c204efbd22d79aa375d09a10f5122b57789f4b8761363574",
+        "dd5689d5fdf97ce92fae9461fb260d899556ff58280e49afb8a63988815f5dcf"),
+    14: (
+        "3c6d75bd766324cce148c09cbf1d8e162ccd75a2cf3457d2eb7d8cca6877c120",
+        "9a63a0f69cc5d04d0a96b76de5c0bd9cc2220034b99c5ac3fdcc614f38a0139d"),
+    15: (
+        "dc1fcad78a8052830983844fcd005772bb2afe5198b020d763950e576bda9a5f",
+        "0c715079279a29fd8b29446f80af75b88856af710b5f9580b5463a75e9eaba48"),
+    16: (
+        "11a9ee97069bd724b1ae77f7e6c078d5931536aae072dfd77be0229c778086fa",
+        "0d3475f9eecc52a330bf6920d1a7ab17294503ddf84eb637a2d509c7d0698eae"),
+    17: (
+        "223668e94939e114210a772e5471c6765b18db1356ee94509e06e1523d3a6658",
+        "c2d5983c8198221a09ff8acad66af7b0379e34e756042a26f3b9976ba8da26fd"),
+    18: (
+        "d75aa71932fee58145e4e00fdbadda9d0a3ce8d12dc41f5030cc1052334ec53d",
+        "987c468633afc86eeef5e3f3b74c6cec8441a63c5e41b60eb1902126c26b4a84"),
+    19: (
+        "cfbf853aad85954087505361634c4a26b0110da5c7e0278c407aca157b803ff4",
+        "12b146f4840f068b7d5c29127bc4c88c67082ba00fe95437d7b1c93b2197cf20"),
+    20: (
+        "f1a12ee38e6957212ec38b1f982096b5e1759e93cf6a7b771f24544018d9e6e3",
+        "683575f8d05fe1b9d238f9728dae0a343366cba69bf06327590f6916a9577177"),
+    21: (
+        "9e4e49fab5982bcf0a725b3a2012029702027852d3b0b7a04c596a21aba0651d",
+        "80764e70c09cbb9c945ad25f07f9917be5128757a12f1dd9689bad052fdd5336"),
+    22: (
+        "8caa7b8c21c86ed56e03a104a53869b039c531909ee60b99a661b00e80ecc9ca",
+        "c2e92c4e90bf1e08fda79ba1902b59ddd0c8b8803a3988037e79a4e34969cb09"),
+    23: (
+        "de438a6d10db51df3cfa5383e175179ce7b3fd7b012bb4f641c92d29f28b1b5e",
+        "340c9b940271cb8d6f2b9721bca4dfbf9dbfdd648372759a8c5e3d022f254799"),
+    24: (
+        "cad33b270aeef10bec02180dc478ac792d810b6a1493a57babcc3e120aea84d8",
+        "b2f091aa639f863930ce00c720c617156186673a94358effbb4420a755f30a92"),
+    25: (
+        "10c7854c9ba8764d37370c85f286136ca8f07b469840d127284cf22cdda78a31",
+        "6fe4b24a89b1c345d030382a14f2a26cd10d07bdcc14bcb781142e0ed57c33e7"),
+    26: (
+        "d1e497e812012b920742c1eda6b6fb4fee18e7536eed0544d0989b830a06194f",
+        "49d484b28ab3df7792c5a7da797853f56d1e2ab76b7884f39d20f2b2719a0faa"),
+    27: (
+        "ed4b6220a5896a17c153607d3a0835954344590b5812b2d6a32b02df9191290e",
+        "7dafa45e85aef5b08d3d6d73711ad40222c341ff6beb9eaff531fd32a6cf9dfe"),
+    28: (
+        "464338efdc293ac21aa297b8320c5d423046df11f3d7e0a990e7570e820704bd",
+        "7250d55d58ba1a7db2849760fa69dcce64875d520f43dd009cf6aec329bbfdcd"),
+    29: (
+        "f92aab1377907f4a0830248b4e2cc75589e89534aa1de48b16330611f56b0536",
+        "94d3cbe15c91d392f3a234c3885d5df7722ccaa2388b8d8dc770ef8fde8565f7"),
+}
+
 GOLDEN_TRANSDUCERS = {
     0: "9a27d59da5448ea4ff440f7245709195bdf66dc9406813e74c850970d77a5542",
     1: "5b37a83471e41e0cbfe4af1c25614693120081231e81273483e295e9dddc5ffe",
@@ -492,6 +587,11 @@ def deterministic_digests(seed):
             _digest(minimize(d)), _digest(intersection(d, complement(d))))
 
 
+def mixed_digests(seed):
+    d, n = random_dfa(seed), random_nfa(seed)  # same alphabet
+    return _digest(intersection(d, n)), _digest(intersection(n, d))
+
+
 def test_random_machines_have_the_promised_shape():
     nondeterministic = [s for s in range(40)
                         if not random_nfa(s).is_deterministic()]
@@ -521,6 +621,11 @@ def test_automaton_constructions_are_pinned(seed):
 @pytest.mark.parametrize("seed", range(30))
 def test_deterministic_constructions_are_pinned(seed):
     assert deterministic_digests(seed) == GOLDEN_DETERMINISTIC[seed]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_mixed_intersections_are_pinned(seed):
+    assert mixed_digests(seed) == GOLDEN_MIXED[seed]
 
 
 @pytest.mark.parametrize("seed", range(20))

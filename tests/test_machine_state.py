@@ -119,6 +119,18 @@ def test_a_refused_step_table_is_built_once(monkeypatch):
     assert sum(m is nfa for m in builds) == 1
 
 
+def test_intersection_keeps_no_subset_construction_of_a_deterministic_operand():
+    """A deterministic operand enters the product as it stands, in either
+    position: no determinized copy of it is built or kept."""
+    x = _star()
+    c = automata.complement(x)
+    assert c.is_deterministic()
+    assert automata.is_equivalent(automata.intersection(x, c),
+                                  automata.intersection(c, x))
+    assert "dfa" not in c._forms
+    assert "dfa" in x._forms
+
+
 def _fresh(m):
     """An equal machine that nothing else holds (the presets are cached)."""
     return Machine(m.kind, m.states, m.transitions, m.input_alphabet,

@@ -47,7 +47,7 @@ from fsmkit.transducers import cartesian_product, compose, simplify
 from oracles import (all_words, equivalent_by_minimization,
                      fraction_bellman_ford, gauss_jordan_solve,
                      label_accessible, label_coaccessible, label_determinize,
-                     label_is_aperiodic, label_language,
+                     label_is_aperiodic, label_language, label_product,
                      label_relabeled, label_sccs, label_terminal_scc,
                      label_terminal_sccs, label_trim, markov_constants,
                      nfa_accepts, per_digit_string, per_digit_value, rank,
@@ -462,6 +462,17 @@ def test_determinize_of_a_deterministic_automaton_agrees_with_the_subsets(d):
     assert _rows(determinize(d)) == _rows(label_determinize(d))
     c = complement(d)
     assert _rows(determinize(c)) == _rows(label_determinize(c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_dfas(), st.one_of(shuffled_dfas(), random_automata()))
+def test_intersection_agrees_with_the_product_of_the_label_keyed_subsets(
+        d, other):
+    # a deterministic operand enters the product as it stands, named as
+    # its subset construction would name it, in either position
+    for a, b in ((d, other), (other, d)):
+        assert _rows(intersection(a, b)) == _rows(
+            label_product(label_determinize(a), label_determinize(b)))
 
 
 @PROPERTY

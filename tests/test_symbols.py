@@ -118,6 +118,18 @@ def test_token_round_trip_examples():
         parse_symbol_token("x")
 
 
+@pytest.mark.parametrize("parse, what", [(parse_symbol_token, "symbol token"),
+                                         (parse_word_text, "word text")])
+@pytest.mark.parametrize("value, text", [
+    ([], r"\[\]"), (None, "None"), (b"1", "b'1'"), (1, "1"),
+    (10**5000, "an int of more than")],
+    ids=["list", "None", "bytes", "int", "long int"])
+def test_text_parsers_refuse_a_non_str_by_name(parse, what, value, text):
+    with pytest.raises(ConstructionError,
+                       match=f"^a {what} is not a str: {text}"):
+        parse(value)
+
+
 simple_symbols = st.one_of(
     st.integers(min_value=-3, max_value=3).map(Digit),
     st.just(ABSENT),
