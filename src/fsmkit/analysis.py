@@ -73,9 +73,9 @@ def bellman_ford(g: WeightedDigraph, source) -> ShortestPaths:
     since L > 0 each comparison, so each predecessor and the witness
     cycle, is that of the Fraction sums.  Only the returned distances
     are formed as Fractions, x / L."""
-    if source not in g.vertices:
-        raise AnalysisError(f"source {shown(source)} is not a vertex")
     try:
+        if source not in g.vertices:
+            raise AnalysisError(f"source {shown(source)} is not a vertex")
         vertices = set(g.vertices)
         for u, v, w in g.edges:
             if u not in vertices or v not in vertices:
@@ -84,7 +84,7 @@ def bellman_ford(g: WeightedDigraph, source) -> ShortestPaths:
             if type(w) not in (int, Fraction):
                 raise AnalysisError(f"the weight of the edge {(u, v, w)!r} "
                                     f"is not an int or a Fraction")
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise AnalysisError(f"not a weighted digraph: {exc}") from None
     scale = lcm(*(w.denominator for _, _, w in g.edges))
     edges = [(u, v, w.numerator * (scale // w.denominator))
@@ -208,7 +208,12 @@ def is_aperiodic(m: Machine, scc) -> bool:
     """gcd of cycle lengths inside the component equals 1, computed from
     breadth-first level differences.  The states named must be strongly
     connected among themselves; any other set raises AnalysisError."""
-    labels = list(scc)
+    try:
+        labels = list(scc)
+    except TypeError:
+        raise AnalysisError(
+            f"the component is not a collection of labels: {shown(scc)}"
+        ) from None
     if not labels:
         raise AnalysisError("the component must not be empty")
     for label in labels:

@@ -113,48 +113,28 @@ def kleene_star(a: Machine) -> Machine:
 # determinisation and boolean operations
 # ----------------------------------------------------------------------
 
-def _singleton_names(d: Machine):
-    """The subset construction's names "{label}" of deterministic d."""
-    return ["{" + st.label + "}" for st in d.states]
+def _subset_name(labels) -> str:
+    """The subset construction's one naming rule: a subset is named by
+    its members' labels, given in sorted order, as "{a,b}"."""
+    return "{" + ",".join(labels) + "}"
 
 
 def determinize(a: Machine) -> Machine:
     """Subset construction with epsilon closure; subset states are named
-    by their sorted member labels, so the result is canonical.  It works
-    on label ranks: states are numbered in sorted label order, a subset
-    is a frozenset of ranks, and its name joins the labels of its sorted
-    ranks.  Each state's closure and, per letter, the union of the
-    closures of its targets are computed once; a subset's successor on a
-    letter is the union of its members' entries, since closure
-    distributes over union.
-
-    A deterministic automaton's subsets are its singletons, so for one
-    the same exploration walks its step table instead: state i moves to
-    each row's targets in alphabet order, is named "{label}"
-    (`_singleton_names`) and is final when states[i] is: the subset
-    construction's machine, names and order included, without a union.
+    by their sorted member labels (`_subset_name`), so the result is
+    canonical.  It works on label ranks: states are numbered in sorted
+    label order, a subset is a frozenset of ranks, and its name joins the
+    labels of its sorted ranks.  Each state's closure and, per letter,
+    the union of the closures of its targets are computed once; a
+    subset's successor on a letter is the union of its members' entries,
+    since closure distributes over union.  A deterministic automaton's
+    subsets are its singletons, so its state x becomes "{x}".
 
     The result is kept on `a` (see `Machine._kept`), so later calls return
     that same machine, and each call answers to the state cap."""
     _require_automaton(a)
 
     def subsets():
-        if a.is_deterministic():
-            letters = a.input_alphabet
-            start, rows = a._steps()
-            accepting = [st.is_final for st in a.states]
-
-            def moves(i):
-                row = rows[i]
-                for letter in letters:
-                    move = row.get(letter)
-                    if move is not None:
-                        yield (letter,), move[0], ()
-
-            return explore(AUTOMATON, letters, [start], moves,
-                           _singleton_names(a).__getitem__,
-                           lambda i: () if accepting[i] else None)
-
         labels = sorted(st.label for st in a.states)
         rank = {label: r for r, label in enumerate(labels)}
         finals = {rank[st.label] for st in a.final_states()}
@@ -180,8 +160,8 @@ def determinize(a: Machine) -> Machine:
         start = frozenset().union(
             *(closure[rank[st.label]] for st in a.initial_states()))
         return explore(AUTOMATON, a.input_alphabet, [start], successors,
-                       lambda subset: "{" + ",".join(
-                           map(labels.__getitem__, sorted(subset))) + "}",
+                       lambda subset: _subset_name(
+                           map(labels.__getitem__, sorted(subset))),
                        lambda subset: () if subset & finals else None)
 
     d = a._kept("dfa", subsets)
@@ -220,12 +200,13 @@ def complement(a: Machine) -> Machine:
 def intersection(a: Machine, b: Machine) -> Machine:
     """Product construction (Rabin and Scott, 1959) on the determinized
     arguments; a deterministic one within the state cap enters as it
-    stands, its state i named "{label}" by `_singleton_names`."""
+    stands, its state i named "{label}" by `_subset_name`, as
+    `determinize` would name it."""
     _require_automata(a, b)
 
     def side(m):
         if m.is_deterministic() and len(m.states) <= _state_cap():
-            return m, _singleton_names(m)
+            return m, [_subset_name((st.label,)) for st in m.states]
         d = determinize(m)
         return d, _labels(d)
 
@@ -333,8 +314,9 @@ def language(a: Machine, max_length: int):
 
 def _trimmed(a: Machine) -> Machine:
     """The trimmed deterministic form of automaton `a`, which counting and
-    enumeration read: kept on `a` (see `Machine._kept`), and each call
-    answers to the state cap through `determinize`."""
+    enumeration read, kept on `a` (see `Machine._kept`).  A deterministic
+    `a` is read as it stands, whatever its size; any other answers to the
+    state cap on each call, through `determinize`."""
     d = a if a.is_deterministic() else determinize(a)
     return a._kept("trimmed", d.trim)
 
@@ -373,8 +355,8 @@ def count_words(a: Machine, n: int) -> int:
     size**2 on R, at 0.75 to 1.5 * size**2 on random 2-letter DFAs of 16
     to 32 trimmed states, and at 2.5 to 6 * size**2 on those of 6 to 8,
     where either side takes under 0.3 ms.  The trimmed form and the
-    recurrence are those kept on `a` (see `Machine._kept`), and each call
-    answers to the state cap."""
+    recurrence are those kept on `a` (see `Machine._kept`); only a
+    nondeterministic `a` answers to the state cap (see `_trimmed`)."""
     _require_automaton(a)
     _require_index(n, "length")
     if n > sys.maxsize:
@@ -449,8 +431,8 @@ def word_count_recurrence(a: Machine) -> Recurrence:
     """Recurrence satisfied by n -> count_words(a, n): the characteristic
     polynomial of the trimmed deterministic transition-count matrix gives
     the coefficients, the first counts give the initial terms.  The
-    result is kept on `a` (see `Machine._kept`), and each call answers to
-    the state cap."""
+    result is kept on `a` (see `Machine._kept`); only a nondeterministic
+    `a` answers to the state cap (see `_trimmed`)."""
     _require_automaton(a)
     t = _trimmed(a)
 

@@ -211,6 +211,8 @@ def _sorted_symbols(xs) -> tuple:
     """The distinct symbols of xs, coerced by `symbol`, in the canonical
     order: the one way the toolkit turns a collection of letters into an
     alphabet."""
+    if not isinstance(xs, Iterable):
+        raise ConstructionError(f"an alphabet must be iterable: {shown(xs)}")
     return tuple(sorted(set(map(symbol, xs)), key=lambda s: s.sort_key()))
 
 

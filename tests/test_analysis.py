@@ -113,6 +113,13 @@ def test_bellman_ford_refuses_a_hand_built_graph_by_its_edge(vertices, edge,
         bellman_ford(WeightedDigraph(vertices, (edge,)), "a")
 
 
+def test_bellman_ford_refuses_what_is_no_weighted_digraph():
+    with pytest.raises(AnalysisError,
+                       match="^not a weighted digraph: 'list' object has no "
+                             "attribute 'vertices'$"):
+        bellman_ford([], 0)
+
+
 # ----------------------------------------------------------------------
 # minimality certificates
 # ----------------------------------------------------------------------
@@ -235,6 +242,16 @@ def test_is_aperiodic_refuses_an_unknown_label(identity01, scc, message):
     with pytest.raises(AnalysisError) as raised:
         is_aperiodic(identity01, scc)
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("scc, named", [(5, "5"), (float("nan"), "nan")],
+                         ids=["int", "nan"])
+def test_is_aperiodic_refuses_a_component_that_is_no_collection(identity01,
+                                                                scc, named):
+    with pytest.raises(AnalysisError) as raised:
+        is_aperiodic(identity01, scc)
+    assert str(raised.value) == (
+        f"the component is not a collection of labels: {named}")
 
 
 @pytest.mark.parametrize("rows, scc, named", [

@@ -180,6 +180,22 @@ def test_determinize_of_a_deterministic_automaton_respects_the_state_cap(
         determinize(chain)  # the kept form answers to the cap too
 
 
+def test_counting_reads_a_deterministic_automaton_past_the_state_cap(
+        monkeypatch):
+    # counting and enumeration trim a deterministic automaton as it
+    # stands and never determinize it, so the state cap does not apply
+    chain = word_automaton([0, 1, 0, 1], [0, 1])  # 5 states, deterministic
+    monkeypatch.setenv("FSMKIT_STATE_CAP", "4")
+    assert count_words(chain, 4) == 1
+    assert count_words(chain, 3) == 0
+    recurrence = word_count_recurrence(chain)
+    assert [recurrence.term(n) for n in range(8)] == [0, 0, 0, 0, 1, 0, 0, 0]
+    assert list(language(chain, 6)) == [word([0, 1, 0, 1])]
+    with pytest.raises(StateCapError,
+                       match="exploration exceeded the state cap of 4"):
+        determinize(chain)
+
+
 # ----------------------------------------------------------------------
 # complete / complement / intersection
 # ----------------------------------------------------------------------

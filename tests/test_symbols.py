@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from fsmkit import digits, serialize, symbols
+from fsmkit import automata, digits, serialize, symbols, transducers
 from fsmkit.errors import ConstructionError
+from fsmkit.machine import AUTOMATON, Machine
 from fsmkit.symbols import (ABSENT, AbsentType, Digit, Pair, format_word,
                             pair_depth, parse_symbol_token, parse_word_text,
                             symbol, word, word_key)
@@ -225,6 +226,22 @@ def test_non_int_digits_still_raise(bad):
     with pytest.raises(ConstructionError,
                        match=f"digit value must be an int, got {bad!r}"):
         Digit(bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: automata.empty_word_automaton(1),
+    lambda: automata.word_automaton([0], 5),
+    lambda: Machine(AUTOMATON, (), (), 1),
+    lambda: Machine(AUTOMATON, (), (), [0], 1),
+    lambda: transducers.identity_transducer(1),
+    lambda: automata.empty_word_automaton(10 ** 5000),
+], ids=["empty-word", "word", "machine", "output-alphabet", "identity",
+        "huge-int"])
+def test_an_alphabet_that_is_not_iterable_is_refused_by_name(build):
+    # each reaches the one helper that turns letters into an alphabet
+    with pytest.raises(ConstructionError,
+                       match="^an alphabet must be iterable: "):
+        build()
 
 
 def test_a_refused_pair_is_not_cached():
