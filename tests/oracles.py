@@ -25,7 +25,9 @@ keyed by state label, each built from the transition list: the reference
 for the library's SCCs, period test, reachability, trimming, relabeling,
 the language enumeration's pruning, the subset construction and the
 product of deterministic automata, which walk state indices or, for the
-subsets, state ranks in label order."""
+subsets, state ranks in label order.  The subset construction and the
+product build their machines through their own label-keyed breadth-first
+builder (`_label_explore`), not the library's exploration kernel."""
 
 import json
 from collections import deque
@@ -38,8 +40,7 @@ from fsmkit.analysis import terminal_scc
 from fsmkit.automata import determinize, minimize
 from fsmkit.errors import (AnalysisError, ConstructionError,
                            NegativeCycleError)
-from fsmkit.machine import (AUTOMATON, Machine, State, Transition, _listing,
-                            explore)
+from fsmkit.machine import AUTOMATON, Machine, State, Transition, _listing
 from fsmkit.polynomial import solve_integers
 from fsmkit.symbols import (ABSENT, Digit, Pair, digit_value, symbol, word,
                             word_key)
@@ -732,6 +733,41 @@ def label_relabeled(m):
                    m.input_alphabet, m.output_alphabet)
 
 
+def _label_explore(alphabet, start, successors, name, is_final):
+    """The automaton found breadth-first from the key `start`, keyed by
+    the label each key is given: `successors(key)` yields (letter, target
+    key) in the order the moves are listed, and a key is named `name(key)`
+    when it is first met, or, when a state already holds that label, by
+    the first "#k" suffix (k = 1, 2, ...) no state holds.  States are
+    listed in discovery order, the start alone initial."""
+    label_of, taken = {}, set()
+    queue = deque()
+
+    def meet(key):
+        if key not in label_of:
+            base = label = name(key)
+            k = 0
+            while label in taken:
+                k += 1
+                label = f"{base}#{k}"
+            label_of[key] = label
+            taken.add(label)
+            queue.append(key)
+        return label_of[key]
+
+    meet(start)
+    met, transitions = [], []
+    while queue:
+        key = queue.popleft()
+        met.append(key)
+        for letter, target in successors(key):
+            transitions.append(Transition(label_of[key], meet(target),
+                                          (letter,)))
+    states = [State(label_of[key], key == start, is_final(key))
+              for key in met]
+    return Machine(AUTOMATON, states, transitions, alphabet)
+
+
 def label_determinize(a):
     """The subset construction on subsets of state labels: each state's
     epsilon closure and, per letter, the union of the closures of its
@@ -754,13 +790,13 @@ def label_determinize(a):
         for letter, row in by_letter.items():
             move = frozenset().union(*map(row.__getitem__, subset))
             if move:
-                yield (letter,), move, ()
+                yield letter, move
 
     start = frozenset().union(
         *(closure[st.label] for st in a.initial_states()))
-    return explore(AUTOMATON, a.input_alphabet, [start], successors,
-                   lambda subset: "{" + ",".join(sorted(subset)) + "}",
-                   lambda subset: () if subset & finals else None)
+    return _label_explore(a.input_alphabet, start, successors,
+                          lambda subset: "{" + ",".join(sorted(subset)) + "}",
+                          lambda subset: bool(subset & finals))
 
 
 def label_product(a, b):
@@ -782,12 +818,12 @@ def label_product(a, b):
         for letter in a.input_alphabet:
             x, y = one[pair[0]].get(letter), two[pair[1]].get(letter)
             if x is not None and y is not None:
-                yield (letter,), (x, y), ()
+                yield letter, (x, y)
 
     start = (a.initial_states()[0].label, b.initial_states()[0].label)
-    return explore(AUTOMATON, a.input_alphabet, [start], successors,
-                   lambda pair: f"({pair[0]},{pair[1]})",
-                   lambda pair: () if pair in finals else None)
+    return _label_explore(a.input_alphabet, start, successors,
+                          lambda pair: f"({pair[0]},{pair[1]})",
+                          lambda pair: pair in finals)
 
 
 def label_language(a, max_length):
