@@ -5,7 +5,8 @@ Builders (word, empty word) and the regular operations
 with epsilon-input transitions; determinize, complete, complement,
 intersection and minimize bring them back to canonical deterministic form.
 Language equivalence is decided by the Hopcroft-Karp union-find walk over
-the two deterministic forms, without minimizing either.
+the two deterministic forms, without minimizing either, and without a
+walk when the two forms are one machine.
 Counting steps an exact big-integer count vector through the transitions
 for short lengths and evaluates the word count recurrence by Fiduccia's
 method for long ones.
@@ -20,8 +21,8 @@ from itertools import islice
 from .analysis import strongly_connected_components
 from .errors import ConstructionError, MachineError, shown
 from .machine import (AUTOMATON, Machine, State, Transition, _labels,
-                      _lockstep, _refuse_past_cap, _state_cap, bfs_levels,
-                      build_machine, explore)
+                      _lockstep, _refuse_past_cap, _state_cap,
+                      _with_step_table, bfs_levels, build_machine, explore)
 from .polynomial import charpoly
 from .symbols import word
 from .transducers import simplify
@@ -150,12 +151,13 @@ def determinize(a: Machine) -> Machine:
             if t.input:
                 row = by_letter[t.input[0]]
                 row[rank[t.source]] |= closure[rank[t.target]]
+        moves = [((letter,), row) for letter, row in by_letter.items()]
 
         def successors(subset):
-            for letter, row in by_letter.items():
+            for one, row in moves:
                 move = frozenset().union(*map(row.__getitem__, subset))
                 if move:
-                    yield (letter,), move, ()
+                    yield one, move, ()
 
         start = frozenset().union(
             *(closure[rank[st.label]] for st in a.initial_states()))
@@ -169,32 +171,59 @@ def determinize(a: Machine) -> Machine:
     return d
 
 
+def _with_sink(d: Machine):
+    """The sink rule: the states, transitions and step table of the
+    deterministic machine `d` completed by a non-final state labeled
+    "sink", appended last, which every missing move goes to, in state and
+    then letter order, and which moves to itself on every letter; None
+    when no move is missing.  A state of `d` labeled "sink" is refused.
+    The table shares `d`'s rows that miss no letter."""
+    sink_label = "sink"
+    start, rows = d._steps()
+    letters = [(letter, (letter,)) for letter in d.input_alphabet]
+    to_sink = (len(rows), ())
+    completed, missing = [], []
+    for st, row in zip(d.states, rows):
+        if len(row) < len(letters):
+            row = dict(row)
+            for letter, one in letters:
+                if letter not in row:
+                    row[letter] = to_sink
+                    missing.append(Transition(st.label, sink_label, one))
+        completed.append(row)
+    if not missing:
+        return None
+    if d.has_state(sink_label):
+        raise ConstructionError(f"sink label {sink_label!r} already in use")
+    missing += [Transition(sink_label, sink_label, one) for _, one in letters]
+    completed.append(dict.fromkeys(d.input_alphabet, to_sink))
+    return (d.states + (State(sink_label),), d.transitions + tuple(missing),
+            (start, completed))
+
+
 def complete(a: Machine) -> Machine:
     """Add a non-final sink labeled "sink" so every (state, letter) has a
-    transition."""
-    sink_label = "sink"
-    _, rows = a._steps()
-    missing = [(st.label, letter)
-               for st, row in zip(a.states, rows) for letter in a.input_alphabet
-               if letter not in row]
-    if not missing:
+    transition (`_with_sink`); `a` itself when none is missing."""
+    completed = _with_sink(a)
+    if completed is None:
         return a
-    if a.has_state(sink_label):
-        raise ConstructionError(f"sink label {sink_label!r} already in use")
-    missing += [(sink_label, letter) for letter in a.input_alphabet]
-    transitions = a.transitions + tuple(
-        Transition(source, sink_label, (letter,)) for source, letter in missing)
-    return Machine(a.kind, a.states + (State(sink_label),), transitions,
-                   a.input_alphabet, a.output_alphabet)
+    states, transitions, steps = completed
+    return _with_step_table(steps, a.kind, states, transitions,
+                            a.input_alphabet, a.output_alphabet)
 
 
 def complement(a: Machine) -> Machine:
     """Accept exactly the words the argument rejects (over the same
-    alphabet); determinizes and completes internally."""
-    d = complete(determinize(a))
-    states = tuple(
-        State(st.label, st.is_initial, not st.is_final) for st in d.states)
-    return Machine(AUTOMATON, states, d.transitions, d.input_alphabet)
+    alphabet): the completed determinization (`_with_sink`) with every
+    state's finality flipped, built as one machine that keeps the
+    completed step table, since flipping finality leaves it as it is."""
+    d = determinize(a)
+    states, transitions, steps = _with_sink(d) or (
+        d.states, d.transitions, d._steps())
+    flipped = tuple(
+        State(st.label, st.is_initial, not st.is_final) for st in states)
+    return _with_step_table(steps, AUTOMATON, flipped, transitions,
+                            d.input_alphabet)
 
 
 def intersection(a: Machine, b: Machine) -> Machine:
@@ -228,22 +257,28 @@ def is_equivalent(a: Machine, b: Machine) -> bool:
     "Testing the equivalence of regular languages" (2009), compare it
     with the other methods.
 
-    Both deterministic forms share one index space, each with an implicit
-    non-final sink for missing moves.  Starting from the united initial
-    states, every popped pair must agree on finality, and on each letter
-    the two successors are united and pushed when their classes differ.
-    Nothing is minimized and no machine is built."""
+    Both deterministic forms are resolved first: when they are one
+    machine (`a` and `b` the same, or one the kept determinization of the
+    other) the answer is True without a walk.  Otherwise they share one
+    index space, each with an implicit non-final sink for missing moves.
+    Starting from the united initial states, every popped pair must agree
+    on finality, and on each letter the two successors are united and
+    pushed when their classes differ.  Nothing is minimized and no machine
+    is built."""
     _require_automata(a, b)
+    da, db = (m if m.is_deterministic() else determinize(m) for m in (a, b))
+    if da is db:
+        return True
 
-    def side(m):
+    def side(d):
         """Initial index, step rows, finality and the move to the sink,
         which is the extra index after the states."""
-        d = m if m.is_deterministic() else determinize(m)
         start, rows = d._steps()
         return (start, rows + [{}], [st.is_final for st in d.states] + [False],
                 (len(rows), ()))
 
-    (p, rowsa, finala, tosinka), (q, rowsb, finalb, tosinkb) = side(a), side(b)
+    (p, rowsa, finala, tosinka), (q, rowsb, finalb, tosinkb) = (
+        side(da), side(db))
     offset = len(rowsa)  # b's index i is offset + i in the shared space
     parent = list(range(offset + len(rowsb)))
 

@@ -27,7 +27,16 @@ enumeration read, the word count recurrence, the terminal chain and its
 period test.  A form that is the machine itself, such as the trimmed
 form of a machine that `trim` leaves whole (a restriction that drops no
 state returns the machine), is kept as None, so no machine refers to
-itself.  Nothing else changes a machine after its constructor.
+itself.  Nothing else changes a machine after its constructor but
+`_with_step_table`, which keeps for a new machine a step table derived
+from another's with the same rows in the same order, as completion and
+complement derive theirs.
+`explore` is the one breadth-first construction: each move costs one
+dict probe for its target, and only a new key is named and counted
+against the state cap.  A product keys the index pair (i, j) by the int
+i * n + j, n being the second side's state count, and every construction
+builds one `(letter,)` input word per letter for all its transitions on
+that letter, so a move creates no tuple that could be shared.
 `_run` is the one run loop: it follows a word through the rows of a step
 table, for `Machine.process` and for composition, with one subscript per
 letter; a letter without a move, or one the row cannot look up, ends the
@@ -42,6 +51,7 @@ from __future__ import annotations
 import os
 import sys
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,6 +164,10 @@ class Machine:
         out_alphabet = None
         if output_alphabet is not None:
             out_alphabet = _sorted_symbols(output_alphabet)
+
+        for role, rows in (("states", states), ("transitions", transitions)):
+            if not isinstance(rows, Iterable):
+                raise ConstructionError(f"the {role} must be iterable: {shown(rows)}")
 
         self.kind = kind
         self.states = tuple(states)
@@ -543,33 +557,51 @@ def _labels(m: Machine):
 
 
 def _pair_label(one, two):
-    """The one pair-naming rule: index pair (i, j) is "(one[i],two[j])"."""
-    return lambda pair: f"({one[pair[0]]},{two[pair[1]]})"
+    """The one pair-naming rule: the index pair (i, j), keyed by the int
+    i * len(two) + j, is "(one[i],two[j])"."""
+    width = len(two)
+    return lambda key: f"({one[key // width]},{two[key % width]})"
 
 
 def _lockstep(kind, first: Machine, first_names, second: Machine,
               second_names, write, final_word) -> Machine:
     """The product of two deterministic machines over `first`'s alphabet,
     explored from the pair of initial states and named by `_pair_label`
-    from the given state names.  A pair moves on each letter both states
-    move on, writing `write(output1, output2)`; it is final when both
-    states are, with final output `final_word(state1, state2)`."""
+    from the given state names.  A pair (i, j) is keyed by the int
+    i * len(second.states) + j.  It moves on each letter both states move
+    on, writing `write(output1, output2)`; it is final when both states
+    are, with final output `final_word(state1, state2)`."""
     (start1, rows1), (start2, rows2) = first._steps(), second._steps()
-    letters = first.input_alphabet
+    width = len(rows2)
+    moves = [(letter, (letter,)) for letter in first.input_alphabet]
 
-    def successors(pair):
-        row1, row2 = rows1[pair[0]], rows2[pair[1]]
-        for letter in letters:
+    def successors(key):
+        i, j = divmod(key, width)
+        row1, row2 = rows1[i], rows2[j]
+        for letter, one in moves:
             a, b = row1.get(letter), row2.get(letter)
             if a is not None and b is not None:
-                yield (letter,), (a[0], b[0]), write(a[1], b[1])
+                yield one, a[0] * width + b[0], write(a[1], b[1])
 
-    def final(pair):
-        s1, s2 = first.states[pair[0]], second.states[pair[1]]
+    def final(key):
+        i, j = divmod(key, width)
+        s1, s2 = first.states[i], second.states[j]
         return final_word(s1, s2) if s1.is_final and s2.is_final else None
 
-    return explore(kind, letters, [(start1, start2)], successors,
-                   _pair_label(first_names, second_names), final)
+    return explore(kind, first.input_alphabet, [start1 * width + start2],
+                   successors, _pair_label(first_names, second_names), final)
+
+
+def _with_step_table(steps, kind, states, transitions, input_alphabet,
+                     output_alphabet=None) -> Machine:
+    """The machine of the given rows, validated as any other, keeping
+    `steps` as its step table (see `Machine._steps`).  The caller derives
+    `steps` from the table of a machine with the same transitions and
+    states in the same order, such as a completion's rows from the
+    incomplete machine's, so the rows are not walked again."""
+    m = Machine(kind, states, transitions, input_alphabet, output_alphabet)
+    m._forms["steps"] = steps
+    return m
 
 
 def explore(kind, alphabet, starts, successors, name, final,
@@ -582,7 +614,9 @@ def explore(kind, alphabet, starts, successors, name, final,
     already taken gets the first free suffix "#k" (`_free_label`);
     `final(key)` is None for a non-final state and its final output word
     otherwise.  States are listed in discovery order; more states than the
-    state cap (`_state_cap`), starts included, raise StateCapError."""
+    state cap (`_state_cap`), starts included, raise StateCapError.  Each
+    move costs one dict probe for its target; only a newly discovered key
+    is named and counted against the cap."""
     cap = _state_cap()
     taken = set()
 
@@ -595,15 +629,17 @@ def explore(kind, alphabet, starts, successors, name, final,
     initial_count = len(order)
     _refuse_past_cap(initial_count, cap)
     labels = {key: fresh(key) for key in order}
+    label_of = labels.get
     transitions = []
     for here in order:  # order grows while it is walked
         source = labels[here]
         for inp, target, out in successors(here):
-            if target not in labels:
+            label = label_of(target)
+            if label is None:
                 _refuse_past_cap(len(order) + 1, cap)
-                labels[target] = fresh(target)
+                labels[target] = label = fresh(target)
                 order.append(target)
-            transitions.append(Transition(source, labels[target], inp, out))
+            transitions.append(Transition(source, label, inp, out))
     states = []
     for i, key in enumerate(order):
         final_output = final(key)

@@ -43,9 +43,10 @@ def from_transition_function(fn, input_alphabet, initial_labels,
                 raise ConstructionError(
                     f"the {role} label {shown(label)} is unhashable") from None
     final = set(finals)
+    moves = [(letter, (letter,)) for letter in letters]
 
     def successors(state):
-        for letter in letters:
+        for letter, one in moves:
             try:
                 target, written = fn(state, _raw(letter))
                 hash(target)
@@ -54,7 +55,7 @@ def from_transition_function(fn, input_alphabet, initial_labels,
                 raise ConstructionError(
                     f"the transition function failed on state {state!r}, "
                     f"letter {letter}: {exc}") from exc
-            yield (letter,), target, written
+            yield one, target, written
 
     return explore(TRANSDUCER, letters, starts, successors, as_label,
                    lambda state: () if state in final else None)
@@ -148,39 +149,45 @@ def cartesian_product(t1: Machine, t2: Machine) -> Machine:
 def compose(outer: Machine, inner: Machine) -> Machine:
     """Feed every output of `inner` through `outer` (run inner first).
 
-    States are (inner state, outer state) pairs.  A pair is final when the
-    inner state is final and the outer machine, after consuming the inner
-    final output, stops in a final state; the composed final output is what
-    the outer machine writes while consuming it, followed by the outer
-    final output."""
+    States are (inner state, outer state) pairs, the pair (i, j) keyed by
+    the int i * len(outer.states) + j.  A pair is final when the inner
+    state is final and the outer machine, after consuming the inner final
+    output, stops in a final state; the composed final output is what the
+    outer machine writes while consuming it, followed by the outer final
+    output."""
     inner_start, inner_rows = _steps_of(inner, "inner")
     outer_start, outer_rows = _steps_of(outer, "outer")
+    width = len(outer_rows)
+    moves = [(letter, (letter,)) for letter in inner.input_alphabet]
 
-    def successors(pair):
-        row = inner_rows[pair[0]]
-        for letter in inner.input_alphabet:
-            if letter not in row:
+    def successors(key):
+        i, j = divmod(key, width)
+        row = inner_rows[i]
+        for letter, one in moves:
+            step = row.get(letter)
+            if step is None:
                 continue
-            target, read = row[letter]
-            stop, written, complete_run = _run(outer_rows, pair[1], read)
+            target, read = step
+            stop, written, complete_run = _run(outer_rows, j, read)
             if not complete_run:
-                t = Transition(inner.states[pair[0]].label,
-                               inner.states[target].label, (letter,), read)
+                t = Transition(inner.states[i].label,
+                               inner.states[target].label, one, read)
                 raise MachineError(
                     f"the outer machine blocks on the output of {t}")
-            yield (letter,), (target, stop), tuple(written)
+            yield one, target * width + stop, tuple(written)
 
-    def final(pair):
-        inner_state = inner.states[pair[0]]
+    def final(key):
+        i, j = divmod(key, width)
+        inner_state = inner.states[i]
         if inner_state.is_final:
             stop, written, complete_run = _run(
-                outer_rows, pair[1], inner_state.final_output)
+                outer_rows, j, inner_state.final_output)
             if complete_run and outer.states[stop].is_final:
                 return tuple(written) + outer.states[stop].final_output
         return None
 
     return explore(TRANSDUCER, inner.input_alphabet,
-                   [(inner_start, outer_start)], successors,
+                   [inner_start * width + outer_start], successors,
                    _pair_label(_labels(inner), _labels(outer)), final,
                    outer.output_alphabet)
 
@@ -317,11 +324,11 @@ def simplify(t: Machine) -> Machine:
         st = t.states[representative[b]]
         states.append(State(label, b == initial_block, st.is_final,
                             st.final_output))
+    words = [(letter,) for letter in t.input_alphabet]
     transitions = tuple(
-        Transition(name[b], name[block[targets[i]]], (letter,),
-                   column[i][1])
+        Transition(name[b], name[block[targets[i]]], one, column[i][1])
         for b, i in representative.items()
-        for letter, column, targets in zip(t.input_alphabet, moves, columns)
+        for one, column, targets in zip(words, moves, columns)
         if column[i] is not None)
     return Machine(t.kind, states, transitions,
                    t.input_alphabet, t.output_alphabet)

@@ -115,6 +115,17 @@ def test_constructor_names_each_single_fault(kind, states, transitions,
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("states, transitions, message", [
+    (5, (), "the states must be iterable: 5"),
+    ((), 5, "the transitions must be iterable: 5"),
+], ids=["states", "transitions"])
+def test_rows_that_are_not_iterable_are_refused_by_name(states, transitions,
+                                                        message):
+    with pytest.raises(ConstructionError) as raised:
+        Machine(AUTOMATON, states, transitions, [0])
+    assert str(raised.value) == message
+
+
 def test_the_input_alphabet_must_not_be_empty():
     with pytest.raises(ConstructionError,
                        match="the input alphabet must not be empty"):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fsmkit
-from fsmkit import analysis, automata, digits
+from fsmkit import analysis, automata, digits, transducers
 from fsmkit.errors import MachineError
 from fsmkit.machine import AUTOMATON, Machine, build_machine
 
@@ -129,6 +129,21 @@ def test_intersection_keeps_no_subset_construction_of_a_deterministic_operand():
                                   automata.intersection(c, x))
     assert "dfa" not in c._forms
     assert "dfa" in x._forms
+
+
+def test_complement_of_an_incomplete_determinization_builds_one_machine(
+        monkeypatch):
+    """RT's subset construction misses moves, so its complement gains the
+    sink: the completion and the flipped finality are written as one
+    machine, which keeps the completed step table."""
+    rt = transducers.output_projection(digits.build_T())
+    d = automata.determinize(rt)
+    assert (len(d.states), d.is_complete()) == (24, False)
+    calls = _spy(monkeypatch)
+    c = automata.complement(rt)
+    assert calls == ["__init__"]
+    assert len(c.states) == 25 and c.is_complete()
+    assert c._steps() == _fresh(c)._step_table()
 
 
 def _fresh(m):

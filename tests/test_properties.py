@@ -2,7 +2,7 @@
 transition list, also over what `word` makes of a mixed input, the
 constructions agree with direct nondeterministic acceptance and with
 running the argument machines one after the other, complement is an
-involution, the walks over state indices (SCCs, the
+involution, a completion keeps the step table its rows give, the walks over state indices (SCCs, the
 period test, reachability, trimming, relabeling and the language
 enumeration's pruning) agree with label-keyed copies, language equivalence agrees with comparing
 minimal automata, machine files round-trip byte-identically, word counts
@@ -31,7 +31,7 @@ from fsmkit.analysis import (asymptotic_moments, bellman_ford,
                              stationary_distribution,
                              strongly_connected_components, terminal_scc,
                              terminal_sccs)
-from fsmkit.automata import (Recurrence, complement, count_words,
+from fsmkit.automata import (Recurrence, complement, complete, count_words,
                              determinize, intersection, is_equivalent,
                              kleene_star, language, minimize, union,
                              word_automaton, word_count_recurrence)
@@ -273,6 +273,24 @@ def test_equivalence_agrees_with_minimization(a, b):
 
 
 @PROPERTY
+@given(random_automata())
+def test_equivalence_with_its_own_forms_agrees_with_minimization(x):
+    # (x, x) and x against its kept determinization, in either order,
+    # resolve to one deterministic form and need no walk; the complement
+    # is another machine
+    d = determinize(x)
+    for a, b in ((x, x), (x, d), (d, x), (x, complement(x))):
+        assert is_equivalent(a, b) == equivalent_by_minimization(a, b)
+
+
+@PROPERTY
+@given(random_automata())
+def test_a_completion_keeps_the_step_table_its_rows_give(x):
+    for m in (complete(determinize(x)), complement(x)):
+        assert m._steps() == m._step_table()
+
+
+@PROPERTY
 @given(random_automata(), st.integers(0, len(WORDS) - 1))
 def test_one_extra_word_breaks_equivalence(a, start):
     rejected = [w for w in WORDS[start:] + WORDS[:start]
@@ -473,6 +491,24 @@ def test_intersection_agrees_with_the_product_of_the_label_keyed_subsets(
     for a, b in ((d, other), (other, d)):
         assert _rows(intersection(a, b)) == _rows(
             label_product(label_determinize(a), label_determinize(b)))
+
+
+@st.composite
+def one_state_automata(draw):
+    """One initial state, final or not, with a drawn set of loops, an
+    epsilon loop included."""
+    loops = draw(st.sets(st.sampled_from((None,) + LETTERS)))
+    final = [0] if draw(st.booleans()) else []
+    return build_machine([(0, 0, a) for a in sorted(loops, key=str)], [0],
+                         final, LETTERS, kind=AUTOMATON)
+
+
+@PROPERTY
+@given(st.one_of(shuffled_dfas(), random_automata()), one_state_automata())
+def test_intersection_with_a_one_state_operand_agrees_with_the_product(a, b):
+    # the pair (i, 0) is keyed by i * 1 + 0: pair keys of width one
+    assert _rows(intersection(a, b)) == _rows(
+        label_product(label_determinize(a), label_determinize(b)))
 
 
 @PROPERTY
