@@ -40,7 +40,7 @@ from fsmkit.analysis import terminal_scc
 from fsmkit.automata import determinize, minimize
 from fsmkit.errors import (AnalysisError, ConstructionError,
                            NegativeCycleError)
-from fsmkit.machine import AUTOMATON, Machine, State, Transition, _listing
+from fsmkit.machine import AUTOMATON, Machine, State, Transition
 from fsmkit.polynomial import solve_integers
 from fsmkit.symbols import (ABSENT, Digit, Pair, digit_value, symbol, word,
                             word_key)
@@ -526,9 +526,12 @@ def encode_word(w):
 
 
 def machine_to_doc(m):
-    """The JSON document of a machine file, states and transitions in the
-    canonical order of `machine._listing`."""
-    states, transitions = _listing(m)
+    """The JSON document of a machine file: states sorted by label and
+    transitions by (source, target, input, output), each word keyed by
+    `word_key`, independently of how `machine._listing` sorts them."""
+    states = sorted(m.states, key=lambda st: st.label)
+    transitions = sorted(m.transitions, key=lambda t: (
+        t.source, t.target, word_key(t.input), word_key(t.output)))
     doc = {
         "kind": m.kind,
         "alphabet": encode_word(m.input_alphabet),
