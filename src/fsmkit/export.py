@@ -2,7 +2,8 @@
 
 Output is deterministic: states and transitions are visited in the one
 canonical order of `machine._listing` (states by label, transitions by
-`machine._transition_key`), so equal machines export to identical bytes.
+source, target, input and output), so equal machines export to
+identical bytes.
 TikZ coordinates are a user-supplied mapping from state labels to points,
 each two finite ints, floats or Fractions; a key is read as a label as
 `Machine.state` reads one (`machine.as_label`), so 0 and "0" place the

@@ -527,19 +527,20 @@ def _refuse_past_cap(count, cap):
         raise StateCapError(f"exploration exceeded the state cap of {cap}")
 
 
-def _transition_key(t: Transition):
-    """The canonical transition order: by source and target label, then
-    by input and output word in the canonical symbol order."""
-    return (t.source, t.target, word_key(t.input), word_key(t.output))
-
-
 def _listing(m: Machine):
-    """The states of m sorted by label and its transitions in canonical
-    order: the order of machine files and exports, and what machine
-    equality compares (labels are unique, so sorted states compare as
-    sets)."""
+    """The states of m sorted by label and its transitions sorted by
+    source label, target label, input word and output word, each word in
+    the canonical symbol order: the order of machine files and exports,
+    and what machine equality compares (labels are unique, so sorted
+    states compare as sets).  The distinct words are ranked once by
+    `word_key`, which is injective on words, and the transitions sorted
+    by their words' ranks, so the order is the one `word_key` gives."""
+    words = {t.input for t in m.transitions}
+    words.update(t.output for t in m.transitions)
+    rank = {w: i for i, w in enumerate(sorted(words, key=word_key))}
     return (sorted(m.states, key=lambda st: st.label),
-            sorted(m.transitions, key=_transition_key))
+            sorted(m.transitions, key=lambda t: (
+                t.source, t.target, rank[t.input], rank[t.output])))
 
 
 def _free_label(base: str, taken) -> str:

@@ -4,17 +4,19 @@ Symbols are encoded as an integer (digit), the string "~" (absent marker)
 or a two-element array (pair).  Words are arrays, least significant first.
 Serialization is bit-exact: states and transitions are listed in the one
 canonical order of `machine._listing` (states by label, transitions by
-`machine._transition_key`).  Machine equality compares the states, the
-transitions and the output alphabet, which the file records when one is
-declared, so equal machines write equal files.  A digit past the
-interpreter's limit on integer-to-text conversion cannot be written, and
-a file that holds one is not a machine file: both raise ConstructionError.
+source, target, input and output).  Machine equality compares the
+states, the transitions and the output alphabet, which the file records
+when one is declared, so equal machines write equal files.  A digit past
+the interpreter's limit on integer-to-text conversion cannot be written,
+and a file that holds one is not a machine file: both raise
+ConstructionError.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from json.encoder import encode_basestring_ascii
 
 from .errors import ConstructionError, shown
 from .machine import Machine, State, Transition, _listing
@@ -22,6 +24,11 @@ from .symbols import ABSENT, Digit, Pair, Symbol
 
 
 def decode_symbol(x) -> Symbol:
+    """The symbol a JSON value encodes: an integer is a digit, "~" the
+    absent marker and a two-element array a pair of two symbols.  A
+    boolean, and any other value, is refused with a ConstructionError."""
+    if type(x) is int:
+        return Digit(x)
     if isinstance(x, bool):
         raise ConstructionError("booleans are not symbols")
     if isinstance(x, int):
@@ -34,9 +41,11 @@ def decode_symbol(x) -> Symbol:
 
 
 def decode_word(x):
+    """The word a JSON array encodes, letter by letter through
+    `decode_symbol`; a value that is not an array is refused."""
     if not isinstance(x, list):
         raise ConstructionError(f"a word must be an array, got {shown(x)}")
-    return tuple(decode_symbol(s) for s in x)
+    return tuple(map(decode_symbol, x))
 
 
 def _typed(row: dict, field: str, kind: type):
@@ -49,6 +58,31 @@ def _typed(row: dict, field: str, kind: type):
 
 
 def machine_from_doc(doc: dict) -> Machine:
+    """The machine a parsed machine file describes.  A missing field, a
+    field of the wrong JSON type and a value that is no symbol are refused
+    with a ConstructionError, and so is every row the Machine constructor
+    refuses.
+
+    Each distinct one-letter digit word is decoded once per document: a
+    memo that lives for this call keys it by its int, whose exact type it
+    checks, so [1], [1.0] and [true] never share an entry.  The empty
+    word is the empty tuple; every other word goes through
+    `decode_word`."""
+    digit_words: dict = {}
+
+    def word(x):
+        if type(x) is list:
+            if len(x) == 1:
+                letter = x[0]
+                if type(letter) is int:
+                    w = digit_words.get(letter)
+                    if w is None:
+                        w = digit_words[letter] = (Digit(letter),)
+                    return w
+            elif not x:
+                return ()
+        return decode_word(x)
+
     try:
         kind = doc["kind"]
         alphabet = [decode_symbol(s) for s in doc["alphabet"]]
@@ -56,23 +90,14 @@ def machine_from_doc(doc: dict) -> Machine:
         if "output_alphabet" in doc:
             out_alphabet = [decode_symbol(s) for s in doc["output_alphabet"]]
         states = tuple(
-            State(
-                label=_typed(row, "label", str),
-                is_initial=_typed(row, "initial", bool),
-                is_final=_typed(row, "final", bool),
-                final_output=decode_word(row.get("final_output", [])),
-            )
-            for row in doc["states"]
-        )
+            State(_typed(row, "label", str), _typed(row, "initial", bool),
+                  _typed(row, "final", bool),
+                  word(row.get("final_output", [])))
+            for row in doc["states"])
         transitions = tuple(
-            Transition(
-                source=_typed(row, "from", str),
-                target=_typed(row, "to", str),
-                input=decode_word(row["input"]),
-                output=decode_word(row["output"]),
-            )
-            for row in doc["transitions"]
-        )
+            Transition(_typed(row, "from", str), _typed(row, "to", str),
+                       word(row["input"]), word(row["output"]))
+            for row in doc["transitions"])
     except (KeyError, TypeError) as exc:
         raise ConstructionError(f"malformed machine document: {exc}") from exc
     return Machine(kind, states, transitions, alphabet, out_alphabet)
@@ -81,7 +106,8 @@ def machine_from_doc(doc: dict) -> Machine:
 # The writer.  json.dumps(doc, indent=2) runs CPython's pure-Python
 # encoder (the C one does not indent), so the one fixed shape of a machine
 # file is written here row by row, byte for byte as json.dumps writes it.
-# Strings are escaped by json.dumps of the one string, which runs in C.
+# Strings are escaped by `encode_basestring_ascii`, the C function that
+# json.dumps of one string calls, so they come out as json.dumps writes them.
 
 _JSON_BOOL = {False: "false", True: "true"}
 
@@ -112,7 +138,7 @@ def dumps(m: Machine) -> str:
     """The machine file of m: its states and transitions in the canonical
     order of `machine._listing`, two-space indented, ending in a newline."""
     states, transitions = _listing(m)
-    labels = {st.label: json.dumps(st.label) for st in states}
+    labels = {st.label: encode_basestring_ascii(st.label) for st in states}
     words: dict = {}
 
     def word(w) -> str:
@@ -124,7 +150,7 @@ def dumps(m: Machine) -> str:
     def alphabet(letters) -> str:
         return _array([_symbol_text(s, 2) for s in letters], 1)
 
-    head = (f'{{\n  "kind": {json.dumps(m.kind)},'
+    head = (f'{{\n  "kind": {encode_basestring_ascii(m.kind)},'
             f'\n  "alphabet": {alphabet(m.input_alphabet)},\n')
     if m.output_alphabet is not None:
         head += f'  "output_alphabet": {alphabet(m.output_alphabet)},\n'

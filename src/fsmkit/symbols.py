@@ -257,8 +257,11 @@ def digit_value(s: Symbol) -> int:
 
 
 def format_word(w: Word) -> str:
-    """The one text of a word: its letters joined by commas."""
-    return ",".join(str(s) for s in w)
+    """The one text of a word: its letters joined by commas.  A lone
+    symbol is the one-letter word, as `word` reads it."""
+    if isinstance(w, Symbol):
+        w = (w,)
+    return ",".join(map(str, w))
 
 
 def parse_symbol_token(token: str) -> Symbol:

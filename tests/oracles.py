@@ -19,7 +19,9 @@ for `count_words` and `Recurrence.term`; `fraction_bellman_ford` relaxes
 over Fraction sums, the reference for the integer relaxation of
 `analysis.bellman_ford`.  `reference_dumps` writes a machine file through
 `json.dumps(..., indent=2)` of its document (`machine_to_doc`), the
-reference for the row writer `serialize.dumps`.
+reference for the row writer `serialize.dumps`, and
+`reference_machine_from_doc` decodes every word letter by letter, the
+reference for the memoized reader `serialize.machine_from_doc`.
 The `label_*` functions walk the transition graph through adjacency maps
 keyed by state label, each built from the transition list: the reference
 for the library's SCCs, period test, reachability, trimming, relabeling,
@@ -39,7 +41,7 @@ from math import gcd, lcm
 from fsmkit.analysis import terminal_scc
 from fsmkit.automata import determinize, minimize
 from fsmkit.errors import (AnalysisError, ConstructionError,
-                           NegativeCycleError)
+                           NegativeCycleError, shown)
 from fsmkit.machine import AUTOMATON, Machine, State, Transition
 from fsmkit.polynomial import solve_integers
 from fsmkit.symbols import (ABSENT, Digit, Pair, digit_value, symbol, word,
@@ -562,6 +564,71 @@ def machine_to_doc(m):
 def reference_dumps(m):
     """The machine file of m through the standard library's encoder."""
     return json.dumps(machine_to_doc(m), indent=2) + "\n"
+
+
+# The machine-file reader as it was before it decoded each distinct word
+# once: one decode_symbol call per letter of every row.
+
+def _reference_decode_symbol(x):
+    if isinstance(x, bool):
+        raise ConstructionError("booleans are not symbols")
+    if isinstance(x, int):
+        return Digit(x)
+    if x == "~":
+        return ABSENT
+    if isinstance(x, list) and len(x) == 2:
+        return Pair(_reference_decode_symbol(x[0]),
+                    _reference_decode_symbol(x[1]))
+    raise ConstructionError(f"cannot decode symbol {shown(x)}")
+
+
+def _reference_decode_word(x):
+    if not isinstance(x, list):
+        raise ConstructionError(f"a word must be an array, got {shown(x)}")
+    return tuple(_reference_decode_symbol(s) for s in x)
+
+
+def _reference_typed(row, field, kind):
+    value = row[field]
+    if not isinstance(value, kind):
+        expected = "boolean" if kind is bool else "string"
+        raise ConstructionError(
+            f"field {field!r} must be a JSON {expected}, got {shown(value)}")
+    return value
+
+
+def reference_machine_from_doc(doc):
+    """The machine of a parsed machine file, or the ConstructionError
+    that refuses it, decoding every word of every row letter by letter."""
+    try:
+        kind = doc["kind"]
+        alphabet = [_reference_decode_symbol(s) for s in doc["alphabet"]]
+        out_alphabet = None
+        if "output_alphabet" in doc:
+            out_alphabet = [_reference_decode_symbol(s)
+                            for s in doc["output_alphabet"]]
+        states = tuple(
+            State(
+                label=_reference_typed(row, "label", str),
+                is_initial=_reference_typed(row, "initial", bool),
+                is_final=_reference_typed(row, "final", bool),
+                final_output=_reference_decode_word(
+                    row.get("final_output", [])),
+            )
+            for row in doc["states"]
+        )
+        transitions = tuple(
+            Transition(
+                source=_reference_typed(row, "from", str),
+                target=_reference_typed(row, "to", str),
+                input=_reference_decode_word(row["input"]),
+                output=_reference_decode_word(row["output"]),
+            )
+            for row in doc["transitions"]
+        )
+    except (KeyError, TypeError) as exc:
+        raise ConstructionError(f"malformed machine document: {exc}") from exc
+    return Machine(kind, states, transitions, alphabet, out_alphabet)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ from fsmkit.errors import ConstructionError, FsmError
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
                             Transition, build_machine)
 from fsmkit.symbols import ABSENT, MAX_PAIR_DEPTH, Digit, Pair
-from oracles import encode_symbol, machine_to_doc, reference_dumps
+from oracles import (encode_symbol, machine_to_doc, reference_dumps,
+                     reference_machine_from_doc)
 
 CASE_FIXTURES = ["naf_acceptor", "naf1", "naf_completed", "naf_all", "triple",
                  "combined_3n_n", "naf3", "machine_T", "machine_W",
@@ -304,3 +305,106 @@ def test_loads_of_a_mutated_preset_is_a_machine_or_an_fsm_error(name, data):
                 del node[key]
             break
     _loads_or_fsm_error(json.dumps(doc))
+
+
+# ----------------------------------------------------------------------
+# the memoized reader against the reader that decodes every letter
+# ----------------------------------------------------------------------
+
+def _reference_loads(text):
+    try:
+        return reference_machine_from_doc(json.loads(text))
+    except (ValueError, RecursionError) as exc:
+        raise ConstructionError(f"not a machine file: {exc}") from exc
+
+
+def _outcome(read, text):
+    """A machine and its file, or the type and message of what refused it."""
+    try:
+        m = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return m, serialize.dumps(m)
+
+
+def _assert_readers_agree(text):
+    assert _outcome(serialize.loads, text) == \
+        _outcome(_reference_loads, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_machines())
+def test_reader_matches_the_reference_reader_on_machine_files(m):
+    _assert_readers_agree(serialize.dumps(m))
+
+
+@FUZZ
+@given(JSON_VALUES)
+def test_reader_matches_the_reference_reader_on_any_json_value(value):
+    _assert_readers_agree(json.dumps(value))
+
+
+@FUZZ
+@given(st.sampled_from(sorted(PRESETS)), st.data())
+def test_reader_matches_the_reference_reader_on_mutated_presets(name, data):
+    doc = machine_to_doc(PRESETS[name]())
+    for _ in range(data.draw(st.integers(1, 3))):
+        # replace a random value with any JSON value, or delete it
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            if not keys:
+                break
+            key = data.draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child \
+                    and data.draw(st.booleans()):
+                node = child
+                continue
+            if data.draw(st.booleans()):
+                node[key] = data.draw(JSON_VALUES)
+            else:
+                del node[key]
+            break
+    _assert_readers_agree(json.dumps(doc))
+
+
+def _file_of_words(field, *words):
+    """A transducer file over the digits 0, 1 and 2 with one row per word
+    that holds the word in `field`: a loop on its one state per word for
+    "input" or "output", a final state per word for "final_output"."""
+    if field == "final_output":
+        states = [{"label": str(i), "initial": not i, "final": True,
+                   "final_output": w} for i, w in enumerate(words)]
+        transitions = []
+    else:
+        states = [{"label": "a", "initial": True, "final": True}]
+        transitions = [{"from": "a", "to": "a", "input": [0], "output": [],
+                        field: w} for w in words]
+    return json.dumps({"kind": "transducer", "alphabet": [0, 1, 2],
+                       "states": states, "transitions": transitions})
+
+
+@pytest.mark.parametrize("field", ["input", "output", "final_output"])
+@pytest.mark.parametrize("words, message", [
+    (([1], [True]), "booleans are not symbols"),
+    (([1], [1.0]), "cannot decode symbol 1.0"),
+    (([0], [False]), "booleans are not symbols"),
+    (([[0, True]],), "booleans are not symbols"),
+    (([2], ["2"]), "cannot decode symbol '2'"),
+])
+def test_reader_keys_each_word_by_its_exact_letters(field, words, message):
+    text = _file_of_words(field, *words)
+    _assert_readers_agree(text)
+    with pytest.raises(ConstructionError, match=re.escape(message)):
+        serialize.loads(text)
+
+
+def test_reader_reads_a_repeated_word_as_equal_words():
+    text = _file_of_words("output", [1], [1], [[1, "~"]], [[1, "~"]], [],
+                          [2, 1])
+    _assert_readers_agree(text)
+    outputs = [t.output for t in serialize.loads(text).transitions]
+    one, pair = (Digit(1),), (Pair(Digit(1), ABSENT),)
+    assert sorted(outputs) == sorted(
+        [one, one, pair, pair, (), (Digit(2), Digit(1))])

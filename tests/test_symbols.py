@@ -119,6 +119,13 @@ def test_token_round_trip_examples():
         parse_symbol_token("x")
 
 
+@pytest.mark.parametrize("letter, text", [
+    (Pair(Digit(0), Digit(1)), "0|1"), (Digit(3), "3"), (ABSENT, "~"),
+    (Pair(Pair(Digit(1), ABSENT), Digit(-2)), "(1|~)|-2")])
+def test_a_lone_symbol_formats_as_its_one_letter_word(letter, text):
+    assert format_word(letter) == format_word(word(letter)) == text
+
+
 @pytest.mark.parametrize("parse, what", [(parse_symbol_token, "symbol token"),
                                          (parse_word_text, "word text")])
 @pytest.mark.parametrize("value, text", [
