@@ -145,7 +145,8 @@ def determinize(a: Machine) -> Machine:
                 epsilons[rank[t.source]].append(rank[t.target])
         closure = [frozenset(bfs_levels([r], epsilons.__getitem__))
                    for r in range(len(labels))]
-        by_letter = {letter: [set() for _ in labels]
+        nothing = frozenset()
+        by_letter = {letter: [nothing] * len(labels)
                      for letter in a.input_alphabet}
         for t in a.transitions:
             if t.input:
@@ -155,16 +156,17 @@ def determinize(a: Machine) -> Machine:
 
         def successors(subset):
             for one, row in moves:
-                move = frozenset().union(*map(row.__getitem__, subset))
+                move = nothing.union(*map(row.__getitem__, subset))
                 if move:
                     yield one, move, ()
 
-        start = frozenset().union(
+        start = nothing.union(
             *(closure[rank[st.label]] for st in a.initial_states()))
         return explore(AUTOMATON, a.input_alphabet, [start], successors,
                        lambda subset: _subset_name(
                            map(labels.__getitem__, sorted(subset))),
-                       lambda subset: () if subset & finals else None)
+                       lambda subset: None if finals.isdisjoint(subset)
+                       else ())
 
     d = a._kept("dfa", subsets)
     _refuse_past_cap(len(d.states), _state_cap())
@@ -172,31 +174,29 @@ def determinize(a: Machine) -> Machine:
 
 
 def _with_sink(d: Machine):
-    """The sink rule: the states, transitions and step table of the
+    """The sink rule: the states, transitions and step view of the
     deterministic machine `d` completed by a non-final state labeled
-    "sink", appended last, which every missing move goes to, in state and
-    then letter order, and which moves to itself on every letter; None
-    when no move is missing.  A state of `d` labeled "sink" is refused.
-    The table shares `d`'s rows that miss no letter."""
+    "sink", appended last as index n, which every missing move goes to, in
+    state and then letter order, and which moves to itself on every
+    letter; None when no move is missing.  A state of `d` labeled "sink"
+    is refused."""
     sink_label = "sink"
-    start, rows = d._steps()
-    letters = [(letter, (letter,)) for letter in d.input_alphabet]
-    to_sink = (len(rows), ())
-    completed, missing = [], []
-    for st, row in zip(d.states, rows):
-        if len(row) < len(letters):
-            row = dict(row)
-            for letter, one in letters:
-                if letter not in row:
-                    row[letter] = to_sink
-                    missing.append(Transition(st.label, sink_label, one))
-        completed.append(row)
-    if not missing:
+    start, columns = d._steps()
+    n = len(d.states)
+    to_sink = (n, ())
+    letters = [(letter,) for letter in columns]
+    holes = sorted((i, k) for k, column in enumerate(columns.values())
+                   if None in column
+                   for i, step in enumerate(column) if step is None)
+    if not holes:
         return None
     if d.has_state(sink_label):
         raise ConstructionError(f"sink label {sink_label!r} already in use")
-    missing += [Transition(sink_label, sink_label, one) for _, one in letters]
-    completed.append(dict.fromkeys(d.input_alphabet, to_sink))
+    missing = [Transition(d.states[i].label, sink_label, letters[k])
+               for i, k in holes]
+    missing += [Transition(sink_label, sink_label, one) for one in letters]
+    completed = {letter: [step or to_sink for step in column] + [to_sink]
+                 for letter, column in columns.items()}
     return (d.states + (State(sink_label),), d.transitions + tuple(missing),
             (start, completed))
 
@@ -216,7 +216,7 @@ def complement(a: Machine) -> Machine:
     """Accept exactly the words the argument rejects (over the same
     alphabet): the completed determinization (`_with_sink`) with every
     state's finality flipped, built as one machine that keeps the
-    completed step table, since flipping finality leaves it as it is."""
+    completed step view, since flipping finality leaves it as it is."""
     d = determinize(a)
     states, transitions, steps = _with_sink(d) or (
         d.states, d.transitions, d._steps())
@@ -271,16 +271,18 @@ def is_equivalent(a: Machine, b: Machine) -> bool:
         return True
 
     def side(d):
-        """Initial index, step rows, finality and the move to the sink,
-        which is the extra index after the states."""
-        start, rows = d._steps()
-        return (start, rows + [{}], [st.is_final for st in d.states] + [False],
-                (len(rows), ()))
+        """Initial index, finality and, per letter in alphabet order, the
+        column of the step view, with None at the extra index n after the
+        states: the sink, where a missing move goes and stays."""
+        start, columns = d._steps()
+        return (start, [st.is_final for st in d.states] + [False],
+                [column + [None] for column in columns.values()],
+                (len(d.states), ()))
 
-    (p, rowsa, finala, tosinka), (q, rowsb, finalb, tosinkb) = (
+    (p, finala, columnsa, tosinka), (q, finalb, columnsb, tosinkb) = (
         side(da), side(db))
-    offset = len(rowsa)  # b's index i is offset + i in the shared space
-    parent = list(range(offset + len(rowsb)))
+    offset = len(finala)  # b's index i is offset + i in the shared space
+    parent = list(range(offset + len(finalb)))
 
     def find(i):
         while parent[i] != i:
@@ -288,17 +290,16 @@ def is_equivalent(a: Machine, b: Machine) -> bool:
             i = parent[i]
         return i
 
-    letters = a.input_alphabet
+    columns = list(zip(columnsa, columnsb))
     parent[offset + q] = p
     stack = [(p, q)]
     while stack:
         p, q = stack.pop()
         if finala[p] != finalb[q]:
             return False
-        rowp, rowq = rowsa[p], rowsb[q]
-        for letter in letters:
-            nextp = rowp.get(letter, tosinka)[0]
-            nextq = rowq.get(letter, tosinkb)[0]
+        for columnp, columnq in columns:
+            nextp = (columnp[p] or tosinka)[0]
+            nextq = (columnq[q] or tosinkb)[0]
             rootp, rootq = find(nextp), find(offset + nextq)
             if rootp != rootq:
                 parent[rootq] = rootp
@@ -324,7 +325,8 @@ def language(a: Machine, max_length: int):
     if (max_length >= size and len(strongly_connected_components(t)) == size
             and all(i != j for i, j in t._edges())):
         max_length = size - 1
-    start, rows = t._steps()
+    start, columns = t._steps()
+    moves = [(letter, columns[letter]) for letter in reversed(t.input_alphabet)]
     dist = t._levels(backward=True)  # to the nearest final state, to prune
 
     # depth-first with an explicit stack, so long words cannot exhaust
@@ -340,9 +342,8 @@ def language(a: Machine, max_length: int):
                 if t.states[here].is_final:
                     yield prefix
                 continue
-            row = rows[here]
-            for letter in reversed(t.input_alphabet):
-                step = row.get(letter)
+            for letter, column in moves:
+                step = column[here]
                 if step is not None:
                     stack.append((step[0], prefix + (letter,)))
 

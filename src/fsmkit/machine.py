@@ -19,31 +19,32 @@ included, and indexes its states by label (`_by_label`).  The index graph
 (`_edges`: source and target index per transition) is what reachability,
 trimming, relabeling, the SCCs and the word counts walk.  A machine never
 changes, so `_kept` keeps each derived form, built on first use, and a
-later call reads it instead of deriving it again: the step table
-(`_steps`: per state index, a dict from letter to (target index, output
-word), or the message refusing a machine that is not deterministic), the
-subset construction, the trimmed deterministic form that counting and
-enumeration read, the word count recurrence, the terminal chain and its
-period test.  A form that is the machine itself, such as the trimmed
-form of a machine that `trim` leaves whole (a restriction that drops no
-state returns the machine), is kept as None, so no machine refers to
-itself.  Nothing else changes a machine after its constructor but
-`_with_step_table`, which keeps for a new machine a step table derived
-from another's with the same rows in the same order, as completion and
-complement derive theirs.
+later call reads it instead of deriving it again: the step view
+(`_steps`: per letter, a column with one entry per state index, (target
+index, output word) or None for a missing move, every move to one target
+that writes nothing sharing one entry; or the message refusing a machine
+that is not deterministic), the subset construction, the trimmed
+deterministic form that counting and enumeration read, the word count
+recurrence, the terminal chain and its period test.  A form that is the
+machine itself, such as the trimmed form of a machine that `trim` leaves
+whole (a restriction that drops no state returns the machine), is kept
+as None, so no machine refers to itself.  Nothing else changes a machine
+after its constructor but `_with_step_table`, which keeps for a new
+machine the step view its construction wrote along with its rows, as
+completion, complement and `simplify` do.
 `explore` is the one breadth-first construction: each move costs one
 dict probe for its target, and only a new key is named and counted
 against the state cap.  A product keys the index pair (i, j) by the int
 i * n + j, n being the second side's state count, and every construction
 builds one `(letter,)` input word per letter for all its transitions on
 that letter, so a move creates no tuple that could be shared.
-`_run` is the one run loop: it follows a word through the rows of a step
-table, for `Machine.process` and for composition, with one subscript per
-letter; a letter without a move, or one the row cannot look up, ends the
-run.  The rows hold symbols only, so `process` checks a tuple's letters
-(`symbols.word`) only when its run stops early, and a foreign letter that
-hashes like an alphabet symbol and compares equal to it is read as that
-symbol.
+`_run` is the one run loop: it follows a word through the columns of a
+step view, for `Machine.process` and for composition, with two
+subscripts per letter; a letter without a move, or one the view cannot
+look up, ends the run.  The columns are keyed by symbols only, so
+`process` checks a tuple's letters (`symbols.word`) only when its run
+stops early, and a foreign letter that hashes like an alphabet symbol and
+compares equal to it is read as that symbol.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ class Machine:
     def is_complete(self) -> bool:
         """Deterministic with exactly one transition per (state, letter)."""
         return self.is_deterministic() and all(
-            len(row) == len(self.input_alphabet) for row in self._steps()[1])
+            None not in column for column in self._steps()[1].values())
 
     def _kept(self, form, build):
         """`form`'s value, kept from the first `build()` call that returns.
@@ -296,35 +297,44 @@ class Machine:
         return self if value is None else value
 
     def _steps(self):
-        """The step table of a deterministic machine, built once: the index
-        of the initial state and, for each state index i, a dict mapping
-        every letter that has a move from states[i] to (target index,
-        output word).  Any other machine raises MachineError; its refusal
-        is kept too, so each call raises a fresh error with the same
-        message without walking the transitions again.  Every run reads
-        the kept table, a nonempty tuple, with one dict lookup."""
+        """The letter-major step view of a deterministic machine, built
+        once: the index of the initial state and a dict from each letter
+        of the input alphabet, in alphabet order, to its column, a list
+        with one entry per state index: (target index, output word) for
+        the state's move on the letter, None when it has none.  Every move
+        to one target that writes nothing shares one (target, ()) entry.
+        Any other machine raises MachineError; its refusal is kept too, so
+        each call raises a fresh error with the same message without
+        walking the transitions again.  Every run reads the kept view, a
+        nonempty tuple, with one dict lookup."""
         steps = self._forms.get("steps") or self._kept("steps", self._step_table)
         if type(steps) is str:
             raise MachineError(steps)
         return steps
 
     def _step_table(self):
-        """The step table `_steps` keeps, or the message that refuses it."""
+        """The step view `_steps` keeps, or the message that refuses it."""
         initials = [i for i, st in enumerate(self.states) if st.is_initial]
         if len(initials) != 1:
             return (f"a deterministic run needs exactly one initial state, "
                     f"found {len(initials)}")
         index = self._by_label
-        rows = [{} for _ in self.states]
+        n = len(self.states)
+        columns = {letter: [None] * n for letter in self.input_alphabet}
+        silent = {}  # target j -> its shared (j, ()) entry
         for t in self.transitions:
             if not t.input:
                 return f"epsilon transition blocks execution: {t}"
-            row = rows[index[t.source]]
-            if t.input[0] in row:
+            column, i = columns[t.input[0]], index[t.source]
+            if column[i] is not None:
                 return (f"nondeterministic on state {t.source!r}, "
                         f"letter {t.input[0]}")
-            row[t.input[0]] = (index[t.target], t.output)
-        return initials[0], rows
+            j = index[t.target]
+            if t.output:
+                column[i] = (j, t.output)
+            else:
+                column[i] = silent.get(j) or silent.setdefault(j, (j, ()))
+        return initials[0], columns
 
     # ------------------------------------------------------------------
     # running
@@ -345,13 +355,13 @@ class Machine:
         foreign letter that hashes like an alphabet symbol and compares
         equal to it is read as that symbol.
         """
-        start, rows = self._steps()
+        start, columns = self._steps()
         w = input_word if type(input_word) is tuple else word(input_word)
-        here, out, consumed = _run(rows, start, w)
+        here, out, consumed = _run(columns, start, w)
         if not consumed and w is input_word:  # letters not checked yet
             coerced = word(w)
             if coerced is not w:
-                here, out, consumed = _run(rows, start, coerced)
+                here, out, consumed = _run(columns, start, coerced)
         st = self.states[here]
         accepted = consumed and st.is_final
         if accepted:
@@ -483,19 +493,21 @@ def _check_output(w, writable, row):
                 f"{final}output symbol {s} outside the output alphabet in {place}")
 
 
-def _run(rows, here, w):
-    """Follow w through the step rows (`Machine._steps`) from state index
-    `here`; returns (stop index, output as a list, consumed everything?).
-    The one run loop, shared by `Machine.process` and composition.  Each
-    letter costs one subscript: a letter without a move raises KeyError,
-    and one that cannot be hashed TypeError (or whatever its hash or
-    comparison raises), before `here` is assigned, so the run stops at the
-    state that could not read it, with the output written up to there."""
+def _run(columns, here, w):
+    """Follow w through the columns of a step view (`Machine._steps`) from
+    state index `here`; returns (stop index, output as a list, consumed
+    everything?).  The one run loop, shared by `Machine.process` and
+    composition.  Each letter costs two subscripts, its column and the
+    state's entry in it: a letter the view does not hold raises KeyError,
+    one without a move unpacks None and raises TypeError, and one that
+    cannot be hashed TypeError (or whatever its hash or comparison
+    raises), before `here` is assigned, so the run stops at the state that
+    could not read it, with the output written up to there."""
     out = []
     extend = out.extend
     try:
         for sym in w:
-            here, written = rows[here][sym]
+            here, written = columns[sym][here]
             extend(written)
     except MemoryError:  # the output could not grow: no letter's doing
         raise
@@ -572,15 +584,15 @@ def _lockstep(kind, first: Machine, first_names, second: Machine,
     i * len(second.states) + j.  It moves on each letter both states move
     on, writing `write(output1, output2)`; it is final when both states
     are, with final output `final_word(state1, state2)`."""
-    (start1, rows1), (start2, rows2) = first._steps(), second._steps()
-    width = len(rows2)
-    moves = [(letter, (letter,)) for letter in first.input_alphabet]
+    (start1, columns1), (start2, columns2) = first._steps(), second._steps()
+    width = len(second.states)
+    moves = [((letter,), column, columns2[letter])
+             for letter, column in columns1.items()]
 
     def successors(key):
         i, j = divmod(key, width)
-        row1, row2 = rows1[i], rows2[j]
-        for letter, one in moves:
-            a, b = row1.get(letter), row2.get(letter)
+        for one, column1, column2 in moves:
+            a, b = column1[i], column2[j]
             if a is not None and b is not None:
                 yield one, a[0] * width + b[0], write(a[1], b[1])
 
@@ -596,10 +608,10 @@ def _lockstep(kind, first: Machine, first_names, second: Machine,
 def _with_step_table(steps, kind, states, transitions, input_alphabet,
                      output_alphabet=None) -> Machine:
     """The machine of the given rows, validated as any other, keeping
-    `steps` as its step table (see `Machine._steps`).  The caller derives
-    `steps` from the table of a machine with the same transitions and
-    states in the same order, such as a completion's rows from the
-    incomplete machine's, so the rows are not walked again."""
+    `steps` as its step view (see `Machine._steps`).  The caller writes
+    `steps` along with the rows, in the same state and transition order,
+    such as a completion's columns from the incomplete machine's or a
+    simplification's from its blocks, so the rows are not walked again."""
     m = Machine(kind, states, transitions, input_alphabet, output_alphabet)
     m._forms["steps"] = steps
     return m
@@ -620,16 +632,13 @@ def explore(kind, alphabet, starts, successors, name, final,
     is named and counted against the cap."""
     cap = _state_cap()
     taken = set()
-
-    def fresh(key):
-        label = _free_label(name(key), taken)
-        taken.add(label)
-        return label
-
     order = list(dict.fromkeys(starts))
     initial_count = len(order)
     _refuse_past_cap(initial_count, cap)
-    labels = {key: fresh(key) for key in order}
+    labels = {}
+    for key in order:
+        labels[key] = label = _free_label(name(key), taken)
+        taken.add(label)
     label_of = labels.get
     transitions = []
     for here in order:  # order grows while it is walked
@@ -637,8 +646,10 @@ def explore(kind, alphabet, starts, successors, name, final,
         for inp, target, out in successors(here):
             label = label_of(target)
             if label is None:
-                _refuse_past_cap(len(order) + 1, cap)
-                labels[target] = label = fresh(target)
+                if len(order) >= cap:
+                    _refuse_past_cap(len(order) + 1, cap)
+                labels[target] = label = _free_label(name(target), taken)
+                taken.add(label)
                 order.append(target)
             transitions.append(Transition(source, label, inp, out))
     states = []

@@ -23,13 +23,15 @@ symbol lives is chosen, though (`_placed`): a new digit or pair is the
 first fresh object whose hash differs in its low bits from the hash of
 every digit (or pair) interned before it, three bits while the class has
 at most eight members, more as it grows.  A dict probes the slot of a
-key's low hash bits first, so the step rows, the digit tables of `digits`
-and the alphabet sets, which hold a few letters, find each letter in its
-first slot whatever the allocator's layout.
+key's low hash bits first, so the step views (a dict from letter to
+column), the digit tables of `digits` and the alphabet sets, which hold a
+few letters, find each letter in its first slot whatever the allocator's
+layout.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -264,22 +266,74 @@ def format_word(w: Word) -> str:
     return ",".join(map(str, w))
 
 
+# splits a symbol token into text and the punctuation around it, which it
+# keeps: the text sits at even positions and the marks at odd ones
+_SYMBOL_PUNCTUATION = re.compile(r"([()|])")
+
+
 def parse_symbol_token(token: str) -> Symbol:
-    """Parse one textual symbol: an integer, "~", or "a|b" for a pair."""
+    """Parse one textual symbol: an integer, "~", or "a|b" for the pair of
+    the symbols a and b.  A component in parentheses is one symbol, as
+    `format_word` writes a pair component, so "(1|~)|-2" is a pair whose
+    left component is a pair; without them "a|b|c" is "a|(b|c)".  The
+    text is read in one pass, with a list of the open parentheses, so no
+    nesting exhausts the recursion limit; unbalanced or empty parentheses
+    are refused by name."""
     if not isinstance(token, str):
         raise ConstructionError(f"a symbol token is not a str: {shown(token)}")
-    token = token.strip()
-    if not token:
+    groups = [[]]  # the components read so far, per open parenthesis
+    last = None  # the component just read, until "|" or ")" takes it
+    for k, piece in enumerate(_SYMBOL_PUNCTUATION.split(token)):
+        if k % 2 == 0:  # the text between two punctuation marks
+            piece = piece.strip()
+            if piece:
+                if last is not None:  # text right after ")"
+                    raise ConstructionError(
+                        f"cannot parse symbol token {token.strip()!r}")
+                last = _parse_leaf(piece)
+        elif piece == "(":
+            if last is not None:
+                raise ConstructionError(
+                    f"cannot parse symbol token {token.strip()!r}")
+            groups.append([])
+        else:  # "|" or ")" ends a component
+            if piece == ")" and len(groups) == 1:
+                raise ConstructionError(
+                    f"unbalanced parentheses in symbol token {token.strip()!r}")
+            if last is None:
+                if piece == ")" and not groups[-1]:
+                    raise ConstructionError(
+                        f"empty parentheses in symbol token {token.strip()!r}")
+                raise ConstructionError("empty symbol token")
+            groups[-1].append(last)
+            last = _chained(groups.pop()) if piece == ")" else None
+    if len(groups) > 1:
+        raise ConstructionError(
+            f"unbalanced parentheses in symbol token {token.strip()!r}")
+    if last is None:
         raise ConstructionError("empty symbol token")
-    if token == "~":
+    groups[0].append(last)
+    return _chained(groups[0])
+
+
+def _parse_leaf(text: str) -> Symbol:
+    """An integer digit or "~", from text with no punctuation."""
+    if text == "~":
         return ABSENT
-    if "|" in token:
-        left, sep, right = token.partition("|")
-        return Pair(parse_symbol_token(left), parse_symbol_token(right))
     try:
-        return Digit(int(token))
+        return Digit(int(text))
     except ValueError:
-        raise ConstructionError(f"cannot parse symbol token {token!r}") from None
+        raise ConstructionError(f"cannot parse symbol token {text!r}") from None
+
+
+def _chained(components) -> Symbol:
+    """The components a, b, ..., z read as "a|(b|(...|z))", built from
+    the right, so the innermost pair is checked against MAX_PAIR_DEPTH
+    first."""
+    result = components[-1]
+    for left in reversed(components[:-1]):
+        result = Pair(left, result)
+    return result
 
 
 def parse_word_text(text: str) -> Word:

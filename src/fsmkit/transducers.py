@@ -9,7 +9,8 @@ from itertools import count, zip_longest
 from .errors import ConstructionError, MachineError, shown
 from .machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
                       _bfs_names, _free_label, _labels, _lockstep,
-                      _pair_label, _run, as_label, explore)
+                      _pair_label, _run, _with_step_table, as_label,
+                      explore)
 from .symbols import (ABSENT, AbsentType, Digit, Pair, Symbol,
                       _sorted_symbols, digit_value, symbol, word)
 
@@ -155,20 +156,19 @@ def compose(outer: Machine, inner: Machine) -> Machine:
     output, stops in a final state; the composed final output is what the
     outer machine writes while consuming it, followed by the outer final
     output."""
-    inner_start, inner_rows = _steps_of(inner, "inner")
-    outer_start, outer_rows = _steps_of(outer, "outer")
-    width = len(outer_rows)
-    moves = [(letter, (letter,)) for letter in inner.input_alphabet]
+    inner_start, inner_columns = _steps_of(inner, "inner")
+    outer_start, outer_columns = _steps_of(outer, "outer")
+    width = len(outer.states)
+    moves = [((letter,), column) for letter, column in inner_columns.items()]
 
     def successors(key):
         i, j = divmod(key, width)
-        row = inner_rows[i]
-        for letter, one in moves:
-            step = row.get(letter)
+        for one, column in moves:
+            step = column[i]
             if step is None:
                 continue
             target, read = step
-            stop, written, complete_run = _run(outer_rows, j, read)
+            stop, written, complete_run = _run(outer_columns, j, read)
             if not complete_run:
                 t = Transition(inner.states[i].label,
                                inner.states[target].label, one, read)
@@ -181,7 +181,7 @@ def compose(outer: Machine, inner: Machine) -> Machine:
         inner_state = inner.states[i]
         if inner_state.is_final:
             stop, written, complete_run = _run(
-                outer_rows, j, inner_state.final_output)
+                outer_columns, j, inner_state.final_output)
             if complete_run and outer.states[stop].is_final:
                 return tuple(written) + outer.states[stop].final_output
         return None
@@ -249,14 +249,14 @@ def with_final_word_out(t: Machine, letter) -> Machine:
     letter = symbol(letter)
     if letter not in t.input_alphabet:
         raise MachineError(f"letter {letter} is not in the input alphabet")
-    _, rows = t._steps()
+    column = t._steps()[1][letter]
 
     new_states = []
     for here, st in enumerate(t.states):
         collected, visited = [], set()
         while not t.states[here].is_final and here not in visited:
             visited.add(here)
-            step = rows[here].get(letter)
+            step = column[here]
             if step is None:
                 break
             here, written = step
@@ -287,14 +287,17 @@ def simplify(t: Machine) -> Machine:
     machine's kind and computes the same input-output function; on a
     complete automaton it is the minimal automaton, on a transducer it is
     not guaranteed to be globally minimal.  Blocks are named by
-    `_bfs_names`, as `Machine.relabeled` names states."""
-    start, rows = t._steps()
+    `_bfs_names`, as `Machine.relabeled` names states.  The refinement
+    reads the step view's columns, and the result keeps the step view
+    written along with its transitions, in their order, so a run or a
+    decision on it does not walk them again."""
+    start, view = t._steps()
     n = len(t.states)
-    moves = [[row.get(letter) for row in rows] for letter in t.input_alphabet]
+    columns = list(view.values())
     # one target column per letter; a missing move targets the sentinel
     # index n, whose block is always -1
-    columns = [[n if step is None else step[0] for step in column]
-               for column in moves]
+    targets = [[n if step is None else step[0] for step in column]
+               for column in columns]
 
     # the first key holds everything but the targets, so that each round
     # of refinement compares target blocks only; block[n] stays -1, and
@@ -302,10 +305,10 @@ def simplify(t: Machine) -> Machine:
     block = _first_appearance(zip(
         ((st.is_final, st.final_output) for st in t.states),
         *([None if step is None else step[1] for step in column]
-          for column in moves))) + [-1]
+          for column in columns))) + [-1]
     while True:
         refined = _first_appearance(zip(
-            block, *(map(block.__getitem__, column) for column in columns)))
+            block, *(map(block.__getitem__, column) for column in targets)))
         refined.append(-1)
         if refined == block:
             break
@@ -317,18 +320,31 @@ def simplify(t: Machine) -> Machine:
     initial_block = block[start]
     # deterministic, so the canonical order follows letters in order
     name = _bfs_names([initial_block], [
-        [block[column[i]] for column in columns if column[i] < n]
+        [block[column[i]] for column in targets if column[i] < n]
         for i in representative.values()])
-    states = []
-    for b, label in name.items():
+    states, position = [], [0] * len(name)  # block -> its state index
+    for k, (b, label) in enumerate(name.items()):
         st = t.states[representative[b]]
         states.append(State(label, b == initial_block, st.is_final,
                             st.final_output))
-    words = [(letter,) for letter in t.input_alphabet]
-    transitions = tuple(
-        Transition(name[b], name[block[targets[i]]], one, column[i][1])
-        for b, i in representative.items()
-        for one, column, targets in zip(words, moves, columns)
-        if column[i] is not None)
-    return Machine(t.kind, states, transitions,
-                   t.input_alphabet, t.output_alphabet)
+        position[b] = k
+    # the result's step view, written along with its transitions
+    merged = [position[b] for b in block[:n]]  # state -> its block's index
+    labels = list(name.values())
+    words = [(letter,) for letter in view]
+    written = {letter: [None] * len(name) for letter in view}
+    silent = {}  # target j -> its shared (j, ()) entry
+    transitions = []
+    for b, i in representative.items():
+        here = position[b]
+        source = labels[here]
+        for one, column, result in zip(words, columns, written.values()):
+            step = column[i]
+            if step is not None:
+                j, out = merged[step[0]], step[1]
+                result[here] = ((j, out) if out else silent.get(j)
+                                or silent.setdefault(j, (j, ())))
+                transitions.append(Transition(source, labels[j], one, out))
+    return _with_step_table((position[initial_block], written), t.kind,
+                            states, transitions, t.input_alphabet,
+                            t.output_alphabet)

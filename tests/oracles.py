@@ -896,16 +896,30 @@ def label_product(a, b):
                           lambda pair: pair in finals)
 
 
+def reference_columns(m):
+    """The step view of the deterministic machine m, walked from its
+    transition list by label, with no step table: the initial state's
+    index and, per letter in alphabet order, one entry per state, its
+    (target index, output word) on that letter or None."""
+    index = {st.label: i for i, st in enumerate(m.states)}
+    moves = {(t.source, t.input[0]): (index[t.target], t.output)
+             for t in m.transitions}
+    start = index[m.initial_states()[0].label]
+    return start, {letter: [moves.get((st.label, letter)) for st in m.states]
+                   for letter in m.input_alphabet}
+
+
 def label_language(a, max_length):
     """Accepted words of length <= max_length in shortlex order, pruned by
     each deterministic state's distance to a final state over the step
-    table read backward."""
+    view's columns read backward."""
     d = a if a.is_deterministic() else determinize(a)
-    start, rows = d._steps()
-    rev = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for target, _ in row.values():
-            rev[target].append(i)
+    start, columns = d._steps()
+    rev = [[] for _ in d.states]
+    for column in columns.values():
+        for i, step in enumerate(column):
+            if step is not None:
+                rev[step[0]].append(i)
     dist = _bfs_levels((i for i, st in enumerate(d.states) if st.is_final),
                        rev.__getitem__)
     for length in range(max_length + 1):
@@ -919,8 +933,7 @@ def label_language(a, max_length):
                 if d.states[here].is_final:
                     yield prefix
                 continue
-            row = rows[here]
             for letter in reversed(d.input_alphabet):
-                step = row.get(letter)
+                step = columns[letter][here]
                 if step is not None:
                     stack.append((step[0], prefix + (letter,)))

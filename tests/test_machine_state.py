@@ -119,6 +119,34 @@ def test_a_refused_step_table_is_built_once(monkeypatch):
     assert sum(m is nfa for m in builds) == 1
 
 
+def test_equivalence_of_the_minimal_and_the_subset_automaton_builds_one_view(
+        monkeypatch):
+    """`simplify` writes its result's step view along with its
+    transitions, so deciding minimize(x) against determinize(x) walks the
+    transitions for a step view once, for the subset automaton, which the
+    completion reads; the minimal automaton's view is the one it keeps."""
+    bits = [0, 1]
+    sigma = automata.union(automata.word_automaton([0], bits),
+                           automata.word_automaton([1], bits))
+    x = automata.concat(automata.kleene_star(sigma),
+                        automata.word_automaton([1], bits))
+    for _ in range(6):  # the 7th letter from the end is 1
+        x = automata.concat(x, sigma)
+    builds = []
+    original = Machine._step_table
+
+    def spied(self):
+        builds.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Machine, "_step_table", spied)
+    m, d = automata.minimize(x), automata.determinize(x)
+    assert automata.is_equivalent(m, d)
+    assert len(builds) == 1 and builds[0] is d
+    assert (len(d.states), len(m.states)) == (129, 128)
+    assert m._steps() == original(m)
+
+
 def test_intersection_keeps_no_subset_construction_of_a_deterministic_operand():
     """A deterministic operand enters the product as it stands, in either
     position: no determinized copy of it is built or kept."""

@@ -2,8 +2,10 @@
 transition list, also over what `word` makes of a mixed input, the
 constructions agree with direct nondeterministic acceptance and with
 running the argument machines one after the other, complement is an
-involution, a completion keeps the step table its rows give, the walks over state indices (SCCs, the
-period test, reachability, trimming, relabeling and the language
+involution, a completion keeps the step table its rows give, the step
+views of drawn machines and of the results that keep a written view
+agree with a label-keyed walk of the rows, the walks over state indices
+(SCCs, the period test, reachability, trimming, relabeling and the language
 enumeration's pruning) agree with label-keyed copies, language equivalence agrees with comparing
 minimal automata, machine files round-trip byte-identically, word counts
 agree with enumeration, expansion values and renderings agree with the
@@ -51,8 +53,8 @@ from oracles import (all_words, equivalent_by_minimization,
                      label_relabeled, label_sccs, label_terminal_scc,
                      label_terminal_sccs, label_trim, markov_constants,
                      nfa_accepts, per_digit_string, per_digit_value, rank,
-                     recurrence_terms, run_deterministic, solve,
-                     word_counts)
+                     recurrence_terms, reference_columns, run_deterministic,
+                     solve, word_counts)
 from test_golden_constructions import random_nfa
 
 LETTERS = (0, 1)
@@ -509,6 +511,25 @@ def test_intersection_with_a_one_state_operand_agrees_with_the_product(a, b):
     # the pair (i, 0) is keyed by i * 1 + 0: pair keys of width one
     assert _rows(intersection(a, b)) == _rows(
         label_product(label_determinize(a), label_determinize(b)))
+
+
+@PROPERTY
+@given(st.one_of(shuffled_dfas(), random_transducers()), random_automata(),
+       random_transducers())
+def test_step_views_agree_with_the_label_keyed_walk(d, x, t):
+    # drawn deterministic machines build their view from their rows; the
+    # results of simplify, minimize, complete and complement keep the view
+    # their construction wrote along with their rows
+    for m in (d, t, simplify(t), minimize(x), complete(determinize(x)),
+              complement(x)):
+        view = m._steps()
+        assert view == reference_columns(m) == m._step_table()
+        start, columns = view
+        assert list(columns) == list(m.input_alphabet)
+        silent = [step for column in columns.values() for step in column
+                  if step is not None and not step[1]]
+        # every move to one target that writes nothing shares one entry
+        assert len(set(map(id, silent))) == len({j for j, _ in silent})
 
 
 @PROPERTY

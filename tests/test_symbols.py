@@ -161,6 +161,63 @@ def test_token_format_parse_round_trip(sym):
     assert parse_symbol_token(str(sym)) == sym
 
 
+def nested_symbols(depth=symbols.MAX_PAIR_DEPTH):
+    """Symbols whose pairs nest at most `depth` deep."""
+    if depth == 0:
+        return simple_symbols
+    inner = nested_symbols(depth - 1)
+    return st.one_of(inner, st.tuples(inner, inner).map(lambda p: Pair(*p)))
+
+
+@given(st.lists(nested_symbols(), max_size=4).map(tuple))
+def test_nested_pairs_read_back_as_written(w):
+    assert parse_word_text(format_word(w)) == w
+    for sym in w:
+        assert parse_symbol_token(str(sym)) is sym
+
+
+@pytest.mark.parametrize("text, letters", [
+    ("(1|~)|-2", [((1, None), -2)]),
+    ("1|(0|2)", [(1, (0, 2))]),
+    ("1|2|3", [(1, (2, 3))]),
+    (" ( 1 | ~ ) | -2 ,0", [((1, None), -2), 0]),
+    ("(((1|2)|3)|4)|(5|6)", [((((1, 2), 3), 4), (5, 6))]),
+], ids=["left pair", "right pair", "unparenthesized chain", "spaces",
+        "depth four"])
+def test_parenthesized_pair_components_parse(text, letters):
+    assert parse_word_text(text) == word(letters)
+
+
+@pytest.mark.parametrize("token, message", [
+    ("()", "empty parentheses in symbol token '()'"),
+    ("1|()", "empty parentheses in symbol token '1|()'"),
+    ("(1|2", "unbalanced parentheses in symbol token '(1|2'"),
+    ("1|2)", "unbalanced parentheses in symbol token '1|2)'"),
+    ("(1|2))|3", "unbalanced parentheses in symbol token '(1|2))|3'"),
+    ("(" * 5000, "unbalanced parentheses in symbol token '((("),
+    (")" * 5000, "unbalanced parentheses in symbol token ')))"),
+    ("(" * 5000 + "1|2" + ")" * 4999,
+     "unbalanced parentheses in symbol token '((("),
+    ("1(0|2)", "cannot parse symbol token '1(0|2)'"),
+    ("(0|2)1", "cannot parse symbol token '(0|2)1'"),
+    ("((((1|2)|3)|4)|5)|6", "pair nesting deeper than 4 is not supported"),
+    ("1|" * 3000 + "1", "pair nesting deeper than 4 is not supported"),
+    ("1|x", "cannot parse symbol token 'x'"),
+    ("1|", "empty symbol token"),
+    ("(|1)", "empty symbol token"),
+], ids=["empty", "empty component", "open", "close", "close early",
+        "5000 open", "5000 close", "one close short", "text before",
+        "text after", "depth five", "long chain", "flat bad letter",
+        "flat empty component", "empty component in parentheses"])
+def test_malformed_symbol_tokens_are_refused_by_name(token, message):
+    # a ConstructionError, never an IndexError or a RecursionError; the
+    # messages for tokens without parentheses are the ones they always were
+    with pytest.raises(ConstructionError) as raised:
+        parse_symbol_token(token)
+    text = str(raised.value)
+    assert text == message if len(token) < 100 else text.startswith(message)
+
+
 @given(st.lists(symbols_strategy, max_size=5).map(tuple),
        st.lists(symbols_strategy, max_size=5).map(tuple))
 def test_word_key_matches_elementwise_comparison(u, v):
