@@ -21,14 +21,16 @@ from itertools import islice
 from .analysis import strongly_connected_components
 from .errors import ConstructionError, MachineError, shown
 from .machine import (AUTOMATON, Machine, State, Transition, _labels,
-                      _lockstep, _refuse_past_cap, _state_cap,
-                      _with_step_table, bfs_levels, build_machine, explore)
+                      _lockstep, _refuse_past_cap, _state_cap, bfs_levels,
+                      build_machine, explore)
 from .polynomial import charpoly
 from .symbols import word
 from .transducers import simplify
 
 
 def _require_automaton(m: Machine):
+    if not isinstance(m, Machine):
+        raise ConstructionError(f"not a machine: {shown(m)}")
     if m.kind != AUTOMATON:
         raise MachineError("this operation is defined on automata only")
 
@@ -174,16 +176,15 @@ def determinize(a: Machine) -> Machine:
 
 
 def _with_sink(d: Machine):
-    """The sink rule: the states, transitions and step view of the
-    deterministic machine `d` completed by a non-final state labeled
-    "sink", appended last as index n, which every missing move goes to, in
-    state and then letter order, and which moves to itself on every
-    letter; None when no move is missing.  A state of `d` labeled "sink"
-    is refused."""
+    """The sink rule: the states and transitions of the deterministic
+    machine `d` completed by a non-final state labeled "sink", appended
+    last, which every missing move goes to, in state and then letter
+    order, and which moves to itself on every letter; None when no move
+    is missing.  The holes are read from `d`'s step view, and the
+    constructor builds the completed machine's.  A state of `d` labeled
+    "sink" is refused."""
     sink_label = "sink"
-    start, columns = d._steps()
-    n = len(d.states)
-    to_sink = (n, ())
+    columns = d._steps()[1]
     letters = [(letter,) for letter in columns]
     holes = sorted((i, k) for k, column in enumerate(columns.values())
                    if None in column
@@ -195,10 +196,7 @@ def _with_sink(d: Machine):
     missing = [Transition(d.states[i].label, sink_label, letters[k])
                for i, k in holes]
     missing += [Transition(sink_label, sink_label, one) for one in letters]
-    completed = {letter: [step or to_sink for step in column] + [to_sink]
-                 for letter, column in columns.items()}
-    return (d.states + (State(sink_label),), d.transitions + tuple(missing),
-            (start, completed))
+    return d.states + (State(sink_label),), d.transitions + tuple(missing)
 
 
 def complete(a: Machine) -> Machine:
@@ -207,23 +205,18 @@ def complete(a: Machine) -> Machine:
     completed = _with_sink(a)
     if completed is None:
         return a
-    states, transitions, steps = completed
-    return _with_step_table(steps, a.kind, states, transitions,
-                            a.input_alphabet, a.output_alphabet)
+    return Machine(a.kind, *completed, a.input_alphabet, a.output_alphabet)
 
 
 def complement(a: Machine) -> Machine:
     """Accept exactly the words the argument rejects (over the same
     alphabet): the completed determinization (`_with_sink`) with every
-    state's finality flipped, built as one machine that keeps the
-    completed step view, since flipping finality leaves it as it is."""
+    state's finality flipped, built as one machine."""
     d = determinize(a)
-    states, transitions, steps = _with_sink(d) or (
-        d.states, d.transitions, d._steps())
+    states, transitions = _with_sink(d) or (d.states, d.transitions)
     flipped = tuple(
         State(st.label, st.is_initial, not st.is_final) for st in states)
-    return _with_step_table(steps, AUTOMATON, flipped, transitions,
-                            d.input_alphabet)
+    return Machine(AUTOMATON, flipped, transitions, d.input_alphabet)
 
 
 def intersection(a: Machine, b: Machine) -> Machine:

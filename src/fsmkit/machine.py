@@ -15,23 +15,22 @@ constructors fill the slots through the slots' own descriptors, since a
 frozen row refuses assignment; a construction builds thousands of them.
 
 The one constructor validates every machine, construction results
-included, and indexes its states by label (`_by_label`).  The index graph
-(`_edges`: source and target index per transition) is what reachability,
-trimming, relabeling, the SCCs and the word counts walk.  A machine never
-changes, so `_kept` keeps each derived form, built on first use, and a
-later call reads it instead of deriving it again: the step view
-(`_steps`: per letter, a column with one entry per state index, (target
-index, output word) or None for a missing move, every move to one target
-that writes nothing sharing one entry; or the message refusing a machine
-that is not deterministic), the subset construction, the trimmed
-deterministic form that counting and enumeration read, the word count
-recurrence, the terminal chain and its period test.  A form that is the
-machine itself, such as the trimmed form of a machine that `trim` leaves
-whole (a restriction that drops no state returns the machine), is kept
-as None, so no machine refers to itself.  Nothing else changes a machine
-after its constructor but `_with_step_table`, which keeps for a new
-machine the step view its construction wrote along with its rows, as
-completion, complement and `simplify` do.
+included, indexes its states by label (`_by_label`) and, in the same
+pass over the transitions, builds the step view (`_steps`: per letter, a
+column with one entry per state index, (target index, output word) or
+None for a missing move, every move to one target that writes nothing
+sharing one entry; or the message refusing a machine that is not
+deterministic).  The index graph (`_edges`: source and target index per
+transition) is what reachability, trimming, relabeling, the SCCs and
+the word counts walk.  A machine never changes, so `_kept` keeps each
+derived form, built on first use, and a later call reads it instead of
+deriving it again: the subset construction, the trimmed deterministic
+form that counting and enumeration read, the word count recurrence, the
+terminal chain and its period test.  A form that is the machine itself,
+such as the trimmed form of a machine that `trim` leaves whole (a
+restriction that drops no state returns the machine), is kept as None,
+so no machine refers to itself.  Nothing changes a machine after its
+constructor but `_kept`.
 `explore` is the one breadth-first construction: each move costs one
 dict probe for its target, and only a new key is named and counted
 against the state cap.  A product keys the index pair (i, j) by the int
@@ -179,6 +178,7 @@ class Machine:
         automaton = kind == AUTOMATON
         writable = None if out_alphabet is None else set(out_alphabet)
         self._by_label = by_label = {}  # label -> state index
+        initials = []
         for i, st in enumerate(self.states):
             if not isinstance(st, State):
                 raise ConstructionError(f"not a state: {shown(st)}")
@@ -200,8 +200,18 @@ class Machine:
                         f"automaton state {st.label!r} with final output")
                 _check_output(st.final_output, writable, st)
             by_label[st.label] = i
+            if st.is_initial:
+                initials.append(i)
 
-        letters = set(alphabet)
+        # the step view (see _steps), filled as the rows pass their checks
+        # until the first refusal, which is kept in its place; its columns
+        # also tell the alphabet's letters
+        refusal = None
+        if len(initials) != 1:
+            refusal = (f"a deterministic run needs exactly one initial state, "
+                       f"found {len(initials)}")
+        columns = {letter: [None] * len(self.states) for letter in alphabet}
+        silent = {}  # target j -> its shared (j, ()) entry
         for t in self.transitions:
             if type(t) is not Transition:
                 raise ConstructionError(f"not a transition: {shown(t)}")
@@ -212,10 +222,12 @@ class Machine:
             if type(out) is not tuple:
                 raise ConstructionError(
                     f"transition output is not a tuple: {shown(t)}")
-            if type(t.source) is not str or type(t.target) is not str:
+            source, target = t.source, t.target
+            if type(source) is not str or type(target) is not str:
                 raise ConstructionError(
                     f"transition endpoint is not a string: {shown(t)}")
-            if t.source not in by_label or t.target not in by_label:
+            i, j = by_label.get(source), by_label.get(target)
+            if i is None or j is None:
                 raise ConstructionError(f"transition endpoints unknown: {t}")
             if len(inp) > 1:
                 raise ConstructionError(f"transition input longer than one letter: {t}")
@@ -223,14 +235,27 @@ class Machine:
                 if not isinstance(inp[0], Symbol):
                     raise ConstructionError(
                         f"input letter {shown(inp[0])} is not a symbol: {shown(t)}")
-                if inp[0] not in letters:
+                column = columns.get(inp[0])
+                if column is None:
                     raise ConstructionError(
                         f"input symbol {inp[0]} outside the alphabet in transition {t}")
             if out:
                 _check_output(out, writable, t)
                 if automaton:
                     raise ConstructionError(f"automaton transition with output: {t}")
+            if refusal is not None:
+                continue
+            if not inp:
+                refusal = f"epsilon transition blocks execution: {t}"
+            elif column[i] is not None:
+                refusal = (f"nondeterministic on state {source!r}, "
+                           f"letter {inp[0]}")
+            elif out:
+                column[i] = (j, out)
+            else:
+                column[i] = silent.get(j) or silent.setdefault(j, (j, ()))
 
+        self._view = refusal or (initials[0], columns)
         self._forms = {}  # derived forms by name, see _kept
 
     # ------------------------------------------------------------------
@@ -275,7 +300,7 @@ class Machine:
     def is_deterministic(self) -> bool:
         """Single initial state, no epsilon inputs, at most one transition
         per (state, letter)."""
-        return type(self._kept("steps", self._step_table)) is not str
+        return type(self._view) is not str
 
     def is_complete(self) -> bool:
         """Deterministic with exactly one transition per (state, letter)."""
@@ -297,44 +322,20 @@ class Machine:
         return self if value is None else value
 
     def _steps(self):
-        """The letter-major step view of a deterministic machine, built
-        once: the index of the initial state and a dict from each letter
-        of the input alphabet, in alphabet order, to its column, a list
-        with one entry per state index: (target index, output word) for
-        the state's move on the letter, None when it has none.  Every move
-        to one target that writes nothing shares one (target, ()) entry.
-        Any other machine raises MachineError; its refusal is kept too, so
-        each call raises a fresh error with the same message without
-        walking the transitions again.  Every run reads the kept view, a
-        nonempty tuple, with one dict lookup."""
-        steps = self._forms.get("steps") or self._kept("steps", self._step_table)
-        if type(steps) is str:
-            raise MachineError(steps)
-        return steps
-
-    def _step_table(self):
-        """The step view `_steps` keeps, or the message that refuses it."""
-        initials = [i for i, st in enumerate(self.states) if st.is_initial]
-        if len(initials) != 1:
-            return (f"a deterministic run needs exactly one initial state, "
-                    f"found {len(initials)}")
-        index = self._by_label
-        n = len(self.states)
-        columns = {letter: [None] * n for letter in self.input_alphabet}
-        silent = {}  # target j -> its shared (j, ()) entry
-        for t in self.transitions:
-            if not t.input:
-                return f"epsilon transition blocks execution: {t}"
-            column, i = columns[t.input[0]], index[t.source]
-            if column[i] is not None:
-                return (f"nondeterministic on state {t.source!r}, "
-                        f"letter {t.input[0]}")
-            j = index[t.target]
-            if t.output:
-                column[i] = (j, t.output)
-            else:
-                column[i] = silent.get(j) or silent.setdefault(j, (j, ()))
-        return initials[0], columns
+        """The letter-major step view of a deterministic machine, built by
+        the constructor: the index of the initial state and a dict from
+        each letter of the input alphabet, in alphabet order, to its
+        column, a list with one entry per state index: (target index,
+        output word) for the state's move on the letter, None when it has
+        none.  Every move to one target that writes nothing shares one
+        (target, ()) entry.  Any other machine raises MachineError: the
+        constructor keeps the message of its first refusal (the initial
+        state count, then the first epsilon or nondeterministic pair in
+        transition order), and each call raises a fresh error with it."""
+        view = self._view
+        if type(view) is str:
+            raise MachineError(view)
+        return view
 
     # ------------------------------------------------------------------
     # running
@@ -603,18 +604,6 @@ def _lockstep(kind, first: Machine, first_names, second: Machine,
 
     return explore(kind, first.input_alphabet, [start1 * width + start2],
                    successors, _pair_label(first_names, second_names), final)
-
-
-def _with_step_table(steps, kind, states, transitions, input_alphabet,
-                     output_alphabet=None) -> Machine:
-    """The machine of the given rows, validated as any other, keeping
-    `steps` as its step view (see `Machine._steps`).  The caller writes
-    `steps` along with the rows, in the same state and transition order,
-    such as a completion's columns from the incomplete machine's or a
-    simplification's from its blocks, so the rows are not walked again."""
-    m = Machine(kind, states, transitions, input_alphabet, output_alphabet)
-    m._forms["steps"] = steps
-    return m
 
 
 def explore(kind, alphabet, starts, successors, name, final,

@@ -9,8 +9,7 @@ from itertools import count, zip_longest
 from .errors import ConstructionError, MachineError, shown
 from .machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
                       _bfs_names, _free_label, _labels, _lockstep,
-                      _pair_label, _run, _with_step_table, as_label,
-                      explore)
+                      _pair_label, _run, as_label, explore)
 from .symbols import (ABSENT, AbsentType, Digit, Pair, Symbol,
                       _sorted_symbols, digit_value, symbol, word)
 
@@ -288,9 +287,8 @@ def simplify(t: Machine) -> Machine:
     complete automaton it is the minimal automaton, on a transducer it is
     not guaranteed to be globally minimal.  Blocks are named by
     `_bfs_names`, as `Machine.relabeled` names states.  The refinement
-    reads the step view's columns, and the result keeps the step view
-    written along with its transitions, in their order, so a run or a
-    decision on it does not walk them again."""
+    reads the step view's columns, and the result's transitions are
+    written from them."""
     start, view = t._steps()
     n = len(t.states)
     columns = list(view.values())
@@ -322,29 +320,18 @@ def simplify(t: Machine) -> Machine:
     name = _bfs_names([initial_block], [
         [block[column[i]] for column in targets if column[i] < n]
         for i in representative.values()])
-    states, position = [], [0] * len(name)  # block -> its state index
-    for k, (b, label) in enumerate(name.items()):
+    states = []
+    for b, label in name.items():
         st = t.states[representative[b]]
         states.append(State(label, b == initial_block, st.is_final,
                             st.final_output))
-        position[b] = k
-    # the result's step view, written along with its transitions
-    merged = [position[b] for b in block[:n]]  # state -> its block's index
-    labels = list(name.values())
     words = [(letter,) for letter in view]
-    written = {letter: [None] * len(name) for letter in view}
-    silent = {}  # target j -> its shared (j, ()) entry
     transitions = []
     for b, i in representative.items():
-        here = position[b]
-        source = labels[here]
-        for one, column, result in zip(words, columns, written.values()):
+        for one, column in zip(words, columns):
             step = column[i]
             if step is not None:
-                j, out = merged[step[0]], step[1]
-                result[here] = ((j, out) if out else silent.get(j)
-                                or silent.setdefault(j, (j, ())))
-                transitions.append(Transition(source, labels[j], one, out))
-    return _with_step_table((position[initial_block], written), t.kind,
-                            states, transitions, t.input_alphabet,
-                            t.output_alphabet)
+                transitions.append(Transition(
+                    name[b], name[block[step[0]]], one, step[1]))
+    return Machine(t.kind, states, transitions, t.input_alphabet,
+                   t.output_alphabet)

@@ -381,6 +381,23 @@ def test_determinizing_constructions_refuse_a_transducer(construction,
         construction(machine_T)
 
 
+@pytest.mark.parametrize("call, shown", [
+    (lambda r: minimize(5), "5"),
+    (lambda r: is_equivalent(r, 5), "5"),
+    (lambda r: intersection(5, r), "5"),
+    (lambda r: count_words(None, 3), "None"),
+    (lambda r: union(r, "R"), "'R'"),
+    (lambda r: kleene_star([]), r"\[\]"),
+    (lambda r: list(language(r.states, 2)), r"\(State"),
+    (lambda r: word_count_recurrence(r.transitions[0]), "Transition"),
+], ids=["minimize", "is_equivalent", "intersection", "count_words", "union",
+        "kleene_star", "language", "word_count_recurrence"])
+def test_an_automaton_argument_that_is_no_machine_is_refused_by_name(
+        call, shown, machine_R):
+    with pytest.raises(ConstructionError, match=f"^not a machine: {shown}"):
+        call(machine_R)
+
+
 def test_equivalence_respects_the_state_cap(monkeypatch, naf_acceptor):
     starred = kleene_star(word_automaton([0, 1, 0, 1, 1], [0, 1]))
     deterministic = determinize(starred)

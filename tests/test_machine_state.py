@@ -14,6 +14,7 @@ import fsmkit
 from fsmkit import analysis, automata, digits, transducers
 from fsmkit.errors import MachineError
 from fsmkit.machine import AUTOMATON, Machine, build_machine
+from oracles import reference_columns
 
 PACKAGE = Path(fsmkit.__file__).parent
 
@@ -93,19 +94,13 @@ def test_a_second_call_reads_the_kept_forms(build, call, monkeypatch):
     assert calls == []
 
 
-def test_a_refused_step_table_is_built_once(monkeypatch):
-    """A nondeterministic machine walks its transitions for the refusal
-    once; later determinism checks and counts read the kept refusal, and
-    each `_steps()` call raises a fresh MachineError with its message."""
+def test_a_refused_step_table_is_built_once():
+    """The constructor keeps a nondeterministic machine's refusal in place
+    of its step view: determinism checks and counts read it, and each
+    `_steps()` call raises a fresh MachineError with its message."""
     nfa = _star()
-    builds = []
-    original = Machine._step_table
-
-    def spied(self):
-        builds.append(self)
-        return original(self)
-
-    monkeypatch.setattr(Machine, "_step_table", spied)
+    kept = nfa._view
+    assert type(kept) is str
     for _ in range(5):
         assert not nfa.is_deterministic()
     assert automata.count_words(nfa, 3) == automata.count_words(nfa, 3)
@@ -115,16 +110,15 @@ def test_a_refused_step_table_is_built_once(monkeypatch):
             nfa._steps()
         refusals.append(raised.value)
     assert refusals[0] is not refusals[1]
-    assert str(refusals[0]) == str(refusals[1]) != ""
-    assert sum(m is nfa for m in builds) == 1
+    assert str(refusals[0]) == str(refusals[1]) == kept != ""
+    assert nfa._view is kept
 
 
-def test_equivalence_of_the_minimal_and_the_subset_automaton_builds_one_view(
+def test_equivalence_of_the_minimal_and_the_subset_automaton_builds_no_machine(
         monkeypatch):
-    """`simplify` writes its result's step view along with its
-    transitions, so deciding minimize(x) against determinize(x) walks the
-    transitions for a step view once, for the subset automaton, which the
-    completion reads; the minimal automaton's view is the one it keeps."""
+    """Each machine's constructor builds its step view, so deciding
+    minimize(x) against determinize(x) reads the two kept views and
+    constructs no machine."""
     bits = [0, 1]
     sigma = automata.union(automata.word_automaton([0], bits),
                            automata.word_automaton([1], bits))
@@ -132,19 +126,12 @@ def test_equivalence_of_the_minimal_and_the_subset_automaton_builds_one_view(
                         automata.word_automaton([1], bits))
     for _ in range(6):  # the 7th letter from the end is 1
         x = automata.concat(x, sigma)
-    builds = []
-    original = Machine._step_table
-
-    def spied(self):
-        builds.append(self)
-        return original(self)
-
-    monkeypatch.setattr(Machine, "_step_table", spied)
     m, d = automata.minimize(x), automata.determinize(x)
+    calls = _spy(monkeypatch)
     assert automata.is_equivalent(m, d)
-    assert len(builds) == 1 and builds[0] is d
+    assert calls == []
     assert (len(d.states), len(m.states)) == (129, 128)
-    assert m._steps() == original(m)
+    assert m._steps() == reference_columns(m)
 
 
 def test_intersection_keeps_no_subset_construction_of_a_deterministic_operand():
@@ -163,7 +150,7 @@ def test_complement_of_an_incomplete_determinization_builds_one_machine(
         monkeypatch):
     """RT's subset construction misses moves, so its complement gains the
     sink: the completion and the flipped finality are written as one
-    machine, which keeps the completed step table."""
+    machine, whose constructor builds the completed step view."""
     rt = transducers.output_projection(digits.build_T())
     d = automata.determinize(rt)
     assert (len(d.states), d.is_complete()) == (24, False)
@@ -171,7 +158,7 @@ def test_complement_of_an_incomplete_determinization_builds_one_machine(
     c = automata.complement(rt)
     assert calls == ["__init__"]
     assert len(c.states) == 25 and c.is_complete()
-    assert c._steps() == _fresh(c)._step_table()
+    assert c._steps() == reference_columns(c)
 
 
 def _fresh(m):

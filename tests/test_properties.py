@@ -2,9 +2,8 @@
 transition list, also over what `word` makes of a mixed input, the
 constructions agree with direct nondeterministic acceptance and with
 running the argument machines one after the other, complement is an
-involution, a completion keeps the step table its rows give, the step
-views of drawn machines and of the results that keep a written view
-agree with a label-keyed walk of the rows, the walks over state indices
+involution, the step views of drawn machines and of construction
+results agree with a label-keyed walk of the rows, the walks over state indices
 (SCCs, the period test, reachability, trimming, relabeling and the language
 enumeration's pruning) agree with label-keyed copies, language equivalence agrees with comparing
 minimal automata, machine files round-trip byte-identically, word counts
@@ -286,13 +285,6 @@ def test_equivalence_with_its_own_forms_agrees_with_minimization(x):
 
 
 @PROPERTY
-@given(random_automata())
-def test_a_completion_keeps_the_step_table_its_rows_give(x):
-    for m in (complete(determinize(x)), complement(x)):
-        assert m._steps() == m._step_table()
-
-
-@PROPERTY
 @given(random_automata(), st.integers(0, len(WORDS) - 1))
 def test_one_extra_word_breaks_equivalence(a, start):
     rejected = [w for w in WORDS[start:] + WORDS[:start]
@@ -517,13 +509,13 @@ def test_intersection_with_a_one_state_operand_agrees_with_the_product(a, b):
 @given(st.one_of(shuffled_dfas(), random_transducers()), random_automata(),
        random_transducers())
 def test_step_views_agree_with_the_label_keyed_walk(d, x, t):
-    # drawn deterministic machines build their view from their rows; the
-    # results of simplify, minimize, complete and complement keep the view
-    # their construction wrote along with their rows
+    # every machine's constructor builds its view from its rows, drawn
+    # machines and the results of simplify, minimize, complete and
+    # complement alike
     for m in (d, t, simplify(t), minimize(x), complete(determinize(x)),
               complement(x)):
         view = m._steps()
-        assert view == reference_columns(m) == m._step_table()
+        assert view == reference_columns(m)
         start, columns = view
         assert list(columns) == list(m.input_alphabet)
         silent = [step for column in columns.values() for step in column
