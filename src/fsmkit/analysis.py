@@ -45,7 +45,7 @@ from itertools import count
 from math import gcd, lcm
 
 from .errors import AnalysisError, MachineError, NegativeCycleError, shown
-from .machine import Machine, WeightedDigraph, bfs_levels
+from .machine import Machine, WeightedDigraph, _require_machine, bfs_levels
 from .polynomial import solve_integers
 from .symbols import Digit
 
@@ -125,6 +125,7 @@ def check_minimality(t: Machine, weight_fn) -> tuple:
     """Weight every transition with weight_fn, run Bellman-Ford from the
     initial state and report whether all distances are nonnegative (then
     no input can beat the output's weight)."""
+    _require_machine(t)
     initials = t.initial_states()
     if len(initials) != 1:
         raise MachineError("shortest paths need exactly one initial state")
@@ -140,7 +141,9 @@ def check_minimality(t: Machine, weight_fn) -> tuple:
 def _components(m: Machine):
     """Each state index's distinct successors in label order, and the
     SCCs as sets of state indices, by iterative Tarjan ("Depth-first
-    search and linear graph algorithms", SIAM J. Comput. 1, 1972)."""
+    search and linear graph algorithms", SIAM J. Comput. 1, 1972).
+    Anything but a machine is refused (`_require_machine`)."""
+    _require_machine(m)
     labels = [st.label for st in m.states]
     succ = [set() for _ in labels]
     for i, j in m._edges():
@@ -208,6 +211,7 @@ def is_aperiodic(m: Machine, scc) -> bool:
     """gcd of cycle lengths inside the component equals 1, computed from
     breadth-first level differences.  The states named must be strongly
     connected among themselves; any other set raises AnalysisError."""
+    _require_machine(m)
     try:
         labels = list(scc)
     except TypeError:
@@ -262,7 +266,9 @@ def _terminal_chain(t: Machine, needs: str):
     the labels), the integer matrix B = |input alphabet| * I - C less its
     last row and column (C the count matrix, P = C / |input alphabet| the
     transition matrix) and the stationary row vector as coprime positive
-    integer weights w (pi = w / sum(w), pi P = pi), all tuples."""
+    integer weights w (pi = w / sum(w), pi P = pi), all tuples.  Anything
+    but a machine is refused first (`_require_machine`)."""
+    _require_machine(t)
 
     def chain():
         if not t.is_complete():

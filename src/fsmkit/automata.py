@@ -21,16 +21,15 @@ from itertools import islice
 from .analysis import strongly_connected_components
 from .errors import ConstructionError, MachineError, shown
 from .machine import (AUTOMATON, Machine, State, Transition, _labels,
-                      _lockstep, _refuse_past_cap, _state_cap, bfs_levels,
-                      build_machine, explore)
+                      _lockstep, _refuse_past_cap, _require_machine,
+                      _state_cap, bfs_levels, build_machine, explore)
 from .polynomial import charpoly
 from .symbols import word
 from .transducers import simplify
 
 
 def _require_automaton(m: Machine):
-    if not isinstance(m, Machine):
-        raise ConstructionError(f"not a machine: {shown(m)}")
+    _require_machine(m)
     if m.kind != AUTOMATON:
         raise MachineError("this operation is defined on automata only")
 
@@ -176,25 +175,25 @@ def determinize(a: Machine) -> Machine:
 
 
 def _with_sink(d: Machine):
-    """The sink rule: the states and transitions of the deterministic
-    machine `d` completed by a non-final state labeled "sink", appended
-    last, which every missing move goes to, in state and then letter
-    order, and which moves to itself on every letter; None when no move
-    is missing.  The holes are read from `d`'s step view, and the
-    constructor builds the completed machine's.  A state of `d` labeled
-    "sink" is refused."""
+    """The states and transitions of the deterministic machine `d`
+    completed by the sink of `Machine._targets`, the one sink rule, as a
+    real state: non-final, labeled "sink" and appended last.  Each move
+    the table sends to the sink becomes a transition to it, in state and
+    then letter order, and the sink moves to itself on every letter;
+    None when no move is missing.  A state of `d` labeled "sink" is
+    refused."""
     sink_label = "sink"
-    columns = d._steps()[1]
-    letters = [(letter,) for letter in columns]
-    holes = sorted((i, k) for k, column in enumerate(columns.values())
-                   if None in column
-                   for i, step in enumerate(column) if step is None)
-    if not holes:
+    n = len(d.states)
+    targets = d._targets()
+    letters = [(letter,) for letter in d.input_alphabet]
+    # zip stops at the sink's own row, the table's last
+    missing = [Transition(st.label, sink_label, one)
+               for st, row in zip(d.states, zip(*targets)) if n in row
+               for one, j in zip(letters, row) if j == n]
+    if not missing:
         return None
     if d.has_state(sink_label):
         raise ConstructionError(f"sink label {sink_label!r} already in use")
-    missing = [Transition(d.states[i].label, sink_label, letters[k])
-               for i, k in holes]
     missing += [Transition(sink_label, sink_label, one) for one in letters]
     return d.states + (State(sink_label),), d.transitions + tuple(missing)
 
@@ -202,6 +201,7 @@ def _with_sink(d: Machine):
 def complete(a: Machine) -> Machine:
     """Add a non-final sink labeled "sink" so every (state, letter) has a
     transition (`_with_sink`); `a` itself when none is missing."""
+    _require_machine(a)
     completed = _with_sink(a)
     if completed is None:
         return a
@@ -253,27 +253,18 @@ def is_equivalent(a: Machine, b: Machine) -> bool:
     Both deterministic forms are resolved first: when they are one
     machine (`a` and `b` the same, or one the kept determinization of the
     other) the answer is True without a walk.  Otherwise they share one
-    index space, each with an implicit non-final sink for missing moves.
-    Starting from the united initial states, every popped pair must agree
-    on finality, and on each letter the two successors are united and
-    pushed when their classes differ.  Nothing is minimized and no machine
-    is built."""
+    index space, each side's `Machine._targets` (the one sink rule) with
+    its sink after its states.  Starting from the united initial states,
+    every popped pair must agree on finality, and on each letter the two
+    successors are united and pushed when their classes differ.  Nothing
+    is minimized and no machine is built."""
     _require_automata(a, b)
     da, db = (m if m.is_deterministic() else determinize(m) for m in (a, b))
     if da is db:
         return True
 
-    def side(d):
-        """Initial index, finality and, per letter in alphabet order, the
-        column of the step view, with None at the extra index n after the
-        states: the sink, where a missing move goes and stays."""
-        start, columns = d._steps()
-        return (start, [st.is_final for st in d.states] + [False],
-                [column + [None] for column in columns.values()],
-                (len(d.states), ()))
-
-    (p, finala, columnsa, tosinka), (q, finalb, columnsb, tosinkb) = (
-        side(da), side(db))
+    finala, finalb = ([st.is_final for st in d.states] + [False]
+                      for d in (da, db))
     offset = len(finala)  # b's index i is offset + i in the shared space
     parent = list(range(offset + len(finalb)))
 
@@ -283,7 +274,8 @@ def is_equivalent(a: Machine, b: Machine) -> bool:
             i = parent[i]
         return i
 
-    columns = list(zip(columnsa, columnsb))
+    columns = list(zip(da._targets(), db._targets()))
+    p, q = da._steps()[0], db._steps()[0]
     parent[offset + q] = p
     stack = [(p, q)]
     while stack:
@@ -291,8 +283,7 @@ def is_equivalent(a: Machine, b: Machine) -> bool:
         if finala[p] != finalb[q]:
             return False
         for columnp, columnq in columns:
-            nextp = (columnp[p] or tosinka)[0]
-            nextq = (columnq[q] or tosinkb)[0]
+            nextp, nextq = columnp[p], columnq[q]
             rootp, rootq = find(nextp), find(offset + nextq)
             if rootp != rootq:
                 parent[rootq] = rootp

@@ -20,17 +20,19 @@ pass over the transitions, builds the step view (`_steps`: per letter, a
 column with one entry per state index, (target index, output word) or
 None for a missing move, every move to one target that writes nothing
 sharing one entry; or the message refusing a machine that is not
-deterministic).  The index graph (`_edges`: source and target index per
-transition) is what reachability, trimming, relabeling, the SCCs and
-the word counts walk.  A machine never changes, so `_kept` keeps each
-derived form, built on first use, and a later call reads it instead of
-deriving it again: the subset construction, the trimmed deterministic
-form that counting and enumeration read, the word count recurrence, the
-terminal chain and its period test.  A form that is the machine itself,
-such as the trimmed form of a machine that `trim` leaves whole (a
-restriction that drops no state returns the machine), is kept as None,
-so no machine refers to itself.  Nothing changes a machine after its
-constructor but `_kept`.
+deterministic).  `_targets` is the one sink rule: per letter, each
+state's target index, a missing move going to index n, a non-final sink
+past the states that loops on every letter.  The index graph (`_edges`:
+source and target index per transition) is what reachability, trimming,
+relabeling, the SCCs and the word counts walk.  A machine never changes,
+so `_kept` keeps each derived form, built on first use, and a later call
+reads it instead of deriving it again: the subset construction, the
+trimmed deterministic form that counting and enumeration read, the word
+count recurrence, the terminal chain and its period test.  A form that
+is the machine itself, such as the trimmed form of a machine that `trim`
+leaves whole (a restriction that drops no state returns the machine), is
+kept as None, so no machine refers to itself.  Nothing changes a machine
+after its constructor but `_kept`.
 `explore` is the one breadth-first construction: each move costs one
 dict probe for its target, and only a new key is named and counted
 against the state cap.  A product keys the index pair (i, j) by the int
@@ -337,6 +339,15 @@ class Machine:
             raise MachineError(view)
         return view
 
+    def _targets(self) -> list:
+        """The one sink rule: per letter, in alphabet order, each state's
+        target index, n (the state count) for a missing move, and a last
+        entry n, the sink's own move: index n is a non-final sink that
+        loops on every letter.  Raises `_steps`' MachineError."""
+        n = len(self.states)
+        return [[n if step is None else step[0] for step in column] + [n]
+                for column in self._steps()[1].values()]
+
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
@@ -540,6 +551,12 @@ def _refuse_past_cap(count, cap):
         raise StateCapError(f"exploration exceeded the state cap of {cap}")
 
 
+def _require_machine(m):
+    """Refuse anything but a Machine as a machine argument."""
+    if not isinstance(m, Machine):
+        raise ConstructionError(f"not a machine: {shown(m)}")
+
+
 def _listing(m: Machine):
     """The states of m sorted by label and its transitions sorted by
     source label, target label, input word and output word, each word in
@@ -547,7 +564,9 @@ def _listing(m: Machine):
     and what machine equality compares (labels are unique, so sorted
     states compare as sets).  The distinct words are ranked once by
     `word_key`, which is injective on words, and the transitions sorted
-    by their words' ranks, so the order is the one `word_key` gives."""
+    by their words' ranks, so the order is the one `word_key` gives.
+    Anything but a machine is refused (`_require_machine`)."""
+    _require_machine(m)
     words = {t.input for t in m.transitions}
     words.update(t.output for t in m.transitions)
     rank = {w: i for i, w in enumerate(sorted(words, key=word_key))}

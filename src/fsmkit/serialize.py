@@ -182,8 +182,11 @@ def loads(text: str) -> Machine:
 
 
 def save(m: Machine, path) -> None:
+    """Write the machine file of m (`dumps`) to path; a machine `dumps`
+    refuses leaves no file."""
+    text = dumps(m)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(m))
+        handle.write(text)
 
 
 def load(path) -> Machine:

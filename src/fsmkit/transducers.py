@@ -9,7 +9,8 @@ from itertools import count, zip_longest
 from .errors import ConstructionError, MachineError, shown
 from .machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
                       _bfs_names, _free_label, _labels, _lockstep,
-                      _pair_label, _run, as_label, explore)
+                      _pair_label, _require_machine, _run, as_label,
+                      explore)
 from .symbols import (ABSENT, AbsentType, Digit, Pair, Symbol,
                       _sorted_symbols, digit_value, symbol, word)
 
@@ -114,7 +115,9 @@ def operator_lift(fn, alphabet) -> Machine:
 # ----------------------------------------------------------------------
 
 def _steps_of(m: Machine, role: str):
-    """`m._steps()`, its MachineError naming m's role in the construction."""
+    """`m._steps()`, its MachineError naming m's role in the construction;
+    anything but a machine is refused (`_require_machine`)."""
+    _require_machine(m)
     try:
         return m._steps()
     except MachineError as exc:
@@ -128,6 +131,8 @@ def cartesian_product(t1: Machine, t2: Machine) -> Machine:
     symbol per transition.  A product state is final when both components
     are; its final output zips the component final outputs, padding the
     shorter one with the absent marker."""
+    _require_machine(t1)
+    _require_machine(t2)
     if t1.input_alphabet != t2.input_alphabet:
         raise MachineError("cartesian product needs equal input alphabets")
     for t in t1.transitions + t2.transitions:
@@ -198,6 +203,7 @@ def compose(outer: Machine, inner: Machine) -> Machine:
 def output_projection(t: Machine) -> Machine:
     """Forget inputs: the automaton over the output alphabet accepting
     exactly the outputs of accepting runs (final outputs included)."""
+    _require_machine(t)
     if t.kind != TRANSDUCER:
         raise MachineError("output projection is defined on transducers")
     alphabet = t.output_alphabet
@@ -246,6 +252,7 @@ def with_final_word_out(t: Machine, letter) -> Machine:
     path cycles without meeting a final state stay non-final.  The result
     keeps t's kind, an automaton included."""
     letter = symbol(letter)
+    _require_machine(t)
     if letter not in t.input_alphabet:
         raise MachineError(f"letter {letter} is not in the input alphabet")
     column = t._steps()[1][letter]
@@ -287,27 +294,24 @@ def simplify(t: Machine) -> Machine:
     complete automaton it is the minimal automaton, on a transducer it is
     not guaranteed to be globally minimal.  Blocks are named by
     `_bfs_names`, as `Machine.relabeled` names states.  The refinement
-    reads the step view's columns, and the result's transitions are
-    written from them."""
+    reads `Machine._targets` (the one sink rule), and the result's
+    transitions are written from the step view's columns."""
+    _require_machine(t)
     start, view = t._steps()
     n = len(t.states)
     columns = list(view.values())
-    # one target column per letter; a missing move targets the sentinel
-    # index n, whose block is always -1
-    targets = [[n if step is None else step[0] for step in column]
-               for column in columns]
+    targets = t._targets()
 
     # the first key holds everything but the targets, so that each round
-    # of refinement compares target blocks only; block[n] stays -1, and
-    # zip stops before it
-    block = _first_appearance(zip(
+    # of refinement compares target blocks only; the sink's first key,
+    # None, is no state's, so it keeps a block of its own
+    block = _first_appearance([*zip(
         ((st.is_final, st.final_output) for st in t.states),
         *([None if step is None else step[1] for step in column]
-          for column in columns))) + [-1]
+          for column in columns)), None])
     while True:
         refined = _first_appearance(zip(
             block, *(map(block.__getitem__, column) for column in targets)))
-        refined.append(-1)
         if refined == block:
             break
         block = refined

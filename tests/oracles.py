@@ -25,9 +25,9 @@ reference for the memoized reader `serialize.machine_from_doc`.
 The `label_*` functions walk the transition graph through adjacency maps
 keyed by state label, each built from the transition list: the reference
 for the library's SCCs, period test, reachability, trimming, relabeling,
-the language enumeration's pruning, the subset construction and the
-product of deterministic automata, which walk state indices or, for the
-subsets, state ranks in label order.  The subset construction and the
+the language enumeration's pruning, the subset construction, the
+product of deterministic automata and language equivalence, which walk
+state indices or, for the subsets, state ranks in label order.  The subset construction and the
 product build their machines through their own label-keyed breadth-first
 builder (`_label_explore`), not the library's exploration kernel."""
 
@@ -894,6 +894,32 @@ def label_product(a, b):
     return _label_explore(a.input_alphabet, start, successors,
                           lambda pair: f"({pair[0]},{pair[1]})",
                           lambda pair: pair in finals)
+
+
+def label_equivalent(a, b):
+    """Language equivalence of two automata by a breadth-first walk of
+    the label pairs of `label_determinize(a)` and `label_determinize(b)`
+    over moves keyed by label, None standing for the sink on either side
+    (a missing move goes there and stays): False at the first pair whose
+    finality differs.  No step view or target table is read."""
+    sides = []
+    for d in (label_determinize(a), label_determinize(b)):
+        moves = {(t.source, t.input[0]): t.target for t in d.transitions}
+        finals = {st.label for st in d.final_states()}
+        sides.append((moves, finals, d.initial_states()[0].label))
+    (moves_a, finals_a, start_a), (moves_b, finals_b, start_b) = sides
+    seen = {(start_a, start_b)}
+    queue = deque(seen)
+    while queue:
+        x, y = queue.popleft()
+        if (x in finals_a) != (y in finals_b):
+            return False
+        for letter in a.input_alphabet:
+            pair = (moves_a.get((x, letter)), moves_b.get((y, letter)))
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return True
 
 
 def reference_columns(m):

@@ -476,3 +476,33 @@ def test_output_concatenates_over_split_inputs(naf_all, u, v):
     whole, out_uv, _ = _run(rows, start, word(list(u) + list(v)))
     assert whole == end
     assert out_uv == out_u + out_v
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, tmp: automata.complete(5),
+    lambda m, tmp: transducers.cartesian_product(m, 5),
+    lambda m, tmp: transducers.compose(5, m),
+    lambda m, tmp: transducers.output_projection(5),
+    lambda m, tmp: transducers.with_final_word_out(5, 0),
+    lambda m, tmp: transducers.simplify(5),
+    lambda m, tmp: analysis.check_minimality(5, lambda t: 0),
+    lambda m, tmp: analysis.strongly_connected_components(5),
+    lambda m, tmp: analysis.terminal_sccs(5),
+    lambda m, tmp: analysis.terminal_scc(5),
+    lambda m, tmp: analysis.is_aperiodic(5, ["0"]),
+    lambda m, tmp: analysis.stationary_distribution(5),
+    lambda m, tmp: analysis.expected_density(5),
+    lambda m, tmp: analysis.asymptotic_moments(5),
+    lambda m, tmp: serialize.dumps(5),
+    lambda m, tmp: serialize.save(5, tmp / "m.json"),
+    lambda m, tmp: export.render(5, "dot"),
+], ids=["complete", "cartesian_product", "compose", "output_projection",
+        "with_final_word_out", "simplify", "check_minimality",
+        "strongly_connected_components", "terminal_sccs", "terminal_scc",
+        "is_aperiodic", "stationary_distribution", "expected_density",
+        "asymptotic_moments", "dumps", "save", "render"])
+def test_a_machine_argument_that_is_no_machine_is_refused_by_name(
+        call, machine_T, tmp_path):
+    with pytest.raises(ConstructionError, match="^not a machine: 5$"):
+        call(machine_T, tmp_path)
+    assert not (tmp_path / "m.json").exists()  # save writes no file

@@ -3,10 +3,11 @@ transition list, also over what `word` makes of a mixed input, the
 constructions agree with direct nondeterministic acceptance and with
 running the argument machines one after the other, complement is an
 involution, the step views of drawn machines and of construction
-results agree with a label-keyed walk of the rows, the walks over state indices
+results agree with a label-keyed walk of the rows, and the target table
+with that walk's view plus its sink, the walks over state indices
 (SCCs, the period test, reachability, trimming, relabeling and the language
 enumeration's pruning) agree with label-keyed copies, language equivalence agrees with comparing
-minimal automata, machine files round-trip byte-identically, word counts
+minimal automata and with a walk of label pairs, machine files round-trip byte-identically, word counts
 agree with enumeration, expansion values and renderings agree with the
 per-digit Fraction sum and the per-digit rendering, the stationary
 vector is fixed by the full transition matrix, and the exact linear
@@ -18,6 +19,7 @@ machine as on a fresh equal copy, with the state cap applied to a kept
 determinization as to a new one."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -38,7 +40,7 @@ from fsmkit.automata import (Recurrence, complement, complete, count_words,
                              word_automaton, word_count_recurrence)
 from fsmkit.digits import Expansion
 from fsmkit.errors import (AnalysisError, ConstructionError, FsmError,
-                           NegativeCycleError, StateCapError)
+                           MachineError, NegativeCycleError, StateCapError)
 from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
                             Transition, WeightedDigraph, build_machine)
 from fsmkit.polynomial import charpoly
@@ -48,7 +50,8 @@ from fsmkit.transducers import cartesian_product, compose, simplify
 from oracles import (all_words, equivalent_by_minimization,
                      fraction_bellman_ford, gauss_jordan_solve,
                      label_accessible, label_coaccessible, label_determinize,
-                     label_is_aperiodic, label_language, label_product,
+                     label_equivalent, label_is_aperiodic, label_language,
+                     label_product,
                      label_relabeled, label_sccs, label_terminal_scc,
                      label_terminal_sccs, label_trim, markov_constants,
                      nfa_accepts, per_digit_string, per_digit_value, rank,
@@ -271,6 +274,17 @@ def test_minimize_is_idempotent(a):
 @given(random_automata(), random_automata())
 def test_equivalence_agrees_with_minimization(a, b):
     assert is_equivalent(a, b) == equivalent_by_minimization(a, b)
+
+
+@PROPERTY
+@given(random_automata(), random_automata())
+def test_equivalence_agrees_with_the_label_pair_walk(a, b):
+    # minimization reads the target table as the union-find walk does, so
+    # this oracle reads none; trim leaves moves missing
+    assert is_equivalent(a, b) == label_equivalent(a, b)
+    for x in (a, b):
+        for y in (complement(x), determinize(x).trim()):
+            assert is_equivalent(x, y) == label_equivalent(x, y)
 
 
 @PROPERTY
@@ -522,6 +536,24 @@ def test_step_views_agree_with_the_label_keyed_walk(d, x, t):
                   if step is not None and not step[1]]
         # every move to one target that writes nothing shares one entry
         assert len(set(map(id, silent))) == len({j for j, _ in silent})
+
+
+@PROPERTY
+@given(random_transducers(), random_automata())
+def test_the_target_table_is_the_step_view_with_its_sink(t, x):
+    # the sink is index n: a missing move goes there, and it loops
+    for m in (t, determinize(x)):
+        n = len(m.states)
+        _, columns = reference_columns(m)
+        assert m._targets() == [
+            [n if step is None else step[0] for step in column] + [n]
+            for column in columns.values()]
+    if not x.is_deterministic():
+        with pytest.raises(MachineError) as steps:
+            x._steps()
+        message = re.escape(str(steps.value))
+        with pytest.raises(MachineError, match=f"^{message}$"):
+            x._targets()
 
 
 @PROPERTY
