@@ -254,10 +254,11 @@ def is_equivalent(a: Machine, b: Machine) -> bool:
     machine (`a` and `b` the same, or one the kept determinization of the
     other) the answer is True without a walk.  Otherwise they share one
     index space, each side's `Machine._targets` (the one sink rule) with
-    its sink after its states.  Starting from the united initial states,
-    every popped pair must agree on finality, and on each letter the two
-    successors are united and pushed when their classes differ.  Nothing
-    is minimized and no machine is built."""
+    its sink after its states.  The initial states must agree on finality
+    (tested before either table is built), and from them, on each letter
+    the two successors are united and pushed when their classes differ,
+    once they too agree on finality.  Nothing is minimized and no machine
+    is built."""
     _require_automata(a, b)
     da, db = (m if m.is_deterministic() else determinize(m) for m in (a, b))
     if da is db:
@@ -274,18 +275,20 @@ def is_equivalent(a: Machine, b: Machine) -> bool:
             i = parent[i]
         return i
 
-    columns = list(zip(da._targets(), db._targets()))
     p, q = da._steps()[0], db._steps()[0]
+    if finala[p] != finalb[q]:  # before either side builds its table
+        return False
+    columns = list(zip(da._targets(), db._targets()))
     parent[offset + q] = p
     stack = [(p, q)]
     while stack:
         p, q = stack.pop()
-        if finala[p] != finalb[q]:
-            return False
         for columnp, columnq in columns:
             nextp, nextq = columnp[p], columnq[q]
             rootp, rootq = find(nextp), find(offset + nextq)
             if rootp != rootq:
+                if finala[nextp] != finalb[nextq]:
+                    return False
                 parent[rootq] = rootp
                 stack.append((nextp, nextq))
     return True
@@ -408,18 +411,24 @@ class Recurrence:
         big-integer products instead of O(d n).  Everything is an int:
         a square takes d(d+1)/2 products (each cross product once, with
         the doubled factor), and the reduction walks only the nonzero
-        coefficients.  A nonnegative int n is required."""
+        coefficients; trailing zero coefficients shorten d.  A
+        nonnegative int n is required."""
         _require_index(n, "index")
         terms, d = self.initial_terms, self.order
         if n < len(terms):
             return terms[n]
-        # the recurrence runs on from the last d given terms, so the
-        # power is taken relative to the first of them
-        first = len(terms) - d
-        if first < 0:
+        if len(terms) < d:
             raise ConstructionError(
                 f"a recurrence of order {d} needs {d} initial terms, "
                 f"not {len(terms)}")
+        # trailing zero coefficients (a factor x^k of the characteristic
+        # polynomial) drop out: the shorter recurrence holds from index d
+        # on, so from every index past the given terms
+        while d and not self.coefficients[d - 1]:
+            d -= 1
+        # the recurrence runs on from the last d given terms, so the
+        # power is taken relative to the first of them
+        first = len(terms) - d
         nonzero = [(i, c) for i, c in enumerate(self.coefficients, 1) if c]
 
         def reduce(poly):

@@ -4,23 +4,45 @@ matrix and linear solves of integer systems over the rationals.
 Both take ints only (a float, Fraction or bool entry raises AnalysisError)
 and a square matrix only, with right-hand sides of its order (any other
 shape raises AnalysisError too).  Both compute over the integers:
-`charpoly` reduces to Hessenberg form modulo one Mersenne prime chosen
-above twice a bound on the coefficients, and `solve_integers` eliminates
-fraction-free, returning numerators over one common denominator, which
-its callers divide out only where a result must be a Fraction.  The
-stationary vector, the moment constants and the word-count recurrences
-are all built from these two functions.
+`charpoly` reduces to Hessenberg form modulo the smallest listed prime
+above twice a bound on the coefficients (a Proth prime up to 1,023 bits,
+a Mersenne prime past that), and `solve_integers` eliminates forward
+fraction-free and substitutes back, returning numerators over one common
+denominator, which its callers divide out only where a result must be a
+Fraction.  The stationary vector, the moment constants and the
+word-count recurrences are all built from these two functions.
 """
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import AnalysisError, shown
 
-# Exponents e of Mersenne primes 2^e - 1 (OEIS A000043) from 61 on, so
-# that `charpoly` needs no primality test
-_MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217,
-                       4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209,
-                       44497, 86243, 110503, 132049)
+# Proth primes k * 2^m + 1 (k odd, k < 2^m, so Proth's theorem proves each
+# with one witness; the tests do): 119 * 2^23 + 1 = 998,244,353 < 2^30,
+# then for each 2^e, e = 46, 62, ..., 1022, the first one above it with
+# m = e - 15 and k odd from 2^15 + 1 on
+_PROTH = ((119, 23), (32775, 31), (32777, 47), (32771, 63), (32831, 79),
+          (32831, 95), (32835, 111), (32957, 127), (32769, 143), (32819, 159),
+          (32937, 175), (32841, 191), (33005, 207), (33089, 223), (32885, 239),
+          (33185, 255), (32775, 271), (33537, 287), (33339, 303), (32915, 319),
+          (32861, 335), (32799, 351), (33759, 367), (32921, 383), (32901, 399),
+          (32925, 415), (32819, 431), (32831, 447), (33041, 463), (33189, 479),
+          (32907, 495), (32799, 511), (34251, 527), (32897, 543), (34257, 559),
+          (33011, 575), (32775, 591), (32831, 607), (32829, 623), (32865, 639),
+          (33497, 655), (32819, 671), (33129, 687), (33357, 703), (34911, 719),
+          (34199, 735), (33317, 751), (33491, 767), (33657, 783), (33237, 799),
+          (32837, 815), (34157, 831), (33921, 847), (32931, 863), (33177, 879),
+          (33075, 895), (32969, 911), (32949, 927), (32879, 943), (33569, 959),
+          (32769, 975), (34305, 991), (33515, 1007))
+# Exponents e of Mersenne primes 2^e - 1 (OEIS A000043) from 1279 on
+_MERSENNE_EXPONENTS = (1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213,
+                       19937, 21701, 23209, 44497, 86243, 110503, 132049)
+# `charpoly`'s moduli k * 2^m + c as (k, m, c), increasing, so that it
+# needs no primality test
+_PRIMES = (tuple((k, m, 1) for k, m in _PROTH)
+           + tuple((1, e, -1) for e in _MERSENNE_EXPONENTS))
 
 
 def _require_ints(matrix, columns=()):
@@ -47,18 +69,22 @@ def _require_ints(matrix, columns=()):
 
 
 def _modulus(matrix) -> int:
-    """The smallest listed Mersenne prime p > 2 * (1 + rho)^n, rho the
-    largest absolute row sum: every eigenvalue has |lam| <= rho, so |c_k|
-    <= C(n, k) * rho^k, and each c_k is its symmetric residue mod p."""
+    """The smallest listed prime p > 2 * (1 + rho)^n, rho the largest
+    absolute row sum: every eigenvalue has |lam| <= rho, so |c_k| <=
+    C(n, k) * rho^k, and each c_k is its symmetric residue mod p.  The
+    first listed prime is below 2^30, so p is one 30-bit digit for a
+    bound below it (a 2-letter count matrix of up to 18 states); up to
+    1,023 bits p has at most 17 bits more than the bound."""
     rho = max((sum(map(abs, row)) for row in matrix), default=0)
     bound = 2 * (1 + rho) ** len(matrix)
-    for e in _MERSENNE_EXPONENTS:
-        if (1 << e) - 1 > bound:
-            return (1 << e) - 1
+    for k, m, c in _PRIMES:
+        if (k << m) + c > bound:
+            return (k << m) + c
+    k, m, c = _PRIMES[-1]
     raise AnalysisError(
         f"characteristic polynomial coefficient bound 2*(1+{rho})^"
         f"{len(matrix)} exceeds the largest listed prime "
-        f"2^{_MERSENNE_EXPONENTS[-1]}-1")
+        f"{f'{k}*' if k != 1 else ''}2^{m}{c:+d}")
 
 
 def charpoly(matrix):
@@ -114,12 +140,15 @@ def solve_integers(matrix, columns):
     the last pivot; a singular M raises AnalysisError.  M and every b
     take ints only; a caller with rational rows scales them first.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's identity
-    and multistep integer-preserving Gaussian elimination", Math. Comp.
-    22, 1968): every entry is a minor of the integer matrix, so each
-    elimination step divides exactly by the previous pivot.  The last
-    pivot, M's determinant up to sign, is the common denominator of the
-    solutions; no gcd is taken."""
+    Fraction-free forward elimination (Bareiss, "Sylvester's identity and
+    multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968): every entry is a minor of the integer matrix, so each step
+    clears the column below its pivot and divides exactly by the previous
+    pivot.  The last pivot d, M's determinant up to sign, is the common
+    denominator of the solutions; no gcd is taken.  Back substitution then
+    finds each d x_i, the i-th Cramer numerator, from the last row up:
+    d x_i = (d b'_i - sum over j > i of u_ij d x_j) / u_ii, an exact
+    division since d x_i is an integer."""
     _require_ints(matrix, columns)
     n = len(matrix)
     rows = [list(matrix[i]) + [b[i] for b in columns] for i in range(n)]
@@ -132,12 +161,18 @@ def solve_integers(matrix, columns):
         top = rows[c]
         p, rest = top[c], top[c + 1:]
         # column c is never read again, so only the later ones are updated
-        for i in range(n):
-            if i != c:
-                row = rows[i]
-                f = row[c]
-                row[c + 1:] = [(p * a - f * b) // previous
-                               for a, b in zip(row[c + 1:], rest)]
+        for row in rows[c + 1:]:
+            f = row[c]
+            row[c + 1:] = ([(p * a - f * b) // previous
+                            for a, b in zip(row[c + 1:], rest)] if f else
+                           [p * a // previous for a in row[c + 1:]])
         previous = p
-    return ([[rows[i][n + k] for i in range(n)] for k in range(len(columns))],
-            previous)
+    # each list holds d x_n-1, d x_n-2, ..., so row i's entries past its
+    # pivot are read backwards to meet them
+    solved = [[] for _ in columns]
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        u = row[n - 1:i:-1]
+        for x, b in zip(solved, row[n:]):
+            x.append((previous * b - sum(map(mul, u, x))) // row[i])
+    return [x[::-1] for x in solved], previous

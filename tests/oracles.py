@@ -11,9 +11,11 @@ scales rational rows to integers for that function and divides its
 numerators out into the Fractions the tests compare (no library code
 needs them); `faddeev_leverrier` computes
 characteristic polynomials over the integers, the reference for the
-modular `polynomial.charpoly`; `markov_constants` evaluates the
-stationary vector and the moment formulas over Fractions, the reference
-for the integer weights of `analysis`; `word_counts` and
+modular `polynomial.charpoly`, and `determinant_mod` a determinant modulo
+a word-size prime, its reference at sizes the former cannot reach;
+`markov_constants` evaluates the stationary vector and the moment
+formulas over Fractions, the reference for the integer weights of
+`analysis`; `word_counts` and
 `recurrence_terms` step one letter or one term at a time, the references
 for `count_words` and `Recurrence.term`; `fraction_bellman_ford` relaxes
 over Fraction sums, the reference for the integer relaxation of
@@ -386,6 +388,30 @@ def faddeev_leverrier(matrix):
                 for row in matrix]
         coeffs.append(-sum(work[i][i] for i in range(n)) // k)
     return coeffs
+
+
+def determinant_mod(matrix, q):
+    """det(M) mod a prime q for an integer matrix M, by Gaussian
+    elimination over GF(q) with a row swap at each zero pivot: O(n^3)
+    products of residues below q."""
+    rows = [[x % q for x in row] for row in matrix]
+    n = len(rows)
+    det = 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        top = rows[c]
+        det = det * top[c] % q
+        inverse = pow(top[c], -1, q)
+        for row in rows[c + 1:]:
+            f = row[c] * inverse % q
+            if f:
+                row[c:] = [(a - f * b) % q for a, b in zip(row[c:], top[c:])]
+    return det % q
 
 
 def _digit_total(w):

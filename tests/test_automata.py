@@ -359,6 +359,22 @@ def test_complete_and_partial_machines_meet_at_the_implicit_sinks(
     assert not is_equivalent(longer, partial)
 
 
+def test_an_initial_pair_that_differs_in_finality_builds_no_table(
+        monkeypatch, naf_acceptor):
+    def refuse(self):
+        raise AssertionError("a target table was built")
+
+    monkeypatch.setattr(Machine, "_targets", refuse)
+    # the NAF acceptor's and the empty-word automaton's initial states are
+    # final, and that of an automaton with no final state is not
+    nothing = build_machine([("0", "0", -1), ("0", "0", 0), ("0", "0", 1)],
+                            ["0"], [], input_alphabet=ALPHA, kind=AUTOMATON)
+    assert all(st.is_final for st in naf_acceptor.states if st.is_initial)
+    assert not is_equivalent(naf_acceptor, nothing)
+    assert not is_equivalent(nothing, naf_acceptor)
+    assert not is_equivalent(empty_word_automaton(ALPHA), nothing)
+
+
 def test_equivalence_preconditions_keep_their_messages(naf_acceptor,
                                                        machine_T):
     with pytest.raises(MachineError,
@@ -511,6 +527,30 @@ def test_recurrence_term_refuses_an_index_that_is_not_an_int(n):
 def test_recurrence_term_refuses_too_few_initial_terms():
     with pytest.raises(ConstructionError, match="order 2 needs 2 initial"):
         Recurrence((1, 2), (1,)).term(5)
+
+
+@pytest.mark.parametrize("coefficients, initial_terms", [
+    ((1, 2, 0), (1, 3, 5)),
+    ((1, 1, 0, 0, 0), (2, 0, 3, 1, 4)),
+    ((0, 3, 0, 0), (1, -1, 2, 7, 5, 0)),   # more terms than the order
+    ((-2, 0, 1, 0, 0, 0, 0), (1, 2, 3, 4, 5, 6, 7)),
+    ((0, 0, 0), (4, 5, 6)),                # every coefficient zero
+], ids=["one-zero", "three-zeros", "long-terms", "four-zeros", "all-zero"])
+def test_recurrence_term_with_trailing_zero_coefficients(coefficients,
+                                                         initial_terms):
+    """A characteristic polynomial with a factor x^k ends its
+    coefficients in k zeros, which `term` drops; the terms past the given
+    ones still follow the full recurrence."""
+    rec = Recurrence(coefficients, initial_terms)
+    expected = recurrence_terms(coefficients, initial_terms, 3 * rec.order)
+    for n in range(len(initial_terms) - 1, 3 * rec.order + 1):
+        assert rec.term(n) == expected[n], n
+
+
+def test_recurrence_term_checks_the_full_order_before_dropping_zeros():
+    with pytest.raises(ConstructionError, match=re.escape(
+            "a recurrence of order 3 needs 3 initial terms, not 1")):
+        Recurrence((1, 0, 0), (1,)).term(5)
 
 
 def test_count_words_of_an_empty_trimmed_language_is_zero():
