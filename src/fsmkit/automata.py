@@ -20,9 +20,9 @@ from itertools import islice
 
 from .analysis import strongly_connected_components
 from .errors import ConstructionError, MachineError, shown
-from .machine import (AUTOMATON, Machine, State, Transition, _labels,
-                      _lockstep, _refuse_past_cap, _require_machine,
-                      _state_cap, bfs_levels, build_machine, explore)
+from .machine import (AUTOMATON, Machine, State, _labels, _lockstep, _Moves,
+                      _refuse_past_cap, _require_machine, _state_cap,
+                      bfs_levels, build_machine, explore)
 from .polynomial import charpoly
 from .symbols import word
 from .transducers import simplify
@@ -67,48 +67,51 @@ def empty_word_automaton(alphabet) -> Machine:
 # ----------------------------------------------------------------------
 
 def _renamed(m: Machine, prefix: str):
-    """The states and transitions of automaton m, each label x renamed
-    "{prefix}:x", so that different prefixes keep machines apart."""
-    states = tuple(State(f"{prefix}:{st.label}", st.is_initial, st.is_final)
-                   for st in m.states)
-    transitions = tuple(
-        Transition(f"{prefix}:{t.source}", f"{prefix}:{t.target}", t.input)
-        for t in m.transitions)
-    return states, transitions
+    """The states of automaton m, each label x renamed "{prefix}:x", so
+    that different prefixes keep machines apart."""
+    return tuple(State(f"{prefix}:{st.label}", st.is_initial, st.is_final)
+                 for st in m.states)
+
+
+def _shifted(m: Machine, by: int) -> list:
+    """The moves of m with both state indices raised by `by`, for m's
+    states placed after `by` others."""
+    return [(i + by, inp, j + by, out) for i, inp, j, out in m._moves]
 
 
 def union(a: Machine, b: Machine) -> Machine:
     """Disjoint union keeping both machines' initial states; determinize
     afterwards to run the result."""
     _require_automata(a, b)
-    (sa, ta), (sb, tb) = _renamed(a, "0"), _renamed(b, "1")
-    return Machine(AUTOMATON, sa + sb, ta + tb, a.input_alphabet)
+    moves = _Moves((*a._moves, *_shifted(b, len(a.states))))
+    return Machine(AUTOMATON, _renamed(a, "0") + _renamed(b, "1"), moves,
+                   a.input_alphabet)
 
 
 def concat(a: Machine, b: Machine) -> Machine:
     _require_automata(a, b)
-    (sa, ta), (sb, tb) = _renamed(a, "0"), _renamed(b, "1")
+    sa, sb, offset = _renamed(a, "0"), _renamed(b, "1"), len(a.states)
     states = (tuple(State(st.label, st.is_initial, False) for st in sa)
               + tuple(State(st.label, False, st.is_final) for st in sb))
-    epsilons = tuple(
-        Transition(fa.label, ib.label, ())
-        for fa in sa if fa.is_final
-        for ib in sb if ib.is_initial)
-    return Machine(AUTOMATON, states, ta + tb + epsilons, a.input_alphabet)
+    epsilons = [(i, (), offset + j, ())
+                for i, fa in enumerate(sa) if fa.is_final
+                for j, ib in enumerate(sb) if ib.is_initial]
+    return Machine(AUTOMATON, states, _Moves(
+        (*a._moves, *_shifted(b, offset), *epsilons)), a.input_alphabet)
 
 
 def kleene_star(a: Machine) -> Machine:
     _require_automaton(a)
-    renamed, transitions = _renamed(a, "0")
-    transitions = list(transitions)
-    for st in renamed:
+    renamed = _renamed(a, "0")
+    moves = _shifted(a, 1)  # the new state "*" is state 0
+    for i, st in enumerate(renamed, 1):
         if st.is_initial:
-            transitions.append(Transition("*", st.label, ()))
+            moves.append((0, (), i, ()))
         if st.is_final:
-            transitions.append(Transition(st.label, "*", ()))
+            moves.append((i, (), 0, ()))
     states = (State("*", is_initial=True, is_final=True),) + tuple(
         State(st.label) for st in renamed)
-    return Machine(AUTOMATON, states, tuple(transitions), a.input_alphabet)
+    return Machine(AUTOMATON, states, _Moves(moves), a.input_alphabet)
 
 
 # ----------------------------------------------------------------------
@@ -139,20 +142,21 @@ def determinize(a: Machine) -> Machine:
     def subsets():
         labels = sorted(st.label for st in a.states)
         rank = {label: r for r, label in enumerate(labels)}
+        ranks = [rank[st.label] for st in a.states]  # state index -> rank
         finals = {rank[st.label] for st in a.final_states()}
         epsilons = [[] for _ in labels]
-        for t in a.transitions:
-            if not t.input:
-                epsilons[rank[t.source]].append(rank[t.target])
+        for i, inp, j, _ in a._moves:
+            if not inp:
+                epsilons[ranks[i]].append(ranks[j])
         closure = [frozenset(bfs_levels([r], epsilons.__getitem__))
                    for r in range(len(labels))]
         nothing = frozenset()
         by_letter = {letter: [nothing] * len(labels)
                      for letter in a.input_alphabet}
-        for t in a.transitions:
-            if t.input:
-                row = by_letter[t.input[0]]
-                row[rank[t.source]] |= closure[rank[t.target]]
+        for i, inp, j, _ in a._moves:
+            if inp:
+                row = by_letter[inp[0]]
+                row[ranks[i]] |= closure[ranks[j]]
         moves = [((letter,), row) for letter, row in by_letter.items()]
 
         def successors(subset):
@@ -175,27 +179,26 @@ def determinize(a: Machine) -> Machine:
 
 
 def _with_sink(d: Machine):
-    """The states and transitions of the deterministic machine `d`
-    completed by the sink of `Machine._targets`, the one sink rule, as a
-    real state: non-final, labeled "sink" and appended last.  Each move
-    the table sends to the sink becomes a transition to it, in state and
-    then letter order, and the sink moves to itself on every letter;
-    None when no move is missing.  A state of `d` labeled "sink" is
-    refused."""
+    """The states and moves of the deterministic machine `d` completed by
+    the sink of `Machine._targets`, the one sink rule, as a real state:
+    non-final, labeled "sink" and appended last, at index n.  Each move
+    the table sends to the sink becomes a move to it, in state and then
+    letter order, and the sink moves to itself on every letter; None when
+    no move is missing.  A state of `d` labeled "sink" is refused."""
     sink_label = "sink"
     n = len(d.states)
     targets = d._targets()
     letters = [(letter,) for letter in d.input_alphabet]
-    # zip stops at the sink's own row, the table's last
-    missing = [Transition(st.label, sink_label, one)
-               for st, row in zip(d.states, zip(*targets)) if n in row
+    # range(n) stops zip at the sink's own row, the table's last
+    missing = [(i, one, n, ())
+               for i, row in zip(range(n), zip(*targets)) if n in row
                for one, j in zip(letters, row) if j == n]
     if not missing:
         return None
-    if d.has_state(sink_label):
+    if any(st.label == sink_label for st in d.states):  # no label index
         raise ConstructionError(f"sink label {sink_label!r} already in use")
-    missing += [Transition(sink_label, sink_label, one) for one in letters]
-    return d.states + (State(sink_label),), d.transitions + tuple(missing)
+    missing += [(n, one, n, ()) for one in letters]
+    return d.states + (State(sink_label),), _Moves((*d._moves, *missing))
 
 
 def complete(a: Machine) -> Machine:
@@ -213,10 +216,10 @@ def complement(a: Machine) -> Machine:
     alphabet): the completed determinization (`_with_sink`) with every
     state's finality flipped, built as one machine."""
     d = determinize(a)
-    states, transitions = _with_sink(d) or (d.states, d.transitions)
+    states, moves = _with_sink(d) or (d.states, d._moves)
     flipped = tuple(
         State(st.label, st.is_initial, not st.is_final) for st in states)
-    return Machine(AUTOMATON, flipped, transitions, d.input_alphabet)
+    return Machine(AUTOMATON, flipped, moves, d.input_alphabet)
 
 
 def intersection(a: Machine, b: Machine) -> Machine:
@@ -317,22 +320,29 @@ def language(a: Machine, max_length: int):
     dist = t._levels(backward=True)  # to the nearest final state, to prune
 
     # depth-first with an explicit stack, so long words cannot exhaust
-    # the recursion limit; letters are pushed in reverse to pop in order
+    # the recursion limit; letters are pushed in reverse to pop in order.
+    # An entry is (state, its depth, the letter that reached it), and
+    # `path` holds the letters from the start to the entry popped last,
+    # so a step writes one letter and only a yielded word is copied.
+    path = []
     for length in range(max_length + 1):
-        stack = [(start, ())]
+        stack = [(start, 0, None)]
         while stack:
-            here, prefix = stack.pop()
-            remaining = length - len(prefix)
+            here, depth, letter = stack.pop()
+            if depth:
+                del path[depth - 1:]
+                path.append(letter)
+            remaining = length - depth
             if dist[here] > remaining:
                 continue
             if remaining == 0:
                 if t.states[here].is_final:
-                    yield prefix
+                    yield tuple(path)
                 continue
             for letter, column in moves:
                 step = column[here]
                 if step is not None:
-                    stack.append((step[0], prefix + (letter,)))
+                    stack.append((step[0], depth + 1, letter))
 
 
 def _trimmed(a: Machine) -> Machine:

@@ -12,30 +12,39 @@ length-zero input is an epsilon transition, which the nondeterministic
 construction layers use and deterministic execution refuses.  The rows,
 `State` and `Transition`, are slotted frozen dataclasses whose
 constructors fill the slots through the slots' own descriptors, since a
-frozen row refuses assignment; a construction builds thousands of them.
+frozen row refuses assignment; a construction builds thousands of
+states.
 
-The one constructor validates every machine, construction results
-included, indexes its states by label (`_by_label`) and, in the same
-pass over the transitions, builds the step view (`_steps`: per letter, a
-column with one entry per state index, (target index, output word) or
-None for a missing move, every move to one target that writes nothing
-sharing one entry; or the message refusing a machine that is not
-deterministic).  `_targets` is the one sink rule: per letter, each
-state's target index, a missing move going to index n, a non-final sink
-past the states that loops on every letter.  The index graph (`_edges`:
-source and target index per transition) is what reachability, trimming,
-relabeling, the SCCs and the word counts walk.  A machine never changes,
-so `_kept` keeps each derived form, built on first use, and a later call
-reads it instead of deriving it again: the subset construction, the
-trimmed deterministic form that counting and enumeration read, the word
-count recurrence, the terminal chain and its period test.  A form that
-is the machine itself, such as the trimmed form of a machine that `trim`
-leaves whole (a restriction that drops no state returns the machine), is
-kept as None, so no machine refers to itself.  Nothing changes a machine
-after its constructor but `_kept`.
+The constructor works from index moves, (i, input word, j, output word)
+per transition, i and j the indices of its source and target states.  It
+takes `Transition` rows, which it checks, turns into moves and keeps as
+given, or a `_Moves` tuple, the form the library's constructions hand
+it.  One loop over the moves checks each against the alphabets and the
+kind and builds the step view (`_steps`: per letter, a column with one
+entry per state index, (target index, output word) or None for a missing
+move, every move to one target that writes nothing sharing one entry; or
+the message refusing a machine that is not deterministic).  A machine
+built from moves writes its rows on the first read of `transitions`
+(files, exports, equality, `digraph`, output projection), once, in move
+order, and its label index (`_by_label`) on the first lookup; a refusal
+writes only the offending row, for its message.  `_targets` is the one
+sink rule: per letter, each state's target index, a missing move going
+to index n, a non-final sink past the states that loops on every letter.
+The index graph (`_edges`: source and target index per move) is what
+reachability, trimming, the SCCs and the word counts walk.  A machine
+never changes, so `_kept` keeps each derived form, built on first use,
+and a later call reads it instead of deriving it again: the subset
+construction, the trimmed deterministic form that counting and
+enumeration read, the word count recurrence, the terminal chain and its
+period test.  A form that is the machine itself, such as the trimmed
+form of a machine that `trim` leaves whole (a restriction that drops no
+state returns the machine), is kept as None, so no machine refers to
+itself.  Nothing changes a machine after its constructor but `_kept`
+and those first reads, which write what its states and moves fix.
 `explore` is the one breadth-first construction: each move costs one
 dict probe for its target, and only a new key is named and counted
-against the state cap.  A product keys the index pair (i, j) by the int
+against the state cap; a name already taken costs O(1) more
+(`_namer`).  A product keys the index pair (i, j) by the int
 i * n + j, n being the second side's state count, and every construction
 builds one `(letter,)` input word per letter for all its transitions on
 that letter, so a move creates no tuple that could be shared.
@@ -55,6 +64,7 @@ import sys
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (ConstructionError, InvalidInputError, MachineError,
@@ -110,6 +120,15 @@ _set_label, _set_is_initial, _set_is_final, _set_final_output = (
 _set_source, _set_target, _set_input, _set_output = (
     Transition.source.__set__, Transition.target.__set__,
     Transition.input.__set__, Transition.output.__set__)
+
+
+class _Moves(tuple):
+    """A machine's transitions as index moves (i, input word, j, output
+    word), in transition order, i and j the indices of the source and the
+    target state: the form the constructor works from, and the one the
+    library's constructions hand it in place of `Transition` rows."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -173,13 +192,14 @@ class Machine:
 
         self.kind = kind
         self.states = tuple(states)
-        self.transitions = tuple(transitions)
+        if type(transitions) is not _Moves:
+            self.transitions = tuple(transitions)
         self.input_alphabet = alphabet
         self.output_alphabet = out_alphabet
 
         automaton = kind == AUTOMATON
         writable = None if out_alphabet is None else set(out_alphabet)
-        self._by_label = by_label = {}  # label -> state index
+        by_label = {}  # label -> state index
         initials = []
         for i, st in enumerate(self.states):
             if not isinstance(st, State):
@@ -205,60 +225,70 @@ class Machine:
             if st.is_initial:
                 initials.append(i)
 
-        # the step view (see _steps), filled as the rows pass their checks
-        # until the first refusal, which is kept in its place; its columns
-        # also tell the alphabet's letters
+        # the moves, each checked in turn (a row first by `_row_moves`)
+        # and entered in the step view (see _steps) until the first
+        # refusal, which is kept in its place; the view's columns also
+        # tell the alphabet's letters
+        if type(transitions) is _Moves:
+            moves = given = transitions
+        else:
+            self._by_label = by_label
+            moves = []
+            given = _row_moves(self.transitions, by_label, moves.append)
         refusal = None
         if len(initials) != 1:
             refusal = (f"a deterministic run needs exactly one initial state, "
                        f"found {len(initials)}")
         columns = {letter: [None] * len(self.states) for letter in alphabet}
         silent = {}  # target j -> its shared (j, ()) entry
-        for t in self.transitions:
-            if type(t) is not Transition:
-                raise ConstructionError(f"not a transition: {shown(t)}")
-            inp, out = t.input, t.output
-            if type(inp) is not tuple:
-                raise ConstructionError(
-                    f"transition input is not a tuple: {shown(t)}")
-            if type(out) is not tuple:
-                raise ConstructionError(
-                    f"transition output is not a tuple: {shown(t)}")
-            source, target = t.source, t.target
-            if type(source) is not str or type(target) is not str:
-                raise ConstructionError(
-                    f"transition endpoint is not a string: {shown(t)}")
-            i, j = by_label.get(source), by_label.get(target)
-            if i is None or j is None:
-                raise ConstructionError(f"transition endpoints unknown: {t}")
-            if len(inp) > 1:
-                raise ConstructionError(f"transition input longer than one letter: {t}")
+        for move in given:
+            i, inp, j, out = move
             if inp:
-                if not isinstance(inp[0], Symbol):
-                    raise ConstructionError(
-                        f"input letter {shown(inp[0])} is not a symbol: {shown(t)}")
                 column = columns.get(inp[0])
                 if column is None:
                     raise ConstructionError(
-                        f"input symbol {inp[0]} outside the alphabet in transition {t}")
+                        f"input symbol {inp[0]} outside the alphabet in "
+                        f"transition {self._row(move)}")
             if out:
-                _check_output(out, writable, t)
+                _check_output(out, writable, move, self)
                 if automaton:
-                    raise ConstructionError(f"automaton transition with output: {t}")
+                    raise ConstructionError(
+                        f"automaton transition with output: {self._row(move)}")
             if refusal is not None:
                 continue
             if not inp:
-                refusal = f"epsilon transition blocks execution: {t}"
+                refusal = f"epsilon transition blocks execution: {self._row(move)}"
             elif column[i] is not None:
-                refusal = (f"nondeterministic on state {source!r}, "
+                refusal = (f"nondeterministic on state {self.states[i].label!r}, "
                            f"letter {inp[0]}")
             elif out:
                 column[i] = (j, out)
             else:
                 column[i] = silent.get(j) or silent.setdefault(j, (j, ()))
 
+        self._moves = moves if given is moves else _Moves(moves)
         self._view = refusal or (initials[0], columns)
         self._forms = {}  # derived forms by name, see _kept
+
+    @cached_property
+    def transitions(self):
+        """The `Transition` rows, in move order: those given to the
+        constructor, or, for a machine built from moves, written on the
+        first read and kept."""
+        labels = _labels(self)
+        return tuple(Transition(labels[i], labels[j], inp, out)
+                     for i, inp, j, out in self._moves)
+
+    @cached_property
+    def _by_label(self):
+        """Each state's index by its label: built by a constructor given
+        rows, and for a machine built from moves on the first lookup."""
+        return {st.label: i for i, st in enumerate(self.states)}
+
+    def _row(self, move) -> Transition:
+        """The `Transition` row of one of the machine's moves."""
+        i, inp, j, out = move
+        return Transition(self.states[i].label, self.states[j].label, inp, out)
 
     # ------------------------------------------------------------------
     # basic views
@@ -266,7 +296,7 @@ class Machine:
 
     def __repr__(self):
         return (f"<{self.kind}: {len(self.states)} states, "
-                f"{len(self.transitions)} transitions>")
+                f"{len(self._moves)} transitions>")
 
     def state(self, label) -> State:
         label = as_label(label)
@@ -395,9 +425,8 @@ class Machine:
     # ------------------------------------------------------------------
 
     def _edges(self) -> list:
-        """(source index, target index) per transition, in their order."""
-        index = self._by_label
-        return [(index[t.source], index[t.target]) for t in self.transitions]
+        """(source index, target index) per move, in transition order."""
+        return [(i, j) for i, _, j, _ in self._moves]
 
     def _levels(self, backward=False) -> dict:
         """`bfs_levels` of the state indices from the initial states or,
@@ -432,11 +461,12 @@ class Machine:
         changes, else a new machine."""
         if len(keep) == len(self.states):
             return self
-        index = self._by_label
-        states = tuple(st for i, st in enumerate(self.states) if i in keep)
-        transitions = tuple(t for t in self.transitions if index[t.source]
-                            in keep and index[t.target] in keep)
-        return Machine(self.kind, states, transitions,
+        index = {i: k for k, i in enumerate(sorted(keep))}  # old -> new
+        states = tuple(map(self.states.__getitem__, index))
+        moves = _Moves((index[i], inp, index[j], out)
+                       for i, inp, j, out in self._moves
+                       if i in index and j in index)
+        return Machine(self.kind, states, moves,
                        self.input_alphabet, self.output_alphabet)
 
     # ------------------------------------------------------------------
@@ -447,21 +477,21 @@ class Machine:
         """Rename states 0..n-1 by `_bfs_names` from the initial states,
         following transitions in canonical (input, output) order;
         unreachable states keep their relative order at the end."""
-        edges = list(zip(self.transitions, self._edges()))
+        moves = self._moves
         outgoing = [[] for _ in self.states]
         # a stable sort, so each state's moves come out in canonical order
-        for t, (i, j) in sorted(edges, key=lambda e: (
-                word_key(e[0].input), word_key(e[0].output), e[1][1])):
+        for i, _, j, _ in sorted(moves, key=lambda move: (
+                word_key(move[1]), word_key(move[3]), move[2])):
             outgoing[i].append(j)
 
         starts = (i for i, st in enumerate(self.states) if st.is_initial)
         names, old = _bfs_names(starts, outgoing), self.states
         states = tuple(State(name, old[i].is_initial, old[i].is_final,
                              old[i].final_output) for i, name in names.items())
-        transitions = tuple(Transition(names[i], names[j], t.input, t.output)
-                            for t, (i, j) in edges)
-        return Machine(self.kind, states, transitions,
-                       self.input_alphabet, self.output_alphabet)
+        index = {i: k for k, i in enumerate(names)}  # old -> new index
+        return Machine(self.kind, states, _Moves(
+            (index[i], inp, index[j], out) for i, inp, j, out in moves),
+            self.input_alphabet, self.output_alphabet)
 
     # ------------------------------------------------------------------
     # graph view and export
@@ -491,11 +521,46 @@ class Machine:
                               format_letter=format_letter)
 
 
-def _check_output(w, writable, row):
-    """Refuse a letter of `row`'s output word w (a transition's output or a
-    state's final output) that is no symbol or, given `writable`, not in it."""
+def _row_moves(rows, by_label, keep):
+    """Each `Transition` row's move (i, input word, j, output word),
+    yielded once the row passes the checks that only rows need: its type
+    and its fields' types, known endpoints, and an input of at most one
+    letter that is a symbol."""
+    for t in rows:
+        if type(t) is not Transition:
+            raise ConstructionError(f"not a transition: {shown(t)}")
+        inp, out = t.input, t.output
+        if type(inp) is not tuple:
+            raise ConstructionError(
+                f"transition input is not a tuple: {shown(t)}")
+        if type(out) is not tuple:
+            raise ConstructionError(
+                f"transition output is not a tuple: {shown(t)}")
+        source, target = t.source, t.target
+        if type(source) is not str or type(target) is not str:
+            raise ConstructionError(
+                f"transition endpoint is not a string: {shown(t)}")
+        i, j = by_label.get(source), by_label.get(target)
+        if i is None or j is None:
+            raise ConstructionError(f"transition endpoints unknown: {t}")
+        if len(inp) > 1:
+            raise ConstructionError(f"transition input longer than one letter: {t}")
+        if inp and not isinstance(inp[0], Symbol):
+            raise ConstructionError(
+                f"input letter {shown(inp[0])} is not a symbol: {shown(t)}")
+        move = (i, inp, j, out)
+        keep(move)
+        yield move
+
+
+def _check_output(w, writable, row, machine=None):
+    """Refuse a letter of output word w that is no symbol or, given
+    `writable`, not in it.  `row` is the state whose final output w is,
+    or a move of `machine` whose row is written only to refuse."""
     for s in w:
         if not isinstance(s, Symbol) or writable is not None and s not in writable:
+            if machine is not None:
+                row = machine._row(row)
             final = "final " if type(row) is State else ""
             if not isinstance(s, Symbol):
                 raise ConstructionError(
@@ -575,13 +640,27 @@ def _listing(m: Machine):
                 t.source, t.target, rank[t.input], rank[t.output])))
 
 
-def _free_label(base: str, taken) -> str:
-    """`base`, or its first free suffix "#k" when `taken` holds it."""
-    label, k = base, 0
-    while label in taken:
-        k += 1
-        label = f"{base}#{k}"
-    return label
+def _namer(taken=()):
+    """A function that names a state from its base name, once per state:
+    the base or, when a state already holds it (the labels `taken` hold
+    from the start, and each name handed out), its first free suffix
+    "#k".  Every suffix up to the last one handed out for a base is held,
+    so the search for the next starts past it, and a run of collisions
+    costs O(1) a name."""
+    held, last = set(taken), {}
+
+    def name(base):
+        label = base
+        if label in held:
+            k = last.get(base, 0)
+            while label in held:
+                k += 1
+                label = f"{base}#{k}"
+            last[base] = k
+        held.add(label)
+        return label
+
+    return name
 
 
 def _labels(m: Machine):
@@ -632,40 +711,41 @@ def explore(kind, alphabet, starts, successors, name, final,
     `successors(key)` yields (input word, target key, output word) for each
     transition leaving a state, in the order the transitions are listed;
     `name(key)` labels a state once, when it is discovered, and a name
-    already taken gets the first free suffix "#k" (`_free_label`);
+    already taken gets the first free suffix "#k" (`_namer`);
     `final(key)` is None for a non-final state and its final output word
     otherwise.  States are listed in discovery order; more states than the
     state cap (`_state_cap`), starts included, raise StateCapError.  Each
     move costs one dict probe for its target; only a newly discovered key
-    is named and counted against the cap."""
+    is named and counted against the cap.  The machine is built from its
+    moves, so it writes no `Transition` row until one is read."""
     cap = _state_cap()
-    taken = set()
+    fresh = _namer()
     order = list(dict.fromkeys(starts))
     initial_count = len(order)
     _refuse_past_cap(initial_count, cap)
-    labels = {}
-    for key in order:
-        labels[key] = label = _free_label(name(key), taken)
-        taken.add(label)
-    label_of = labels.get
-    transitions = []
+    index = {key: i for i, key in enumerate(order)}
+    labels = [fresh(name(key)) for key in order]
+    index_of = index.get
+    moves = []
     for here in order:  # order grows while it is walked
-        source = labels[here]
+        i = index[here]  # the int the moves into `here` hold, shared
         for inp, target, out in successors(here):
-            label = label_of(target)
-            if label is None:
-                if len(order) >= cap:
-                    _refuse_past_cap(len(order) + 1, cap)
-                labels[target] = label = _free_label(name(target), taken)
-                taken.add(label)
+            j = index_of(target)
+            if j is None:
+                j = len(order)
+                if j >= cap:
+                    _refuse_past_cap(j + 1, cap)
+                index[target] = j
+                labels.append(fresh(name(target)))
                 order.append(target)
-            transitions.append(Transition(source, label, inp, out))
+            moves.append((i, inp, j, out))
     states = []
     for i, key in enumerate(order):
         final_output = final(key)
-        states.append(State(labels[key], i < initial_count,
+        states.append(State(labels[i], i < initial_count,
                             final_output is not None, final_output or ()))
-    return Machine(kind, states, transitions, alphabet, output_alphabet)
+    del order, index, index_of, fresh  # the keys and names, before the tables
+    return Machine(kind, states, _Moves(moves), alphabet, output_alphabet)
 
 
 def bfs_levels(starts, neighbours) -> dict:

@@ -8,7 +8,7 @@ from itertools import count, zip_longest
 
 from .errors import ConstructionError, MachineError, shown
 from .machine import (AUTOMATON, TRANSDUCER, Machine, State, Transition,
-                      _bfs_names, _free_label, _labels, _lockstep,
+                      _bfs_names, _labels, _lockstep, _Moves, _namer,
                       _pair_label, _require_machine, _run, as_label,
                       explore)
 from .symbols import (ABSENT, AbsentType, Digit, Pair, Symbol,
@@ -135,11 +135,12 @@ def cartesian_product(t1: Machine, t2: Machine) -> Machine:
     _require_machine(t2)
     if t1.input_alphabet != t2.input_alphabet:
         raise MachineError("cartesian product needs equal input alphabets")
-    for t in t1.transitions + t2.transitions:
-        if len(t.output) != 1:
-            raise MachineError(
-                f"cartesian product needs exactly one output symbol per "
-                f"transition, offending transition: {t}")
+    for m in (t1, t2):
+        for move in m._moves:
+            if len(move[3]) != 1:
+                raise MachineError(
+                    f"cartesian product needs exactly one output symbol per "
+                    f"transition, offending transition: {m._row(move)}")
     _steps_of(t1, "left")
     _steps_of(t2, "right")
 
@@ -217,11 +218,11 @@ def output_projection(t: Machine) -> Machine:
     states = {st.label: State(st.label, st.is_initial, st.is_final and
                               not st.final_output) for st in t.states}
     transitions = []
-    fresh = count()
+    fresh, name = count(), _namer(states)
 
     def add(base, is_final=False):
         """A new state named `base`, or its first free "#k" suffix."""
-        label = _free_label(base, states)
+        label = name(base)
         states[label] = State(label, False, is_final)
         return label
 
@@ -276,7 +277,7 @@ def with_final_word_out(t: Machine, letter) -> Machine:
     if not any(st.is_final for st in new_states):
         raise MachineError(
             f"no state reaches a final state by reading {letter}")
-    return Machine(t.kind, tuple(new_states), t.transitions,
+    return Machine(t.kind, tuple(new_states), t._moves,
                    t.input_alphabet, t.output_alphabet)
 
 
@@ -294,8 +295,8 @@ def simplify(t: Machine) -> Machine:
     complete automaton it is the minimal automaton, on a transducer it is
     not guaranteed to be globally minimal.  Blocks are named by
     `_bfs_names`, as `Machine.relabeled` names states.  The refinement
-    reads `Machine._targets` (the one sink rule), and the result's
-    transitions are written from the step view's columns."""
+    reads `Machine._targets` (the one sink rule), and the result's moves
+    are written from the step view's columns."""
     _require_machine(t)
     start, view = t._steps()
     n = len(t.states)
@@ -329,13 +330,13 @@ def simplify(t: Machine) -> Machine:
         st = t.states[representative[b]]
         states.append(State(label, b == initial_block, st.is_final,
                             st.final_output))
+    index = {b: k for k, b in enumerate(name)}  # block -> state index
     words = [(letter,) for letter in view]
-    transitions = []
+    moves = []
     for b, i in representative.items():
         for one, column in zip(words, columns):
             step = column[i]
             if step is not None:
-                transitions.append(Transition(
-                    name[b], name[block[step[0]]], one, step[1]))
-    return Machine(t.kind, states, transitions, t.input_alphabet,
+                moves.append((index[b], one, index[block[step[0]]], step[1]))
+    return Machine(t.kind, states, _Moves(moves), t.input_alphabet,
                    t.output_alphabet)

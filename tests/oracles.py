@@ -31,7 +31,10 @@ the language enumeration's pruning, the subset construction, the
 product of deterministic automata and language equivalence, which walk
 state indices or, for the subsets, state ranks in label order.  The subset construction and the
 product build their machines through their own label-keyed breadth-first
-builder (`_label_explore`), not the library's exploration kernel."""
+builder (`_label_explore`), not the library's exploration kernel.
+`free_label` walks the suffixes "#1", "#2", ... of a taken state name
+from the first each time, the reference for the library's state namer,
+which starts each search past the last suffix it handed out."""
 
 import json
 from collections import deque
@@ -827,6 +830,16 @@ def label_relabeled(m):
         for t in m.transitions)
     return Machine(m.kind, states, transitions,
                    m.input_alphabet, m.output_alphabet)
+
+
+def free_label(base, taken):
+    """`base`, or its first suffix "#k" (k = 1, 2, ...) that `taken` does
+    not hold when it holds `base`."""
+    label, k = base, 0
+    while label in taken:
+        k += 1
+        label = f"{base}#{k}"
+    return label
 
 
 def _label_explore(alphabet, start, successors, name, is_final):

@@ -7,7 +7,9 @@ results agree with a label-keyed walk of the rows, and the target table
 with that walk's view plus its sink, the walks over state indices
 (SCCs, the period test, reachability, trimming, relabeling and the language
 enumeration's pruning) agree with label-keyed copies, language equivalence agrees with comparing
-minimal automata and with a walk of label pairs, machine files round-trip byte-identically, word counts
+minimal automata and with a walk of label pairs, the language enumeration
+agrees with its label-keyed reference up to length 7, state names agree
+with the first-free-suffix walk, machine files round-trip byte-identically, word counts
 agree with enumeration, expansion values and renderings agree with the
 per-digit Fraction sum and the per-digit rendering, the stationary
 vector is fixed by the full transition matrix, and the exact linear
@@ -45,12 +47,14 @@ from fsmkit.machine import (AUTOMATON, TRANSDUCER, Machine, State,
                             Transition, WeightedDigraph, build_machine)
 from fsmkit.polynomial import charpoly
 from fsmkit.symbols import ABSENT, Digit, Pair, word
-from fsmkit.transducers import cartesian_product, compose, simplify
+from fsmkit.transducers import (cartesian_product, compose,
+                                from_transition_function, simplify)
 
 from oracles import (all_words, equivalent_by_minimization,
                      fraction_bellman_ford, gauss_jordan_solve,
                      label_accessible, label_coaccessible, label_determinize,
-                     label_equivalent, label_is_aperiodic, label_language,
+                     free_label, label_equivalent, label_is_aperiodic,
+                     label_language,
                      label_product,
                      label_relabeled, label_sccs, label_terminal_scc,
                      label_terminal_sccs, label_trim, markov_constants,
@@ -936,3 +940,62 @@ def test_charpoly_matches_sympy(seed):
     m = [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
     expected = [int(c) for c in sympy.Matrix(m).charpoly().all_coeffs()]
     assert charpoly(m) == expected
+
+
+@PROPERTY
+@given(random_automata(), st.integers(0, 7))
+def test_language_agrees_with_the_label_keyed_enumeration(a, max_length):
+    """The same words in the same shortlex order, each a tuple."""
+    words = list(language(a, max_length))
+    assert words == list(label_language(a, max_length))
+    assert all(type(w) is tuple for w in words)
+
+
+NAMES = st.one_of(st.sampled_from(["x", "x#1", "x#2", "x#2#1", "y", ""]),
+                  st.text(alphabet="xy#12", max_size=4))
+
+
+@PROPERTY
+@given(st.lists(NAMES, max_size=6), st.lists(NAMES, max_size=30))
+@example(["x#2"], ["x", "x", "x", "x#2", "x"])
+def test_state_names_agree_with_the_first_free_suffix_walk(taken, bases):
+    """Each base gets the name the walk from "#1" gives, over the labels
+    taken from the start and every name handed out before it."""
+    name = machine_module._namer(taken)
+    held = set(taken)
+    for base in bases:
+        expected = free_label(base, held)
+        held.add(expected)
+        assert name(base) == expected
+
+
+class _Printed:
+    """A state key that prints as its `text` whatever its `key`."""
+
+    def __init__(self, key, text):
+        self.key, self.text = key, text
+
+    def __eq__(self, other):
+        return isinstance(other, _Printed) and other.key == self.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __str__(self):
+        return self.text
+
+
+@PROPERTY
+@given(st.lists(NAMES, min_size=1, max_size=25))
+@example(["x#2", "x", "x", "x", "x"])
+def test_explored_names_agree_with_the_first_free_suffix_walk(texts):
+    """A cycle of states printed as `texts` is named in discovery order."""
+    n = len(texts)
+    m = from_transition_function(
+        lambda key, letter: (_Printed((key.key + 1) % n,
+                                      texts[(key.key + 1) % n]), []),
+        [0], [_Printed(0, texts[0])], [])
+    held = set()
+    for state, text in zip(m.states, texts):
+        assert state.label == free_label(text, held)
+        held.add(state.label)
