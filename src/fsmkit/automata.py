@@ -195,7 +195,7 @@ def _with_sink(d: Machine):
                for one, j in zip(letters, row) if j == n]
     if not missing:
         return None
-    if any(st.label == sink_label for st in d.states):  # no label index
+    if d.has_state(sink_label):
         raise ConstructionError(f"sink label {sink_label!r} already in use")
     missing += [(n, one, n, ()) for one in letters]
     return d.states + (State(sink_label),), _Moves((*d._moves, *missing))

@@ -26,8 +26,7 @@ move, every move to one target that writes nothing sharing one entry; or
 the message refusing a machine that is not deterministic).  A machine
 built from moves writes its rows on the first read of `transitions`
 (files, exports, equality, `digraph`, output projection), once, in move
-order, and its label index (`_by_label`) on the first lookup; a refusal
-writes only the offending row, for its message.  `_targets` is the one
+order; a refusal writes only the offending row, for its message.  `_targets` is the one
 sink rule: per letter, each state's target index, a missing move going
 to index n, a non-final sink past the states that loops on every letter.
 The index graph (`_edges`: source and target index per move) is what
@@ -199,7 +198,7 @@ class Machine:
 
         automaton = kind == AUTOMATON
         writable = None if out_alphabet is None else set(out_alphabet)
-        by_label = {}  # label -> state index
+        self._by_label = by_label = {}  # label -> state index
         initials = []
         for i, st in enumerate(self.states):
             if not isinstance(st, State):
@@ -220,7 +219,7 @@ class Machine:
                 if automaton:
                     raise ConstructionError(
                         f"automaton state {st.label!r} with final output")
-                _check_output(st.final_output, writable, st)
+                _check_output(st.final_output, writable, lambda: st)
             by_label[st.label] = i
             if st.is_initial:
                 initials.append(i)
@@ -232,7 +231,6 @@ class Machine:
         if type(transitions) is _Moves:
             moves = given = transitions
         else:
-            self._by_label = by_label
             moves = []
             given = _row_moves(self.transitions, by_label, moves.append)
         refusal = None
@@ -250,7 +248,7 @@ class Machine:
                         f"input symbol {inp[0]} outside the alphabet in "
                         f"transition {self._row(move)}")
             if out:
-                _check_output(out, writable, move, self)
+                _check_output(out, writable, lambda: self._row(move))
                 if automaton:
                     raise ConstructionError(
                         f"automaton transition with output: {self._row(move)}")
@@ -278,12 +276,6 @@ class Machine:
         labels = _labels(self)
         return tuple(Transition(labels[i], labels[j], inp, out)
                      for i, inp, j, out in self._moves)
-
-    @cached_property
-    def _by_label(self):
-        """Each state's index by its label: built by a constructor given
-        rows, and for a machine built from moves on the first lookup."""
-        return {st.label: i for i, st in enumerate(self.states)}
 
     def _row(self, move) -> Transition:
         """The `Transition` row of one of the machine's moves."""
@@ -553,14 +545,14 @@ def _row_moves(rows, by_label, keep):
         yield move
 
 
-def _check_output(w, writable, row, machine=None):
+def _check_output(w, writable, row):
     """Refuse a letter of output word w that is no symbol or, given
-    `writable`, not in it.  `row` is the state whose final output w is,
-    or a move of `machine` whose row is written only to refuse."""
+    `writable`, not in it.  `row()` gives the state whose final output w
+    is, or the transition whose output it is; it is called only to
+    refuse, so a move's row is written only then."""
     for s in w:
         if not isinstance(s, Symbol) or writable is not None and s not in writable:
-            if machine is not None:
-                row = machine._row(row)
+            row = row()
             final = "final " if type(row) is State else ""
             if not isinstance(s, Symbol):
                 raise ConstructionError(

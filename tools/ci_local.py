@@ -1,11 +1,10 @@
 """Run the CI workflow's steps on this machine, before a merge.
 
-Usage:  python tools/ci_local.py [--workflow PATH] [--keep]
+Usage:  python tools/ci_local.py
 
-Every `run:` block of the workflow (by default .github/workflows/tests.yml)
-runs in order under `bash -eo pipefail`, from a scratch copy of the
-checkout (its tracked files and the untracked ones git does not ignore),
-with GITHUB_STEP_SUMMARY and RUNNER_TEMP pointed into the scratch
+Every `run:` block of .github/workflows/tests.yml runs in order under
+`bash -eo pipefail`, from a scratch copy of the checkout (its tracked
+files and the untracked ones git does not ignore), with GITHUB_STEP_SUMMARY and RUNNER_TEMP pointed into the scratch
 directory and `${{ matrix.python-version }}` read as this interpreter's
 version.  A step that fails does not stop the later ones, as if each had
 `if: always()`.  Steps that only name an action (`uses:`) have nothing to
@@ -17,14 +16,13 @@ Steps that need the network are skipped by name, each with its reason
 (PIP_NO_INDEX, PIP_DISABLE_PIP_VERSION_CHECK), so a step that would
 download a package fails instead of reaching out.
 
-The workflow is read with PyYAML where it is installed, else by a reader
-for the shape this file has: a `steps:` list whose items hold `name:`,
-`uses:` and `run:` keys, a `run:` value on its line or as a `|` block.
+The workflow is read by a reader for the shape this file has, which needs
+no package: a `steps:` list whose items hold `name:`, `uses:` and `run:`
+keys, a `run:` value on its line or as a `|` block.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -43,21 +41,13 @@ NEEDS_NETWORK = {
 }
 
 
-def read_steps_yaml(text):
-    """(name, run) of each step of each job, in order, read by PyYAML;
-    run is None for a step that only names an action."""
-    import yaml
-    doc = yaml.safe_load(text)
-    return [(step.get("name") or step.get("uses"), step.get("run"))
-            for job in doc["jobs"].values() for step in job["steps"]]
-
-
-def read_steps_plain(text):
-    """The same list, read line by line for this workflow's shape: a step
-    starts with `- ` under a `steps:` key, its keys sit two columns past
-    the dash (comments and deeper keys, such as those under `with:`, are
-    passed over), and a `run: |` block holds the lines indented past its
-    key, less their common indentation, with one final newline."""
+def read_steps(text):
+    """(name, run) of each step of each job, in order, with run None for a
+    step that only names an action, read line by line: a step starts with
+    `- ` under a `steps:` key, its keys sit two columns past the dash
+    (comments and deeper keys, such as those under `with:`, are passed
+    over), and a `run: |` block holds the lines indented past its key,
+    less their common indentation, with one final newline."""
     steps, lines = [], text.splitlines()
     steps_indent = item_indent = None
     k = 0
@@ -97,14 +87,6 @@ def read_steps_plain(text):
             for step in steps]
 
 
-def read_steps(text):
-    try:
-        import yaml  # noqa: F401
-    except ImportError:
-        return read_steps_plain(text)
-    return read_steps_yaml(text)
-
-
 def copy_checkout(into: Path):
     """The checkout's tracked and untracked, not ignored, files, copied
     under `into`; every file but .git when git cannot list them."""
@@ -124,13 +106,8 @@ def copy_checkout(into: Path):
             shutil.copy2(source, target)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workflow", type=Path, default=WORKFLOW)
-    parser.add_argument("--keep", action="store_true",
-                        help="keep the scratch directory and say where")
-    args = parser.parse_args(argv)
-    steps = read_steps(args.workflow.read_text(encoding="utf-8"))
+def main():
+    steps = read_steps(WORKFLOW.read_text(encoding="utf-8"))
 
     scratch = Path(tempfile.mkdtemp(prefix="ci_local-"))
     work, runner_temp = scratch / "checkout", scratch / "runner_temp"
@@ -170,10 +147,7 @@ def main(argv=None):
     print(f"ci_local: {counts['PASS']} passed, {counts['FAIL']} failed, "
           f"{counts['SKIP']} skipped of {total} run steps in "
           f"{time.perf_counter() - started:.1f} s (Python {version})")
-    if args.keep:
-        print(f"scratch kept in {scratch}")
-    else:
-        shutil.rmtree(scratch, ignore_errors=True)
+    shutil.rmtree(scratch, ignore_errors=True)
     return 1 if counts["FAIL"] else 0
 
 
